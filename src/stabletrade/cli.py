@@ -20,22 +20,22 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import rl_agents
 from .bandit_envs import EnvSpec, MdpTables, make_env, play, regret, true_q
-from .errors import ConfigError, DataError, ParamError
+from .errors import ConfigError, DataError, InsufficientDataError, NumericError, ParamError
 from .market_sim import (
     CppiConfig,
     Metrics,
     TradingEnv,
     cppi_expert_action,
     load_ohlcv,
+    median_metrics,
     metrics,
     run_policy,
-    split,
     synth_market,
 )
 from .rl_agents import (
@@ -158,6 +158,10 @@ def _market_from(raw, fallback_seed=0):
     )
 
 
+def _is_int(v, least):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
 def _check_param_keys(kind, params, allowed):
     extra = set(params) - allowed
     if extra:
@@ -209,6 +213,9 @@ class ExperimentConfig:
 
     def _validate_bandit_regret(self):
         _check_param_keys(self.kind, self.params, _BANDIT_PARAM_KEYS)
+        if "rounds" in self.params and not _is_int(self.params["rounds"], 1):
+            raise ConfigError(
+                f"params.rounds must be an integer >= 1, got {self.params['rounds']!r}")
         spec = _env_spec_from(self.env)
         if not self.agents:
             raise ConfigError("bandit experiments need at least one agent")
@@ -261,6 +268,9 @@ class ExperimentConfig:
             raise ConfigError("estimate-stable takes only params.file")
         if "file" not in self.params:
             raise ConfigError("estimate-stable needs params.file")
+        if "n_freq" in self.params and not _is_int(self.params["n_freq"], 2):
+            raise ConfigError(
+                f"params.n_freq must be an integer >= 2, got {self.params['n_freq']!r}")
 
     def labels(self):
         if self.kind in ("bandit-regret", "bayes-regret", "backtest"):
@@ -392,23 +402,18 @@ def _tournament_cell(cfg, label, seed):
                      episodes=int(cfg.params.get("episodes", 40)))
     rows = [(n, float(res.returns[i, 0])) for i, n in enumerate(res.names)]
     return {"header": ("agent", "round_return"), "rows": rows,
-            "stats": {"best": res.names[int(np.argmax(res.returns[:, 0]))]},
-            "wins": res.wins.tolist(), "names": res.names}
+            "stats": {"best": res.names[int(np.argmax(res.returns[:, 0]))]}}
 
 
 def _backtest_cell(cfg, label, seed):
     series = _market_from(cfg.env)
     bt = BacktestConfig.from_dict(cfg.params.get("backtest", {}))
-    train_series, test_series = split(series, ratio=bt.split_ratio)
-    if test_series.n_days < 2:
-        raise ConfigError("test split too short to score")
+    train_series, test_series = bt.split(series)
     name = _agent_entry(cfg, label)["algorithm"]
     curve = backtest_curve(name, train_series, test_series, seed, bt)
-    m = metrics(curve)
     rows = [(t, float(v)) for t, v in enumerate(curve)]
     return {"header": ("day", "asset"), "rows": rows,
-            "stats": {"annual_return": m.annual_return, "sharpe": m.sharpe,
-                      "max_drawdown": m.max_drawdown}}
+            "stats": asdict(metrics(curve))}
 
 
 def _execution_cell(cfg, label, seed):
@@ -430,11 +435,9 @@ def _execution_cell(cfg, label, seed):
         return act
 
     curve = run_policy(env, policy)
-    m = metrics(curve)
     rows = [(t, float(v)) for t, v in enumerate(curve)]
     return {"header": ("day", "asset"), "rows": rows,
-            "stats": {"annual_return": m.annual_return, "sharpe": m.sharpe,
-                      "max_drawdown": m.max_drawdown, "floor": floor,
+            "stats": {**asdict(metrics(curve)), "floor": floor,
                       "floor_breached": bool(curve.min() < floor - 1e-9)}}
 
 
@@ -467,7 +470,7 @@ def _estimate_payload(est, n):
 
 def _estimate_cell(cfg, label, seed):
     xs = _read_reals(cfg.params["file"])
-    est = estimate_ecf(xs, n_freq=int(cfg.params.get("n_freq", 10)))
+    est = estimate_ecf(xs, n_freq=cfg.params.get("n_freq", 10))
     return {"header": None, "rows": None, "stats": _estimate_payload(est, xs.size)}
 
 
@@ -576,47 +579,36 @@ def _agg_tournament(cfg, h, results, out_dir):
     ok = _ok(results)
     if not ok:
         return {}
-    names = ok[0]["names"]
-    wins = np.mean([np.asarray(r["wins"]) for r in ok], axis=0)
-    n = len(names)
-    avg = np.array([np.mean([wins[i, j] for j in range(n) if j != i])
-                    for i in range(n)])
-    rets = np.column_stack([[dict(r["rows"])[nm] for nm in names] for r in ok])
-    res = TournamentResult(names=names, wins=wins, avg_wins=avg, returns=rets)
+    # every cell is one round; its rows list the agents in roster order
+    names = [name for name, _ in ok[0]["rows"]]
+    res = TournamentResult.from_returns(
+        names, np.column_stack([[ret for _, ret in r["rows"]] for r in ok]))
     _write_lines(os.path.join(out_dir, "table2.txt"),
                  [f"# config={h} seeds={_seed_tag(cfg)}", format_table2(res)])
     lines = [f"# config={h} seeds={_seed_tag(cfg)}", "agent,opponent,wins_pct"]
     for i, a in enumerate(names):
         for j, b in enumerate(names):
-            lines.append(f"{a},{b},{_fmt(float(wins[i, j]))}")
+            lines.append(f"{a},{b},{_fmt(float(res.wins[i, j]))}")
     _write_lines(os.path.join(out_dir, "wins.csv"), lines)
-    return {"avg_wins": {nm: float(avg[i]) for i, nm in enumerate(names)},
-            "wins": {a: {b: float(wins[i, j]) for j, b in enumerate(names)}
+    return {"avg_wins": {nm: float(res.avg_wins[i]) for i, nm in enumerate(names)},
+            "wins": {a: {b: float(res.wins[i, j]) for j, b in enumerate(names)}
                      for i, a in enumerate(names)}}
 
 
-def _metrics_from_stats(s):
-    def back(v):
-        return float("nan") if v is None else float(v)
-    return Metrics(annual_return=back(s["annual_return"]),
-                   sharpe=back(s["sharpe"]),
-                   max_drawdown=back(s["max_drawdown"]))
+_METRIC_KEYS = tuple(f.name for f in fields(Metrics))
+
+
+def _cell_metrics(r):
+    return Metrics(*(r["stats"][k] for k in _METRIC_KEYS))
 
 
 def _agg_backtest(cfg, h, results, out_dir):
     by = {lab: rs for lab, rs in _by_label(cfg, results).items() if rs}
     if not by:
         return {}
-    names = [lab for lab in cfg.labels() if lab in by]
-    per_seed = {lab: [_metrics_from_stats(r["stats"]) for r in by[lab]]
-                for lab in names}
-    rows = {}
-    for lab in names:
-        ms = per_seed[lab]
-        rows[lab] = Metrics(
-            annual_return=float(np.median([m.annual_return for m in ms])),
-            sharpe=float(np.median([m.sharpe for m in ms])),
-            max_drawdown=float(np.median([m.max_drawdown for m in ms])))
+    names = list(by)
+    per_seed = {lab: [_cell_metrics(r) for r in rs] for lab, rs in by.items()}
+    rows = {lab: median_metrics(ms) for lab, ms in per_seed.items()}
     algo = {lab: _agent_entry(cfg, lab)["algorithm"] for lab in names}
     res = BacktestResult(names=[algo[lab] for lab in names],
                          rows={algo[lab]: rows[lab] for lab in names},
@@ -627,16 +619,10 @@ def _agg_backtest(cfg, h, results, out_dir):
              "agent,seed,annual_return,sharpe,max_drawdown"]
     for lab in names:
         for r in by[lab]:
-            s = r["stats"]
             lines.append(",".join([lab, str(r["seed"])]
-                                  + [_fmt(float(np.nan if s[k] is None else s[k]))
-                                     for k in ("annual_return", "sharpe",
-                                               "max_drawdown")]))
+                                  + [_fmt(r["stats"][k]) for k in _METRIC_KEYS]))
     _write_lines(os.path.join(out_dir, "metrics.csv"), lines)
-    return {"median": {lab: {"annual_return": rows[lab].annual_return,
-                             "sharpe": rows[lab].sharpe,
-                             "max_drawdown": rows[lab].max_drawdown}
-                       for lab in names}}
+    return {"median": {lab: asdict(rows[lab]) for lab in names}}
 
 
 def _agg_execution(cfg, h, results, out_dir):
@@ -646,16 +632,10 @@ def _agg_execution(cfg, h, results, out_dir):
     lines = [f"# config={h} seeds={_seed_tag(cfg)}",
              "cadence,annual_return,sharpe,max_drawdown,floor_breaches"]
     agg = {}
-    for lab in cfg.labels():
-        if lab not in by:
-            continue
-        stats = [r["stats"] for r in by[lab]]
-        med = {k: float(np.median([np.nan if s[k] is None else s[k] for s in stats]))
-               for k in ("annual_return", "sharpe", "max_drawdown")}
-        breaches = int(sum(s["floor_breached"] for s in stats))
-        lines.append(",".join([lab[1:]]
-                              + [_fmt(med[k]) for k in ("annual_return", "sharpe",
-                                                        "max_drawdown")]
+    for lab, rs in by.items():
+        med = asdict(median_metrics([_cell_metrics(r) for r in rs]))
+        breaches = int(sum(r["stats"]["floor_breached"] for r in rs))
+        lines.append(",".join([lab[1:]] + [_fmt(med[k]) for k in _METRIC_KEYS]
                               + [str(breaches)]))
         agg[lab] = {**med, "floor_breaches": breaches}
     _write_lines(os.path.join(out_dir, "cadence.csv"), lines)
@@ -951,7 +931,7 @@ def check_ddpg_learnability():
     ratios = []
     for s in range(20):
         env = VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05)
-        cfg = TrainConfig(lam_e=0.0, lam_c=1.0, warmup_steps=64, noise_scale=0.3)
+        cfg = TrainConfig(lam_e=0.0, warmup_steps=64, noise_scale=0.3)
         agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=s)
         train(agent, env, 300)
         curve = evaluate(agent, VectorMarketEnv(series, cost_bps=0.0,
@@ -978,14 +958,14 @@ def check_cppi_floor():
 
     series = synth_market(2, 150, vol=0.35, seed=0, alpha=1.8, max_loss=0.25)
     bt = BacktestConfig(episodes=12)
-    train_series, test_series = split(series, ratio=bt.split_ratio)
-    maxd = {"ddpg": [], "cppi_ddpg": []}
+    train_series, test_series = bt.split(series)
+    runs = {"ddpg": [], "cppi_ddpg": []}
     for s in range(20):
-        for name in maxd:
-            curve = backtest_curve(name, train_series, test_series, s, bt)
-            maxd[name].append(metrics(curve).max_drawdown)
-    med_plain = float(np.median(maxd["ddpg"]))
-    med_floor = float(np.median(maxd["cppi_ddpg"]))
+        for name in runs:
+            runs[name].append(metrics(backtest_curve(name, train_series,
+                                                     test_series, s, bt)))
+    med_plain = median_metrics(runs["ddpg"]).max_drawdown
+    med_floor = median_metrics(runs["cppi_ddpg"]).max_drawdown
     ok = violations == 0 and med_floor <= med_plain
     return _finish("cppi-floor", t0, ok,
                    f"{violations}/1000 floor breaches (need 0); median MaxD "
@@ -1256,7 +1236,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DataError, ParamError) as exc:
+    except (ConfigError, DataError, ParamError, InsufficientDataError,
+            NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

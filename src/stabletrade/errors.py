@@ -19,11 +19,3 @@ class ConfigError(ValueError):
 
 class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required."""
-
-
-class TrainingDiverged(NumericError):
-    """Value estimates blew up during training; carries diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}

@@ -8,7 +8,7 @@ clipped so cash stays non-negative including costs; no shorting.
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -247,6 +247,12 @@ def metrics(curve):
     peaks = np.maximum.accumulate(curve)
     maxd = float(np.max((peaks - curve) / peaks))
     return Metrics(annual_return=ar, sharpe=sr, max_drawdown=maxd)
+
+
+def median_metrics(ms):
+    """Field-wise median over a list of Metrics."""
+    return Metrics(*(float(np.median([getattr(m, f.name) for m in ms]))
+                     for f in fields(Metrics)))
 
 
 # ---------------------------------------------------------------------------

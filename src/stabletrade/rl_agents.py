@@ -8,8 +8,7 @@ performance-weighted constant-rebalanced mixtures) and the bandit traders feed
 the tournament and backtest tables.
 """
 
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -17,10 +16,10 @@ from .bandit_envs import RoundContext
 from .errors import ConfigError, NumericError, ParamError
 from .market_sim import (
     CppiConfig,
-    Metrics,
     OhlcvSeries,
     TradingEnv,
     cppi_expert_action,
+    median_metrics,
     metrics,
     split,
     synth_market,
@@ -75,8 +74,6 @@ class TrainConfig:
     critic_lr: float = 1e-3
     actor_lr: float = 1e-4
     lam_e: float = 0.3
-    lam_c: float = 0.9
-    k_agents: int = 1
     hidden: tuple = (64, 64)
     noise_scale: float = 0.3
     noise_final: float = 0.01
@@ -100,14 +97,10 @@ class TrainConfig:
             raise ConfigError("need buffer capacity >= batch >= 1")
         if self.lam_e < 0.0:
             raise ConfigError("expert weight must be non-negative")
-        if not 0.0 <= self.lam_c <= 1.0:
-            raise ConfigError("correlation balance must lie in [0, 1]")
         if self.noise_kind not in ("gaussian", "ou"):
             raise ConfigError(f"unknown noise kind {self.noise_kind!r}")
         if self.margin_rho <= 0.0 or self.margin_m < 0.0:
             raise ConfigError("margin needs rho > 0 and m >= 0")
-        if self.k_agents < 1:
-            raise ConfigError("ensemble size must be at least 1")
         return self
 
     @classmethod
@@ -326,8 +319,9 @@ def _stack(batch):
     return s, a, r, s2, done, ae
 
 
-def _td_value_and_grads(agent, batch, want_grads=True):
-    """Mean squared TD error against the target networks."""
+def critic_loss(agent, batch):
+    """Mean squared TD error against the target networks, plus critic
+    gradients; terminal rows drop the bootstrap."""
     cfg = agent.config
     s, a, r, s2, done, _ = _stack(batch)
     a2, _ = agent.t_actor.forward(s2)
@@ -341,16 +335,9 @@ def _td_value_and_grads(agent, batch, want_grads=True):
         )
     resid = q[:, 0] - y
     loss = float(np.mean(resid**2))
-    if not want_grads:
-        return loss, None
     gy = (2.0 / len(batch)) * resid[:, None]
     grads, _ = agent.critic.backward(cache, gy)
     return loss, grads
-
-
-def critic_loss(agent, batch):
-    """Scalar TD loss plus critic gradients; terminal rows drop the bootstrap."""
-    return _td_value_and_grads(agent, batch)
 
 
 def margin(a, a_exp, m=1.0, rho=1.0):
@@ -407,56 +394,9 @@ def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None,
     return value, grads
 
 
-def _pearson(x, y):
-    xc = x - np.mean(x)
-    yc = y - np.mean(y)
-    sx = float(np.sqrt(np.sum(xc**2)))
-    sy = float(np.sqrt(np.sum(yc**2)))
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(np.sum(xc * yc) / (sx * sy))
-
-
-@dataclass
-class CombinedLoss:
-    total: float
-    td: float
-    j_e: float
-    corr_penalty: float
-
-
-def combined_loss(agent, batch, expert=False, partner_actions=None, rng=None):
-    """TD loss, optionally expert-weighted and correlation-balanced.
-
-    partner_actions: per-partner (batch, action_dim) arrays from other ensemble
-    members evaluated on the same states; the penalty sums squared Pearson
-    correlations of this agent's actions against each partner's.
-    """
-    cfg = agent.config
-    td, _ = _td_value_and_grads(agent, batch, want_grads=False)
-    j_e = 0.0
-    if expert:
-        s, _, _, _, _, ae = _stack(batch)
-        if ae is None:
-            raise ParamError("expert mode needs expert actions in the minibatch")
-        j_e = cppi_margin_loss(agent, s, ae, rng=rng)
-    corr = 0.0
-    if partner_actions:
-        s = np.stack([e.s for e in batch])
-        mine, _ = agent.actor.forward(s)
-        for other in partner_actions:
-            corr += _pearson(mine.ravel(), np.asarray(other, float).ravel()) ** 2
-        total = cfg.lam_c * td + (1.0 - cfg.lam_c) * corr + cfg.lam_e * j_e
-    else:
-        if cfg.k_agents == 1 and cfg.lam_c != 1.0:
-            warnings.warn("correlation balance needs an ensemble; term dropped")
-        total = td + cfg.lam_e * j_e
-    return CombinedLoss(total=total, td=td, j_e=j_e, corr_penalty=corr)
-
-
 def critic_update(agent, batch, expert=False):
     cfg = agent.config
-    td, grads = _td_value_and_grads(agent, batch)
+    td, grads = critic_loss(agent, batch)
     j_e = 0.0
     if expert:
         s, _, _, _, _, ae = _stack(batch)
@@ -519,9 +459,9 @@ def _pretrain(agent, env, buffer, cfg):
     return steps
 
 
-def train(agent, env, episodes, config=None):
+def train(agent, env, episodes):
     """Noise-perturbed interaction with replay updates; deterministic per seed."""
-    cfg = (config or agent.config).validate()
+    cfg = agent.config.validate()
     buffer = ReplayBuffer(cfg.buffer_capacity)
     expert_mode = cfg.lam_e > 0.0 and getattr(env, "expert", None) is not None
     pretrained = _pretrain(agent, env, buffer, cfg) if expert_mode and cfg.pretrain_steps else 0
@@ -560,7 +500,6 @@ def train(agent, env, episodes, config=None):
             "loss_critic": ep_td / k,
             "loss_actor": ep_la / k,
             "j_e": ep_je / k,
-            "corr_penalty": 0.0,
         })
     return TrainResult(episode_returns=returns, logs=logs, pretrained=pretrained)
 
@@ -786,6 +725,24 @@ class TournamentResult:
     avg_wins: np.ndarray
     returns: np.ndarray
 
+    @classmethod
+    def from_returns(cls, names, returns):
+        """Pairwise win percentages over the rounds of a (names x rounds)
+        returns array: ties split 50:50, 50 on the diagonal, and average
+        wins over the opponents only."""
+        rets = np.asarray(returns, dtype=float)
+        n, rounds = rets.shape
+        wins = np.full((n, n), 50.0)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                won = np.sum(rets[i] > rets[j]) + 0.5 * np.sum(rets[i] == rets[j])
+                wins[i, j] = 100.0 * won / rounds
+        avg = np.array([np.mean([wins[i, j] for j in range(n) if j != i])
+                        for i in range(n)])
+        return cls(names=list(names), wins=wins, avg_wins=avg, returns=rets)
+
 
 def _episode_return(curve):
     return curve[-1] / curve[0] - 1.0
@@ -825,16 +782,7 @@ def tournament(names=None, rounds=10, seed=0, days=120, episodes=40):
         for i, name in enumerate(names):
             curve = run_trader(name, series, seed=seed * 104729 + r, episodes=episodes)
             rets[i, r] = _episode_return(curve)
-    wins = np.full((len(names), len(names)), 50.0)
-    for i in range(len(names)):
-        for j in range(len(names)):
-            if i == j:
-                continue
-            won = np.sum(rets[i] > rets[j]) + 0.5 * np.sum(rets[i] == rets[j])
-            wins[i, j] = 100.0 * won / rounds
-    avg = np.array([np.mean([wins[i, j] for j in range(len(names)) if j != i])
-                    for i in range(len(names))])
-    return TournamentResult(names=names, wins=wins, avg_wins=avg, returns=rets)
+    return TournamentResult.from_returns(names, rets)
 
 
 def format_table2(result):
@@ -887,6 +835,14 @@ class BacktestConfig:
             cfg.train = TrainConfig.from_dict(train)
         return cfg
 
+    def split(self, series):
+        """Chronological (train, test) split; the test part needs two days
+        to score."""
+        train_series, test_series = split(series, ratio=self.split_ratio)
+        if test_series.n_days < 2:
+            raise ConfigError("test split too short to score")
+        return train_series, test_series
+
 
 def _ddpg_curve(train_series, test_series, seed, cfg, supervised):
     expert = None
@@ -900,9 +856,7 @@ def _ddpg_curve(train_series, test_series, seed, cfg, supervised):
                                reward_scale=cfg.reward_scale,
                                expert=expert)
     env = make_env(train_series)
-    tc = cfg.train if supervised else TrainConfig(**{
-        **{f.name: getattr(cfg.train, f.name) for f in fields(TrainConfig)},
-        "lam_e": 0.0})
+    tc = cfg.train if supervised else replace(cfg.train, lam_e=0.0)
     agent = DdpgAgent(env.state_dim, env.action_dim, config=tc, seed=seed)
     train(agent, env, cfg.episodes)
     return evaluate(agent, make_env(test_series))
@@ -945,22 +899,12 @@ def backtest(series, agents=None, seeds=(0,), cfg=None):
     """Train on the chronological head, score AR/SR/MaxD on the tail."""
     names = list(agents) if agents is not None else list(BACKTEST_AGENTS)
     cfg = cfg or BacktestConfig()
-    train_series, test_series = split(series, ratio=cfg.split_ratio)
-    if test_series.n_days < 2:
-        raise ConfigError("test split too short to score")
-    per_seed = {n: [] for n in names}
-    for name in names:
-        for seed in seeds:
-            curve = backtest_curve(name, train_series, test_series, int(seed), cfg)
-            per_seed[name].append(metrics(curve))
-    rows = {}
-    for name in names:
-        ms = per_seed[name]
-        rows[name] = Metrics(
-            annual_return=float(np.median([m.annual_return for m in ms])),
-            sharpe=float(np.median([m.sharpe for m in ms])),
-            max_drawdown=float(np.median([m.max_drawdown for m in ms])),
-        )
+    train_series, test_series = cfg.split(series)
+    per_seed = {name: [metrics(backtest_curve(name, train_series, test_series,
+                                              int(seed), cfg))
+                       for seed in seeds]
+                for name in names}
+    rows = {name: median_metrics(ms) for name, ms in per_seed.items()}
     return BacktestResult(names=names, rows=rows, per_seed=per_seed)
 
 

@@ -253,9 +253,11 @@ def estimate_ecf(samples, n_freq=10):
 
     Log-modulus regression recovers (alpha, sigma); the unwrapped phase regressed
     on [u, sigma^a tan(pi a/2) u^a] recovers the mean and beta, and delta follows
-    from the mean relation. Frequency grid: n_freq equispaced points in
+    from the mean relation. Frequency grid: n_freq >= 2 equispaced points in
     (0, 1/sigma0] with sigma0 an interquartile-range pre-estimate.
     """
+    if n_freq < 2:
+        raise ParamError(f"n_freq must be at least 2, got {n_freq}")
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 50:
         raise InsufficientDataError(f"need at least 50 samples, got {x.size}")

@@ -116,6 +116,22 @@ def _weighted_update(b, y, thetas, weights, arm, reward):
     return theta_bar
 
 
+def _coupled_estimate(j, lam, affinity, mu_bars, bs):
+    """User j's center mu_bar_j - B_j^-1 sum_k lam l_jk mu_bar_k and precision
+    B_j + lam^2 sum_k l_jk^2 B_k^-1, both sums over the other users."""
+    coupling = np.zeros(mu_bars[j].shape[0])
+    gamma = bs[j].copy()
+    for k in range(len(bs)):
+        if k == j:
+            continue
+        w = lam * affinity[j, k]
+        if w != 0.0:
+            coupling += w * mu_bars[k]
+            gamma += w * w * np.linalg.inv(bs[k])
+    center = mu_bars[j] - _solve_spd(bs[j], coupling)
+    return center, gamma
+
+
 def _check_pd(b):
     if np.linalg.eigvalsh(b)[0] <= 0.0:
         raise NumericError("information matrix lost positive definiteness")
@@ -358,17 +374,7 @@ class SctsAgent:
 
     def local_estimate(self, j):
         """Coupled center and precision for user j."""
-        coupling = np.zeros(self.dim)
-        gamma = self.B[j].copy()
-        for k in range(self.n_users):
-            if k == j:
-                continue
-            w = self.lam * self.affinity[j, k]
-            if w != 0.0:
-                coupling += w * self.mu_bar[k]
-                gamma += w * w * np.linalg.inv(self.B[k])
-        center = self.mu_bar[j] - _solve_spd(self.B[j], coupling)
-        return center, gamma
+        return _coupled_estimate(j, self.lam, self.affinity, self.mu_bar, self.B)
 
     def step(self, ctx, env):
         j = ctx.user
@@ -607,18 +613,9 @@ class SactsAgent(_StableBase):
                     slot.B = scale * np.eye(dim)
 
     def _estimate(self, j):
-        slot = self.slots[j]
-        coupling = np.zeros(self.dim)
-        gamma = slot.B.copy()
-        for k in range(self.n_users):
-            if k == j:
-                continue
-            w = self.lam * self.affinity[j, k]
-            if w != 0.0:
-                coupling += w * self.slots[k].mu_bar
-                gamma += w * w * np.linalg.inv(self.slots[k].B)
-        center = slot.mu_bar - _solve_spd(slot.B, coupling)
-        return center, gamma
+        return _coupled_estimate(j, self.lam, self.affinity,
+                                 [slot.mu_bar for slot in self.slots],
+                                 [slot.B for slot in self.slots])
 
 
 class PlainAtsAgent(_StableBase):

@@ -10,6 +10,8 @@ import pytest
 from stabletrade import cli
 from stabletrade.cli import ExperimentConfig, UniformAgent
 from stabletrade.errors import ConfigError, DataError
+from stabletrade.market_sim import synth_market
+from stabletrade.rl_agents import BacktestConfig, backtest
 from stabletrade.stable_core import StableParams, sample
 
 LINEAR_ENV = {"kind": "linear", "n_arms": 3, "dim": 3, "horizon": 100,
@@ -103,6 +105,20 @@ def test_execution_rejects_pinned_market_seed():
 def test_estimate_config_needs_file():
     with pytest.raises(ConfigError, match="params.file"):
         ExperimentConfig.from_dict({"kind": "estimate-stable"})
+
+
+@pytest.mark.parametrize("kind", ["bandit-regret", "bayes-regret"])
+@pytest.mark.parametrize("rounds", [-5, 0, 2.5, True])
+def test_bandit_rounds_must_be_positive_integer(tmp_path, kind, rounds):
+    with pytest.raises(ConfigError, match="params.rounds"):
+        small_config(tmp_path, kind=kind, params={"rounds": rounds})
+
+
+@pytest.mark.parametrize("n_freq", [0, 1, -3, 4.0, "8", False])
+def test_estimate_n_freq_must_be_integer_of_two_or_more(n_freq):
+    with pytest.raises(ConfigError, match="params.n_freq"):
+        ExperimentConfig.from_dict({"kind": "estimate-stable",
+                                    "params": {"file": "x.txt", "n_freq": n_freq}})
 
 
 def test_duplicate_labels_rejected(tmp_path):
@@ -325,6 +341,24 @@ def test_backtest_run_with_cheap_agents(tmp_path):
     assert set(summary["aggregate"]["median"]) == {"up", "ad_ts"}
 
 
+def test_backtest_harness_medians_equal_library_rows(tmp_path):
+    # a 60-day test split, long enough for the two ad_ts seeds to differ
+    env = {"d": 2, "days": 200, "vol": 0.3, "seed": 3, "max_loss": 0.2}
+    cfg = ExperimentConfig.from_dict({
+        "kind": "backtest", "env": env, "agents": ["up", "ad_ts"],
+        "seeds": [0, 1], "out_dir": str(tmp_path / "b")})
+    assert cli.run(cfg, workers=1).failures == []
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    series = synth_market(2, 200, vol=0.3, seed=3, max_loss=0.2)
+    lib = backtest(series, ["up", "ad_ts"], seeds=(0, 1), cfg=BacktestConfig())
+    assert lib.per_seed["ad_ts"][0] != lib.per_seed["ad_ts"][1]
+    for name in ("up", "ad_ts"):
+        m = lib.rows[name]
+        assert summary["aggregate"]["median"][name] == {
+            "annual_return": m.annual_return, "sharpe": m.sharpe,
+            "max_drawdown": m.max_drawdown}
+
+
 def test_estimate_run_writes_json(tmp_path):
     xs = sample(StableParams(1.7, 0.2, 1.0, 0.5), 5000, np.random.default_rng(0))
     path = tmp_path / "x.txt"
@@ -438,6 +472,37 @@ def test_cli_estimate_stable(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0\nzz\n")
     assert cli.main(["estimate-stable", str(bad)]) == 2
+
+
+def test_cli_estimate_stable_rejects_short_frequency_grid(tmp_path, capsys):
+    xs = np.random.default_rng(0).standard_t(3, size=500)
+    path = tmp_path / "x.txt"
+    path.write_text("\n".join(repr(float(v)) for v in xs) + "\n")
+    for k in ("0", "1", "-3"):
+        assert cli.main(["estimate-stable", str(path), "--n-freq", k]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_freq" in err
+
+
+def test_cli_invalid_n_freq_and_rounds_configs_exit_two(tmp_path, capsys):
+    (tmp_path / "x.txt").write_text("1.0\n")
+    path = write_config(tmp_path, kind="estimate-stable", env={}, agents=[],
+                        params={"file": str(tmp_path / "x.txt"), "n_freq": 1})
+    assert cli.main(["run", str(path)]) == 2
+    assert "n_freq" in capsys.readouterr().err
+    path = write_config(tmp_path, params={"rounds": -5})
+    assert cli.main(["run", str(path)]) == 2
+    assert "rounds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_too_few_samples_exit_two_without_traceback(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("".join(f"{i}\n" for i in range(1, 11)))
+    assert cli.main(["estimate-stable", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "50 samples" in err
+    assert "Traceback" not in err
 
 
 def test_cli_verify_suite_report(capsys):

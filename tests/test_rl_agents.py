@@ -9,6 +9,7 @@ from stabletrade.rl_agents import (
     DiscreteTradingEnv,
     Experience,
     ReplayBuffer,
+    TournamentResult,
     TrainConfig,
     VectorMarketEnv,
     actor_loss_grads,
@@ -16,7 +17,6 @@ from stabletrade.rl_agents import (
     alternating_series,
     backtest,
     bandit_trade,
-    combined_loss,
     cppi_margin_loss,
     critic_loss,
     critic_update,
@@ -42,7 +42,7 @@ def _zero(net):
 
 
 def _tiny_agent(gamma=0.5, **kw):
-    cfg = TrainConfig(hidden=(), gamma=gamma, lam_c=1.0, **kw)
+    cfg = TrainConfig(hidden=(), gamma=gamma, **kw)
     agent = DdpgAgent(1, 1, config=cfg, seed=0)
     for net in (agent.actor, agent.critic, agent.t_actor, agent.t_critic):
         _zero(net)
@@ -137,7 +137,7 @@ def test_critic_loss_terminal_drops_bootstrap():
 
 def test_critic_update_reduces_loss():
     rng = np.random.default_rng(3)
-    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(8,), lam_c=1.0), seed=1)
+    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(8,)), seed=1)
     batch = [_exp(rng.normal(size=2), rng.normal(size=1), rng.normal(),
                   rng.normal(size=2)) for _ in range(16)]
     before, _ = critic_loss(agent, batch)
@@ -160,7 +160,7 @@ def test_critic_divergence_guard():
 
 
 def test_actor_gradient_zero_when_critic_ignores_action():
-    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(), lam_c=1.0), seed=0)
+    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=()), seed=0)
     _zero(agent.critic)
     agent.critic.weights[0][0, 0] = 1.0   # depends on state only
     before = [p.copy() for p in agent.actor.params()]
@@ -190,7 +190,7 @@ class _QuadCritic:
 
 
 def test_actor_climbs_quadratic_bowl():
-    cfg = TrainConfig(hidden=(8,), actor_lr=0.05, lam_c=1.0)
+    cfg = TrainConfig(hidden=(8,), actor_lr=0.05)
     agent = DdpgAgent(2, 2, config=cfg, seed=4)
     agent.critic = _QuadCritic([0.4, -0.3], state_dim=2)
     batch = [_exp([1.0, 0.5], [0.0, 0.0], 0.0, [1.0, 0.5])] * 4
@@ -201,7 +201,7 @@ def test_actor_climbs_quadratic_bowl():
 
 
 def test_actor_gradient_matches_finite_differences():
-    agent = DdpgAgent(3, 2, config=TrainConfig(hidden=(4,), lam_c=1.0), seed=7)
+    agent = DdpgAgent(3, 2, config=TrainConfig(hidden=(4,)), seed=7)
     rng = np.random.default_rng(1)
     states = rng.normal(size=(5, 3))
     loss, grads = actor_loss_grads(agent, states)
@@ -232,7 +232,7 @@ def test_margin_zero_iff_expert():
 
 
 def test_margin_loss_identity_candidates():
-    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=(4,), lam_c=1.0), seed=0)
+    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=(4,)), seed=0)
     s = np.array([[0.3]])
     ae = np.array([[0.2, -0.1]])
     cands = ae[:, None, :]
@@ -240,7 +240,7 @@ def test_margin_loss_identity_candidates():
 
 
 def test_margin_loss_saturates_for_constant_critic():
-    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=(), lam_c=1.0), seed=0)
+    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=()), seed=0)
     _zero(agent.critic)
     agent.critic.biases[-1][0] = 3.0
     s = np.array([[0.3]])
@@ -251,7 +251,7 @@ def test_margin_loss_saturates_for_constant_critic():
 
 
 def test_margin_loss_hand_arithmetic():
-    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=(), lam_c=1.0), seed=0)
+    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=()), seed=0)
     _zero(agent.critic)
     agent.critic.weights[0][:, 0] = [1.0, 2.0, -1.0]
     agent.critic.biases[0][0] = 0.5
@@ -271,74 +271,12 @@ def test_margin_loss_hand_arithmetic():
 
 
 def test_margin_loss_nonnegative_with_random_candidates():
-    agent = DdpgAgent(2, 2, config=TrainConfig(hidden=(4,), lam_c=1.0), seed=3)
+    agent = DdpgAgent(2, 2, config=TrainConfig(hidden=(4,)), seed=3)
     rng = np.random.default_rng(5)
     s = rng.normal(size=(8, 2))
     ae = np.clip(rng.normal(size=(8, 2)), -1, 1)
     for _ in range(10):
         assert cppi_margin_loss(agent, s, ae, rng=rng) >= -1e-12
-
-
-# ---------------------------------------------------------------------------
-# combined loss
-
-
-def _batch16(rng, sd=2, ad=1):
-    return [_exp(rng.normal(size=sd), rng.normal(size=ad), rng.normal(),
-                 rng.normal(size=sd), a_exp=np.clip(rng.normal(size=ad), -1, 1))
-            for _ in range(16)]
-
-
-def test_combined_reduces_to_td():
-    rng = np.random.default_rng(9)
-    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(4,), lam_e=0.0, lam_c=1.0), seed=2)
-    batch = _batch16(rng)
-    td, _ = critic_loss(agent, batch)
-    out = combined_loss(agent, batch)
-    assert out.total == td
-    assert out.j_e == 0.0 and out.corr_penalty == 0.0
-
-
-def test_combined_warns_for_lone_agent_with_balance():
-    rng = np.random.default_rng(9)
-    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(4,), lam_c=0.9), seed=2)
-    with pytest.warns(UserWarning, match="ensemble"):
-        combined_loss(agent, _batch16(rng))
-
-
-def test_combined_balance_weights_td_fully_at_one():
-    rng = np.random.default_rng(11)
-    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(4,), lam_e=0.0, lam_c=1.0), seed=2)
-    batch = _batch16(rng)
-    partners = [rng.normal(size=(16, 1))]
-    out = combined_loss(agent, batch, partner_actions=partners)
-    assert out.total == pytest.approx(out.td)
-    assert out.corr_penalty > 0.0
-
-
-def test_combined_identical_partner_gives_unit_correlation():
-    rng = np.random.default_rng(13)
-    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(4,), lam_e=0.0, lam_c=0.9), seed=2)
-    batch = _batch16(rng)
-    s = np.stack([e.s for e in batch])
-    mine, _ = agent.actor.forward(s)
-    out = combined_loss(agent, batch, partner_actions=[mine.copy()])
-    assert out.corr_penalty == pytest.approx(1.0, abs=1e-12)
-    direct = np.corrcoef(mine.ravel(), mine.ravel())[0, 1] ** 2
-    assert out.corr_penalty == pytest.approx(direct, abs=1e-9)
-    assert out.total == pytest.approx(0.9 * out.td + 0.1 * 1.0)
-
-
-def test_combined_expert_term():
-    rng = np.random.default_rng(15)
-    agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(4,), lam_e=0.3, lam_c=1.0), seed=2)
-    batch = _batch16(rng)
-    out = combined_loss(agent, batch, expert=True, rng=np.random.default_rng(0))
-    je = cppi_margin_loss(agent, np.stack([e.s for e in batch]),
-                          np.stack([e.a_exp for e in batch]),
-                          rng=np.random.default_rng(0))
-    assert out.j_e == pytest.approx(je)
-    assert out.total == pytest.approx(out.td + 0.3 * je)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +352,7 @@ def test_train_same_seed_same_curves():
     def run():
         env = VectorMarketEnv(series, reward_scale=0.1)
         agent = DdpgAgent(env.state_dim, env.action_dim,
-                          config=TrainConfig(warmup_steps=32, lam_e=0.0, lam_c=1.0),
+                          config=TrainConfig(warmup_steps=32, lam_e=0.0),
                           seed=11)
         res = train(agent, env, 8)
         return res.episode_returns, evaluate(agent, VectorMarketEnv(series, reward_scale=0.1))
@@ -429,18 +367,18 @@ def test_train_log_columns():
     series = synth_market(1, 20, vol=0.2, seed=3)
     env = VectorMarketEnv(series, reward_scale=0.1)
     agent = DdpgAgent(env.state_dim, env.action_dim,
-                      config=TrainConfig(warmup_steps=16, lam_e=0.0, lam_c=1.0), seed=0)
+                      config=TrainConfig(warmup_steps=16, lam_e=0.0), seed=0)
     res = train(agent, env, 3)
     assert len(res.logs) == 3
     for row in res.logs:
         assert set(row) == {"episode", "return", "loss_critic", "loss_actor",
-                            "j_e", "corr_penalty"}
+                            "j_e"}
 
 
 def test_train_divergence_aborts_with_context():
     series = synth_market(1, 20, vol=0.2, seed=3)
     env = VectorMarketEnv(series, reward_scale=0.1)
-    cfg = TrainConfig(warmup_steps=16, batch=8, lam_e=0.0, lam_c=1.0,
+    cfg = TrainConfig(warmup_steps=16, batch=8, lam_e=0.0,
                       divergence_limit=1e-12)
     agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=0)
     with pytest.raises(NumericError, match="episode"):
@@ -451,7 +389,7 @@ def test_ddpg_learns_alternating_toy():
     series = alternating_series(25)
     omn = perfect_foresight_curve(series)
     env = VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05)
-    cfg = TrainConfig(lam_e=0.0, lam_c=1.0, warmup_steps=64, noise_scale=0.3)
+    cfg = TrainConfig(lam_e=0.0, warmup_steps=64, noise_scale=0.3)
     agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=0)
     train(agent, env, 300)
     curve = evaluate(agent, VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05))
@@ -463,7 +401,7 @@ def test_ddpg_learns_not_to_trade_flat_market():
     # every trade loses the cost; convergence is seed-dependent, this one lands
     series = synth_market(1, 40, drift=0.0, vol=0.0, seed=0)
     env = VectorMarketEnv(series, cost_bps=25.0, reward_scale=10.0)
-    cfg = TrainConfig(lam_e=0.0, lam_c=1.0, warmup_steps=64, noise_scale=0.3,
+    cfg = TrainConfig(lam_e=0.0, warmup_steps=64, noise_scale=0.3,
                       actor_lr=1e-3)
     agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=0)
     train(agent, env, 300)
@@ -483,7 +421,7 @@ def test_supervised_ddpg_stays_near_floor_strategy():
     def make_env():
         return VectorMarketEnv(series, cost_bps=10.0, reward_scale=0.1, expert=expert)
 
-    cfg = TrainConfig(lam_c=1.0, warmup_steps=64, pretrain_steps=200, pretrain_episodes=2)
+    cfg = TrainConfig(warmup_steps=64, pretrain_steps=200, pretrain_episodes=2)
     agent = DdpgAgent(make_env().state_dim, 2, config=cfg, seed=0)
     res = train(agent, make_env(), 10)
     assert res.pretrained == 200
@@ -629,6 +567,22 @@ def test_tournament_matrix_properties():
     for i in range(3):
         for j in range(3):
             assert res.wins[i, j] + res.wins[j, i] == pytest.approx(100.0)
+
+
+def test_win_matrix_fold_on_hand_made_returns():
+    # a beats b in two rounds and ties two; a and c tie every round
+    rets = np.array([[0.1, 0.2, 0.0, 0.3],
+                     [0.0, 0.1, 0.0, 0.3],
+                     [0.1, 0.2, 0.0, 0.3]])
+    res = TournamentResult.from_returns(["a", "b", "c"], rets)
+    assert res.names == ["a", "b", "c"]
+    assert np.array_equal(np.diag(res.wins), [50.0, 50.0, 50.0])
+    assert res.wins[0, 1] == 75.0 and res.wins[1, 0] == 25.0
+    assert res.wins[0, 2] == 50.0 and res.wins[2, 1] == 75.0
+    assert np.array_equal(res.wins + res.wins.T, np.full((3, 3), 100.0))
+    # the diagonal's 50 stays out of the average
+    assert np.array_equal(res.avg_wins, [62.5, 25.0, 62.5])
+    assert np.array_equal(res.returns, rets)
 
 
 def test_tournament_self_play_ties():

@@ -280,6 +280,13 @@ def test_estimate_ecf_degenerate_constant():
     assert est.params.delta == 3.25
 
 
+@pytest.mark.parametrize("n_freq", [0, 1, -3])
+def test_estimate_ecf_rejects_short_frequency_grid(n_freq):
+    x = np.random.default_rng(0).standard_t(3, size=500)
+    with pytest.raises(ParamError, match="n_freq"):
+        estimate_ecf(x, n_freq=n_freq)
+
+
 def test_estimate_ecf_insufficient():
     with pytest.raises(InsufficientDataError):
         estimate_ecf(np.zeros(49))

@@ -398,27 +398,40 @@ def test_coupled_agents_reject_unknown_users():
         sacts.step(ctx, ScriptedEnv([0.0]))
 
 
-def test_scts_coupled_estimate_matches_hand_formula():
+def _check_coupled_estimate(cls, algorithm, mu_bars, bs, estimate):
     spec = EnvSpec(kind="linear", n_arms=3, dim=4, horizon=90,
                    mu=np.linspace(-1.0, 1.0, 4), n_users=3)
     env = make_env(spec, seed=5)
     aff = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.0]])
-    agent = SctsAgent(3, 4, AgentConfig(algorithm="scts", lam=0.4), seed=5,
-                      n_users=3, affinity=aff)
+    agent = cls(3, 4, AgentConfig(algorithm=algorithm, lam=0.4), seed=5,
+                n_users=3, affinity=aff)
     play(env, agent, 90)
     lam = 0.4
+    mu_bar, b = mu_bars(agent), bs(agent)
     for j in range(3):
         coupling = sum(
-            lam * aff[j, k] * agent.mu_bar[k] for k in range(3) if k != j
+            lam * aff[j, k] * mu_bar[k] for k in range(3) if k != j
         )
-        center_expect = agent.mu_bar[j] - np.linalg.solve(agent.B[j], coupling)
-        gamma_expect = agent.B[j] + sum(
-            (lam * aff[j, k]) ** 2 * np.linalg.inv(agent.B[k])
+        center_expect = mu_bar[j] - np.linalg.solve(b[j], coupling)
+        gamma_expect = b[j] + sum(
+            (lam * aff[j, k]) ** 2 * np.linalg.inv(b[k])
             for k in range(3) if k != j
         )
-        center, gamma = agent.local_estimate(j)
+        center, gamma = estimate(agent, j)
         np.testing.assert_allclose(center, center_expect, atol=1e-10)
         np.testing.assert_allclose(gamma, gamma_expect, atol=1e-10)
+
+
+def test_scts_coupled_estimate_matches_hand_formula():
+    _check_coupled_estimate(SctsAgent, "scts", lambda a: a.mu_bar, lambda a: a.B,
+                            lambda a, j: a.local_estimate(j))
+
+
+def test_sacts_coupled_estimate_matches_hand_formula():
+    _check_coupled_estimate(SactsAgent, "sacts",
+                            lambda a: [slot.mu_bar for slot in a.slots],
+                            lambda a: [slot.B for slot in a.slots],
+                            lambda a, j: a._estimate(j))
 
 
 def test_sacts_keeps_one_slot_per_user():
