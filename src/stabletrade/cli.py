@@ -216,6 +216,13 @@ class ExperimentConfig:
         if "rounds" in self.params and not _is_int(self.params["rounds"], 1):
             raise ConfigError(
                 f"params.rounds must be an integer >= 1, got {self.params['rounds']!r}")
+        if "env_seed" in self.params:
+            if self.kind == "bayes-regret":
+                raise ConfigError("bayes-regret draws the environment from each seed, "
+                                  "drop params.env_seed")
+            if not _is_int(self.params["env_seed"], 0):
+                raise ConfigError(f"params.env_seed must be an integer >= 0, "
+                                  f"got {self.params['env_seed']!r}")
         spec = _env_spec_from(self.env)
         if not self.agents:
             raise ConfigError("bandit experiments need at least one agent")
@@ -235,6 +242,10 @@ class ExperimentConfig:
         _check_param_keys(self.kind, self.params, _TOURNAMENT_PARAM_KEYS)
         if self.env:
             raise ConfigError("tournaments build their own markets, drop env")
+        for key, least in (("days", 2), ("episodes", 1)):
+            if key in self.params and not _is_int(self.params[key], least):
+                raise ConfigError(f"params.{key} must be an integer >= {least}, "
+                                  f"got {self.params[key]!r}")
         self._check_fixed_roster(rl_agents.TOURNAMENT_AGENTS)
 
     def _validate_backtest(self):

@@ -217,14 +217,14 @@ class PdfTable:
     def density(self, x, mean_loc=0.0):
         z = np.asarray(x, dtype=float) - mean_loc
         out = np.interp(z, self.grid_x, self.grid_p)
-        far_hi = z > self.edge
-        far_lo = z < -self.edge
-        if np.any(far_hi):
-            ratio = np.where(far_hi, z / self.edge, 1.0)
-            out = np.where(far_hi, self.edge_hi * ratio ** -(self.alpha + 1.0), out)
-        if np.any(far_lo):
-            ratio = np.where(far_lo, -z / self.edge, 1.0)
-            out = np.where(far_lo, self.edge_lo * ratio ** -(self.alpha + 1.0), out)
+        far = np.abs(z) > self.edge
+        if far.any():
+            # both tails in one pass over the far points only; the side's edge
+            # density follows the sign of z, and |z| equals -z on the low side
+            zf = z[far]
+            edge_p = np.where(zf > 0.0, self.edge_hi, self.edge_lo)
+            out = np.asarray(out)    # np.interp gives a scalar for 0-d z
+            out[far] = edge_p * (np.abs(zf) / self.edge) ** -(self.alpha + 1.0)
         return out
 
     def logpdf(self, x, mean_loc=0.0):

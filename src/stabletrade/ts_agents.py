@@ -10,6 +10,11 @@ Two lineages share one linear update rule:
     update weights are normalized upper-tail probabilities beyond the chosen
     arm's score.
 
+Every round after warm-up runs one MH sweep, and each sweep evaluates every
+arm's likelihood over that arm's whole reward history at dim candidate
+locations: O(pulls x dim) density points per arm, so a run of T rounds costs
+O(T^2) in total.
+
 The semi-contextual variants keep one state slot per user and correct the local
 estimator with an affinity-weighted sum over the other users' slots; at
 lambda = 0 the corrections are exactly zero and each slot replays its parent
@@ -137,6 +142,33 @@ def _check_pd(b):
         raise NumericError("information matrix lost positive definiteness")
 
 
+class _RewardHistory:
+    """Append-only float64 reward log: a buffer that doubles when full plus a
+    count, so the likelihood reads the rewards without copying them."""
+
+    def __init__(self, rewards=()):
+        rewards = np.asarray(rewards, dtype=float)
+        self._buf = np.empty(max(64, rewards.size))
+        self._buf[: rewards.size] = rewards
+        self._n = rewards.size
+
+    def append(self, reward):
+        if self._n == self._buf.size:
+            grown = np.empty(2 * self._buf.size)
+            grown[: self._n] = self._buf
+            self._buf = grown
+        self._buf[self._n] = reward
+        self._n += 1
+
+    def __len__(self):
+        return self._n
+
+    @property
+    def values(self):
+        """The rewards so far, as a view into the buffer."""
+        return self._buf[: self._n]
+
+
 # ---------------------------------------------------------------------------
 # stable beliefs
 
@@ -168,10 +200,12 @@ class ArmBelief:
         """Log stable likelihood of the rewards plus the normal location prior,
         evaluated at each candidate delta."""
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-        out = np.empty(deltas.shape[0])
-        shift = self.beta * self.sigma * _tan_half(self.alpha)
-        for i, d in enumerate(deltas):
-            out[i] = float(np.sum(self.table.logpdf(rewards, d - shift)))
+        locs = deltas - self.beta * self.sigma * _tan_half(self.alpha)
+        # one density pass, reward-major: neighbouring points share a reward,
+        # so np.interp's search starts next to its previous hit
+        lp = self.table.logpdf(np.asarray(rewards, dtype=float)[:, None] - locs[None, :])
+        # summing each delta's contiguous row keeps np.sum's pairwise order
+        out = np.sum(np.ascontiguousarray(lp.T), axis=1)
         out -= 0.5 * (deltas - self.prior_mu) ** 2 / self.prior_var
         return out
 
@@ -409,11 +443,20 @@ class _StableSlot:
         self.mu_bar = np.zeros(dim)
         self.theta = np.zeros((n_arms, dim))
         self.beliefs = [None] * n_arms
-        self.rewards = [[] for _ in range(n_arms)]
+        self.rewards = [()] * n_arms
         self.pulls = np.zeros(n_arms, dtype=int)
         self.visits = 0
         self.ready = False
         self._lp_cache = [None] * n_arms
+
+    @property
+    def rewards(self):
+        """One growable history per arm."""
+        return self._rewards
+
+    @rewards.setter
+    def rewards(self, per_arm):
+        self._rewards = [_RewardHistory(r) for r in per_arm]
 
 
 class _StableBase:
@@ -444,7 +487,7 @@ class _StableBase:
 
     def _init_slot(self, slot):
         for n in range(self.n_arms):
-            slot.beliefs[n] = belief_from_history(slot.rewards[n])
+            slot.beliefs[n] = belief_from_history(slot.rewards[n].values)
             slot.theta[n, :] = slot.beliefs[n].prior_mu
         slot._lp_cache = [None] * self.n_arms
         slot.ready = True
@@ -459,7 +502,7 @@ class _StableBase:
             and slot.pulls[arm] >= 50
             and slot.pulls[arm] % self.config.refresh_every == 0
         ):
-            est = estimate_ecf(np.asarray(slot.rewards[arm]))
+            est = estimate_ecf(slot.rewards[arm].values)
             p = est.params
             slot.beliefs[arm].refit(p.alpha, p.beta, max(p.sigma, 1e-6))
             slot._lp_cache[arm] = None
@@ -471,7 +514,7 @@ class _StableBase:
         per coordinate regardless of the outcome."""
         for n in range(self.n_arms):
             belief = slot.beliefs[n]
-            rewards = np.asarray(slot.rewards[n], dtype=float)
+            rewards = slot.rewards[n].values
             cur = slot.theta[n]
             props = cur + self.config.mh_step_scale * belief.sigma * self.rng.normal(size=self.dim)
             if slot._lp_cache[n] is None:
@@ -552,7 +595,7 @@ class _StableBase:
                     y=s.y.tolist(),
                     theta=s.theta.tolist(),
                     beliefs=[_pack_belief(b) for b in s.beliefs],
-                    rewards=[list(r) for r in s.rewards],
+                    rewards=[r.values.tolist() for r in s.rewards],
                     pulls=s.pulls.tolist(),
                     visits=s.visits,
                     ready=s.ready,
@@ -582,7 +625,7 @@ class _StableBase:
             slot.mu_bar = _solve_spd(slot.B, slot.y)
             slot.theta = np.asarray(raw["theta"], dtype=float)
             slot.beliefs = [_unpack_belief(b) for b in raw["beliefs"]]
-            slot.rewards = [list(r) for r in raw["rewards"]]
+            slot.rewards = raw["rewards"]
             slot.pulls = np.asarray(raw["pulls"], dtype=int)
             slot.visits = raw["visits"]
             slot.ready = raw["ready"]
@@ -659,7 +702,7 @@ class MdpActsAgent:
         self.warmup = config.warmup if config.warmup is not None else 25
         self.rng = np.random.default_rng(seed)
         self.prior_mu, self.prior_var = float(prior_mu), float(prior_var)
-        self.rewards = [[[] for _ in range(n_actions)] for _ in range(n_states)]
+        self.rewards = [[_RewardHistory() for _ in range(n_actions)] for _ in range(n_states)]
         self.beliefs = [[None] * n_actions for _ in range(n_states)]
         self.theta = np.full((n_states, n_actions), self.prior_mu)
         self.known_next = np.full((n_states, n_actions), -1, dtype=int)
@@ -693,8 +736,7 @@ class MdpActsAgent:
                 else:
                     belief = self.beliefs[s][a]
                     prop = self.theta[s, a] + self.config.mh_step_scale * belief.sigma * self.rng.normal()
-                    r = np.asarray(hist, dtype=float)
-                    lp = belief.log_posterior(r, [self.theta[s, a], prop])
+                    lp = belief.log_posterior(hist.values, [self.theta[s, a], prop])
                     if np.log(self.rng.uniform()) < lp[1] - lp[0]:
                         self.theta[s, a] = prop
                     m[s, a] = belief.mean_given_delta(self.theta[s, a])
@@ -705,7 +747,7 @@ class MdpActsAgent:
         for s in range(self.n_states):
             for a in range(self.n_actions):
                 if self.rewards[s][a]:
-                    m[s, a] = float(np.mean(self.rewards[s][a]))
+                    m[s, a] = float(np.mean(self.rewards[s][a].values))
         return m
 
     def state_value(self, s):
@@ -741,12 +783,12 @@ class MdpActsAgent:
         self.visits[s, a] += 1
         if nxt is not None:
             self.known_next[s, a] = nxt
-        hist = self.rewards[s][a]
+        hist = self.rewards[s][a].values
         if self.beliefs[s][a] is None:
             self.beliefs[s][a] = belief_from_history(hist)
             self.theta[s, a] = self.beliefs[s][a].prior_mu
         elif len(hist) >= 50 and len(hist) % self.config.refresh_every == 0:
-            p = estimate_ecf(np.asarray(hist)).params
+            p = estimate_ecf(hist).params
             self.beliefs[s][a].refit(p.alpha, p.beta, max(p.sigma, 1e-6))
         elif len(hist) < 50 and len(hist) % 5 == 0:
             self.beliefs[s][a] = belief_from_history(hist)

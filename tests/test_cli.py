@@ -114,6 +114,32 @@ def test_bandit_rounds_must_be_positive_integer(tmp_path, kind, rounds):
         small_config(tmp_path, kind=kind, params={"rounds": rounds})
 
 
+@pytest.mark.parametrize("env_seed", [-1, 2.5, "x", True])
+def test_bandit_env_seed_must_be_nonnegative_integer(tmp_path, env_seed):
+    with pytest.raises(ConfigError, match="params.env_seed"):
+        small_config(tmp_path, params={"rounds": 10, "env_seed": env_seed})
+    assert small_config(tmp_path, params={"env_seed": 0}).params["env_seed"] == 0
+
+
+def test_bayes_regret_rejects_env_seed(tmp_path):
+    # the Bayes variant redraws the environment from each cell seed
+    with pytest.raises(ConfigError, match="params.env_seed"):
+        small_config(tmp_path, kind="bayes-regret", params={"env_seed": 3})
+
+
+@pytest.mark.parametrize("days", [1, 0, -3, 60.0, "60", False])
+def test_tournament_days_must_be_integer_of_two_or_more(days):
+    with pytest.raises(ConfigError, match="params.days"):
+        ExperimentConfig.from_dict({"kind": "tournament", "params": {"days": days}})
+
+
+@pytest.mark.parametrize("episodes", [0, -2, 4.0, "4", True])
+def test_tournament_episodes_must_be_positive_integer(episodes):
+    with pytest.raises(ConfigError, match="params.episodes"):
+        ExperimentConfig.from_dict({"kind": "tournament",
+                                    "params": {"episodes": episodes}})
+
+
 @pytest.mark.parametrize("n_freq", [0, 1, -3, 4.0, "8", False])
 def test_estimate_n_freq_must_be_integer_of_two_or_more(n_freq):
     with pytest.raises(ConfigError, match="params.n_freq"):
@@ -493,6 +519,22 @@ def test_cli_invalid_n_freq_and_rounds_configs_exit_two(tmp_path, capsys):
     path = write_config(tmp_path, params={"rounds": -5})
     assert cli.main(["run", str(path)]) == 2
     assert "rounds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"params": {"env_seed": "x"}}, "env_seed"),
+    ({"kind": "bayes-regret", "params": {"env_seed": 1}}, "env_seed"),
+    ({"kind": "tournament", "env": {}, "agents": [], "params": {"episodes": -2}},
+     "episodes"),
+    ({"kind": "tournament", "env": {}, "agents": [], "params": {"days": 1}}, "days"),
+])
+def test_cli_invalid_env_seed_and_tournament_configs_exit_two(tmp_path, capsys,
+                                                              over, key):
+    path = write_config(tmp_path, **over)
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"params.{key}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -240,6 +240,42 @@ def test_pdf_table_logpdf_floor():
     assert np.isfinite(t.logpdf(1e6))
 
 
+def _two_pass_density(t, x, mean_loc=0.0):
+    """PdfTable.density with one scan and one replacement pass per tail: the
+    reference the single tail pass must match bit for bit."""
+    z = np.asarray(x, dtype=float) - mean_loc
+    out = np.interp(z, t.grid_x, t.grid_p)
+    far_hi = z > t.edge
+    far_lo = z < -t.edge
+    if np.any(far_hi):
+        ratio = np.where(far_hi, z / t.edge, 1.0)
+        out = np.where(far_hi, t.edge_hi * ratio ** -(t.alpha + 1.0), out)
+    if np.any(far_lo):
+        ratio = np.where(far_lo, -z / t.edge, 1.0)
+        out = np.where(far_lo, t.edge_lo * ratio ** -(t.alpha + 1.0), out)
+    return out
+
+
+@pytest.mark.parametrize("alpha, beta, sigma", [(1.5, 0.6, 1.0), (1.8, -0.9, 0.3),
+                                                (2.0, 0.0, 2.0)])
+def test_pdf_table_density_matches_two_pass_tails_bit_for_bit(alpha, beta, sigma):
+    t = PdfTable(alpha, beta, sigma)
+    e = t.edge
+    at_edge = [e, -e, np.nextafter(e, 0.0), np.nextafter(-e, 0.0),
+               np.nextafter(e, np.inf), np.nextafter(-e, -np.inf)]
+    far = np.geomspace(1.01 * e, 1e6 * e, 40)
+    x = np.concatenate([np.linspace(-0.99 * e, 0.99 * e, 4001), at_edge, far, -far])
+    x = np.random.default_rng(0).permutation(x)
+    for loc in (0.0, 0.37 * sigma, -2.5 * e):
+        np.testing.assert_array_equal(t.density(x, loc), _two_pass_density(t, x, loc))
+        np.testing.assert_array_equal(t.logpdf(x, loc),
+                                      np.log(np.maximum(_two_pass_density(t, x, loc), 1e-300)))
+    for v in [0.5 * e, 3.0 * e, -3.0 * e] + at_edge:
+        new, old = t.density(v), _two_pass_density(t, v)
+        assert np.ndim(new) == np.ndim(old) == 0
+        assert new == old
+
+
 # ------------------------------------------------------------------ estimate
 
 

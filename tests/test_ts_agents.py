@@ -16,7 +16,7 @@ from stabletrade.bandit_envs import (
     true_q,
 )
 from stabletrade.errors import ConfigError
-from stabletrade.stable_core import PdfTable, StableParams, tail_prob
+from stabletrade.stable_core import PdfTable, StableParams, _tan_half, sample, tail_prob
 from stabletrade.ts_agents import (
     ActsAgent,
     AgentConfig,
@@ -28,6 +28,7 @@ from stabletrade.ts_agents import (
     SctsAgent,
     _moment_beliefs,
     _pi_estimate,
+    _RewardHistory,
     _weighted_update,
     belief_from_history,
     make_agent,
@@ -259,6 +260,38 @@ def test_mh_chain_tracks_the_grid_posterior():
     width = edges[1] - edges[0]
     tv = 0.5 * np.sum(np.abs(hist - on_grid)) * width
     assert tv < 0.1
+
+
+def _per_delta_log_posterior(belief, rewards, deltas):
+    """ArmBelief.log_posterior as one density call per candidate delta: the
+    reference the single reward-major pass must match bit for bit."""
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    out = np.empty(deltas.shape[0])
+    shift = belief.beta * belief.sigma * _tan_half(belief.alpha)
+    for i, d in enumerate(deltas):
+        out[i] = float(np.sum(belief.table.logpdf(rewards, d - shift)))
+    out -= 0.5 * (deltas - belief.prior_mu) ** 2 / belief.prior_var
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, -0.4])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_log_posterior_matches_per_delta_loop_bit_for_bit(dim, n, beta):
+    rng = np.random.default_rng(1000 * dim + n)
+    belief = ArmBelief(1.6, beta, 0.5, prior_mu=0.2, prior_var=3.0)
+    rewards = sample(StableParams(1.6, beta, 0.5, 0.3), n, rng)
+    # rewards past the tabulated edge on both sides take the tail extension
+    edge = belief.table.edge
+    rewards[0] = 3.0 * edge
+    rewards[n // 2] = -5.0 * edge
+    deltas = rng.normal(0.3, 0.5, size=dim)
+    np.testing.assert_array_equal(belief.log_posterior(rewards, deltas),
+                                  _per_delta_log_posterior(belief, rewards, deltas))
+    # far candidates put the whole history in one tail, then in the other
+    far = np.concatenate([deltas, [40.0 * edge, -40.0 * edge]])
+    np.testing.assert_array_equal(belief.log_posterior(rewards, far),
+                                  _per_delta_log_posterior(belief, rewards, far))
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +624,40 @@ def test_acts_snapshot_round_trip_continues_identically():
         arms1.append(a1)
         arms2.append(a2)
     assert arms1 == arms2
+    # run on until a reward history outgrows its first buffer, then
+    # round-trip the twin again and keep both going
+    for t in range(110, 170):
+        agent.step(e1.context(t), e1)
+        twin.step(e2.context(t), e2)
+    assert max(len(r) for r in twin.slots[0].rewards) > _RewardHistory()._buf.size
+    snap = json.loads(json.dumps(twin.snapshot()))
+    assert snap == json.loads(json.dumps(agent.snapshot()))
+    twin = ActsAgent.restore(snap)
+    for t in range(170, 200):
+        a1, _ = agent.step(e1.context(t), e1)
+        a2, _ = twin.step(e2.context(t), e2)
+        assert a1 == a2
+    assert twin.snapshot() == agent.snapshot()
+
+
+def test_stable_slot_history_grows_past_its_capacity_like_a_list():
+    agent = ActsAgent(2, 1, AgentConfig(algorithm="acts"), seed=0)
+    slot = agent.slots[0]
+    capacity = _RewardHistory()._buf.size
+    rewards = np.random.default_rng(4).standard_cauchy(3 * capacity + 5).tolist()
+    as_list = [[], []]
+    for i, r in enumerate(rewards):
+        arm = int(i % 5 == 0)
+        agent._after_reward(slot, arm, r)
+        as_list[arm].append(r)
+    assert len(slot.rewards[0]) > capacity
+    for arm in range(2):
+        assert len(slot.rewards[arm]) == len(as_list[arm])
+        assert slot.rewards[arm].values.tolist() == as_list[arm]
+        assert slot.rewards[arm].values.dtype == np.float64
+    # assigning plain lists converts them, as the snapshot restore does
+    slot.rewards = as_list
+    assert [r.values.tolist() for r in slot.rewards] == as_list
 
 
 def test_cts_snapshot_survives_json():
