@@ -45,6 +45,7 @@ from .rl_agents import (
     TournamentResult,
     TrainConfig,
     VectorMarketEnv,
+    _is_int,
     alternating_series,
     backtest_curve,
     evaluate,
@@ -156,10 +157,6 @@ def _market_from(raw, fallback_seed=0):
         max_loss=None if max_loss is None else float(max_loss),
         start_price=float(d.get("start_price", 100.0)),
     )
-
-
-def _is_int(v, least):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
 def _check_param_keys(kind, params, allowed):

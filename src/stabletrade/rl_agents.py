@@ -8,7 +8,9 @@ performance-weighted constant-rebalanced mixtures) and the bandit traders feed
 the tournament and backtest tables.
 """
 
+import numbers
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,41 +30,90 @@ from .tinynet import Mlp, adam_init, clip_global_norm, opt_step, soft_update
 from .ts_agents import AgentConfig, CtsAgent, PlainAtsAgent
 
 
-@dataclass
-class Experience:
+class Batch(NamedTuple):
+    """Transitions as columns, one row per transition. ``a_exp`` is None
+    when the transitions carry no expert actions."""
+
     s: np.ndarray
     a: np.ndarray
-    r: float
+    r: np.ndarray
     s_next: np.ndarray
-    done: bool
+    done: np.ndarray
     a_exp: np.ndarray = None
 
 
+_FIRST_ROWS = 64
+
+
 class ReplayBuffer:
-    """Ring buffer with uniform without-replacement minibatches."""
+    """Ring buffer with uniform without-replacement minibatches.
+
+    Each column of ``Batch`` is one array whose rows double as the buffer
+    fills, up to ``capacity``; the first ``add`` fixes each column's dtype
+    and row shape (``r`` and ``done`` are stored as floats). Once full, each
+    new transition overwrites the oldest.
+    """
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ParamError("capacity must be positive")
         self.capacity = int(capacity)
-        self._data = []
+        self._cols = None
+        self._n = 0
         self._head = 0
 
     def __len__(self):
-        return len(self._data)
+        return self._n
 
-    def add(self, exp):
-        if len(self._data) < self.capacity:
-            self._data.append(exp)
+    def add(self, s, a, r, s_next, done, a_exp=None):
+        row = (s, a, float(r), s_next, float(done), a_exp)
+        if self._cols is None:
+            rows = min(_FIRST_ROWS, self.capacity)
+            self._cols = Batch(*(
+                None if v is None else np.empty((rows,) + np.shape(v), np.asarray(v).dtype)
+                for v in row))
+        elif (a_exp is None) != (self._cols.a_exp is None):
+            raise ParamError("give expert actions with every transition or with none")
+        if self._n < self.capacity:
+            i = self._n
+            if i == len(self._cols.s):
+                self._grow()
+            self._n += 1
         else:
-            self._data[self._head] = exp
+            i = self._head
             self._head = (self._head + 1) % self.capacity
+        for col, v in zip(self._cols, row):
+            if col is not None:
+                col[i] = v
+
+    def _grow(self):
+        rows = min(2 * len(self._cols.s), self.capacity)
+        grown = []
+        for col in self._cols:
+            if col is not None:
+                new = np.empty((rows,) + col.shape[1:], col.dtype)
+                new[:self._n] = col[:self._n]
+                col = new
+            grown.append(col)
+        self._cols = Batch(*grown)
 
     def sample(self, n, rng):
-        if n > len(self._data):
-            raise ParamError(f"minibatch {n} exceeds buffer size {len(self._data)}")
-        idx = rng.choice(len(self._data), size=n, replace=False)
-        return [self._data[i] for i in idx]
+        """A Batch of n distinct stored transitions, gathered in one pass."""
+        if n > self._n:
+            raise ParamError(f"minibatch {n} exceeds buffer size {self._n}")
+        idx = rng.choice(self._n, size=n, replace=False)
+        return Batch(*(None if col is None else col[idx] for col in self._cols))
+
+
+def _is_int(v, least):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _check_ints(table, cfg, least_by_key):
+    for key, least in least_by_key:
+        v = getattr(cfg, key)
+        if not _is_int(v, least):
+            raise ConfigError(f"{table}.{key} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass
@@ -93,8 +144,15 @@ class TrainConfig:
             raise ConfigError("gamma must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError("tau must lie in (0, 1]")
-        if self.batch < 1 or self.buffer_capacity < self.batch:
+        _check_ints("train", self, (("batch", 1), ("buffer_capacity", 1),
+                                    ("n_candidates", 0), ("pretrain_steps", 0),
+                                    ("pretrain_episodes", 0), ("warmup_steps", 0)))
+        if self.buffer_capacity < self.batch:
             raise ConfigError("need buffer capacity >= batch >= 1")
+        if not isinstance(self.hidden, (tuple, list)) \
+                or not all(_is_int(h, 1) for h in self.hidden):
+            raise ConfigError(
+                f"train.hidden must be a list of integers >= 1, got {self.hidden!r}")
         if self.lam_e < 0.0:
             raise ConfigError("expert weight must be non-negative")
         if self.noise_kind not in ("gaussian", "ou"):
@@ -306,24 +364,11 @@ class DdpgAgent:
         soft_update(self.t_critic, self.critic, self.config.tau)
 
 
-def _stack(batch):
-    s = np.stack([e.s for e in batch])
-    a = np.stack([e.a for e in batch])
-    r = np.array([e.r for e in batch], dtype=float)
-    s2 = np.stack([e.s_next for e in batch])
-    done = np.array([e.done for e in batch], dtype=float)
-    if all(e.a_exp is not None for e in batch):
-        ae = np.stack([e.a_exp for e in batch])
-    else:
-        ae = None
-    return s, a, r, s2, done, ae
-
-
 def critic_loss(agent, batch):
     """Mean squared TD error against the target networks, plus critic
     gradients; terminal rows drop the bootstrap."""
     cfg = agent.config
-    s, a, r, s2, done, _ = _stack(batch)
+    s, a, r, s2, done, _ = batch
     a2, _ = agent.t_actor.forward(s2)
     q2, _ = agent.t_critic.forward(np.hstack([s2, a2]))
     y = r + cfg.gamma * (1.0 - done) * q2[:, 0]
@@ -335,7 +380,7 @@ def critic_loss(agent, batch):
         )
     resid = q[:, 0] - y
     loss = float(np.mean(resid**2))
-    gy = (2.0 / len(batch)) * resid[:, None]
+    gy = (2.0 / len(r)) * resid[:, None]
     grads, _ = agent.critic.backward(cache, gy)
     return loss, grads
 
@@ -390,8 +435,7 @@ def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None,
     up = np.full((n, 1), 1.0 / n)
     g_best, _ = agent.critic.backward(cache_b, up)
     g_exp, _ = agent.critic.backward(cache_e, -up)
-    grads = [gb + ge for gb, ge in zip(g_best, g_exp)]
-    return value, grads
+    return value, g_best + g_exp
 
 
 def critic_update(agent, batch, expert=False):
@@ -399,12 +443,11 @@ def critic_update(agent, batch, expert=False):
     td, grads = critic_loss(agent, batch)
     j_e = 0.0
     if expert:
-        s, _, _, _, _, ae = _stack(batch)
-        if ae is None:
+        if batch.a_exp is None:
             raise ParamError("expert mode needs expert actions in the minibatch")
-        j_e, mg = cppi_margin_loss(agent, s, ae, want_grads=True)
-        grads = [g + cfg.lam_e * m for g, m in zip(grads, mg)]
-    clip_global_norm(grads, cfg.grad_clip)
+        j_e, mg = cppi_margin_loss(agent, batch.s, batch.a_exp, want_grads=True)
+        grads = grads + cfg.lam_e * mg
+    clip_global_norm(agent.critic, grads, cfg.grad_clip)
     opt_step(agent.critic, grads, agent.opt_critic, lr=cfg.critic_lr)
     return td, j_e
 
@@ -423,9 +466,8 @@ def actor_loss_grads(agent, states):
 
 def actor_update(agent, batch):
     """Chain-rule ascent on Q(s, pi(s)); the critic stays frozen."""
-    s = np.stack([e.s for e in batch])
-    loss, grads = actor_loss_grads(agent, s)
-    clip_global_norm(grads, agent.config.grad_clip)
+    loss, grads = actor_loss_grads(agent, batch.s)
+    clip_global_norm(agent.actor, grads, agent.config.grad_clip)
     opt_step(agent.actor, grads, agent.opt_actor, lr=agent.config.actor_lr)
     return loss
 
@@ -445,7 +487,7 @@ def _pretrain(agent, env, buffer, cfg):
             ae = env.expert_action()
             a = np.clip(ae + 0.05 * agent.rng.standard_normal(ae.shape), -1.0, 1.0)
             s2, r, done = env.step(a)
-            buffer.add(Experience(s, a, r, s2, done, a_exp=ae))
+            buffer.add(s, a, r, s2, done, a_exp=ae)
             s = s2
     steps = 0
     for _ in range(cfg.pretrain_steps):
@@ -477,7 +519,7 @@ def train(agent, env, episodes):
             a_exp = env.expert_action() if expert_mode else None
             a = agent.act(s, noise_scale=noise)
             s2, r, done = env.step(a)
-            buffer.add(Experience(s, a, r, s2, done, a_exp=a_exp))
+            buffer.add(s, a, r, s2, done, a_exp=a_exp)
             s = s2
             if len(buffer) >= max(cfg.batch, cfg.warmup_steps):
                 batch = buffer.sample(cfg.batch, agent.rng)
@@ -617,15 +659,10 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
                 a = int(np.argmax(qv))
             s2, r, done = env.step(a)
             total += r
-            buffer.add(Experience(s, a, r, s2, done))
+            buffer.add(s, a, r, s2, done)
             s = s2
             if len(buffer) >= batch:
-                sample = buffer.sample(batch, rng)
-                si = np.array([e.s for e in sample], dtype=int)
-                ai = np.array([e.a for e in sample], dtype=int)
-                ri = np.array([e.r for e in sample], dtype=float)
-                s2i = np.array([e.s_next for e in sample], dtype=int)
-                di = np.array([e.done for e in sample], dtype=float)
+                si, ai, ri, s2i, di, _ = buffer.sample(batch, rng)
                 q2, _ = target.forward(onehot(s2i))
                 y = ri + gamma * (1.0 - di) * q2.max(axis=1)
                 qv, cache = net.forward(onehot(si))
@@ -633,7 +670,7 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
                 rows = np.arange(batch)
                 gy[rows, ai] = 2.0 * (qv[rows, ai] - y) / batch
                 grads, _ = net.backward(cache, gy)
-                clip_global_norm(grads)
+                clip_global_norm(net, grads)
                 opt_step(net, grads, opt, lr=lr)
                 soft_update(target, net, tau)
         returns.append(total)
@@ -833,7 +870,14 @@ class BacktestConfig:
         cfg = cls(**d)
         if train is not None:
             cfg.train = TrainConfig.from_dict(train)
-        return cfg
+        return cfg.validate()
+
+    def validate(self):
+        _check_ints("backtest", self, (("episodes", 1), ("window", 1)))
+        r = self.split_ratio
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r < 1.0:
+            raise ConfigError(f"backtest.split_ratio must lie in (0, 1), got {r!r}")
+        return self
 
     def split(self, series):
         """Chronological (train, test) split; the test part needs two days

@@ -4,6 +4,13 @@ Rectifier hidden layers, linear or tanh output. Gradients are written out by
 hand and validated against central finite differences in the tests; the
 optimizer is the usual adaptive moment scheme. Nothing here knows about
 losses, callers push the upstream gradient in.
+
+Each network keeps its parameters in one contiguous float64 vector,
+``Mlp.flat`` (W0, b0, W1, b1, ..., weights row-major), and ``backward``
+returns the parameter gradients as one vector aligned to it. The optimizer
+moments, soft target updates, gradient clipping, copies and snapshots work
+on whole vectors; only the global norm is summed parameter by parameter, in
+the order above, so that its rounding does not depend on the layout.
 """
 
 import struct
@@ -20,7 +27,14 @@ class Mlp:
     """Fully connected layers of fixed sizes.
 
     sizes = [in, hidden..., out]. Weights use seeded uniform fan-in
-    initialization, U(-1/sqrt(fan), 1/sqrt(fan)).
+    initialization, U(-1/sqrt(fan), 1/sqrt(fan)), drawn layer by layer,
+    weights before biases.
+
+    All parameters live in one contiguous float64 vector, ``flat``, in the
+    order W0, b0, W1, b1, ... with each weight matrix row-major (fan_in x
+    fan_out). ``layout`` holds each parameter's (start, stop, shape) in that
+    vector, and ``weights``, ``biases`` and ``params()`` are reshaped views
+    into it, so writing through a view writes the network.
     """
 
     def __init__(self, sizes, out_act="linear", seed=0):
@@ -29,26 +43,33 @@ class Mlp:
         if out_act not in ("linear", "tanh"):
             raise ParamError(f"unknown output activation {out_act!r}")
         self.sizes = [int(s) for s in sizes]
+        if min(self.sizes) < 1:
+            raise ParamError(f"layer sizes must be positive, got {self.sizes}")
         self.out_act = out_act
-        rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
+        self.layout = []
+        off = 0
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                stop = off + int(np.prod(shape))
+                self.layout.append((off, stop, shape))
+                off = stop
+        self.flat = np.empty(off)
+        self._params = [self.flat[a:b].reshape(shape) for a, b, shape in self.layout]
+        self.weights = self._params[0::2]
+        self.biases = self._params[1::2]
+        rng = np.random.default_rng(seed)
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
 
     def params(self):
-        """Live references, interleaved (W0, b0, W1, b1, ...)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Live views into ``flat``, interleaved (W0, b0, W1, b1, ...)."""
+        return list(self._params)
 
     @property
     def n_params(self):
-        return sum(p.size for p in self.params())
+        return self.flat.size
 
     def forward(self, x):
         """Returns (output, cache); pure, touches no state."""
@@ -76,7 +97,7 @@ class Mlp:
     def backward(self, cache, gy):
         """Gradients of sum(output * gy) for every parameter plus the input.
 
-        Returns (grads, gx) with grads aligned to params().
+        Returns (grads, gx): grads is one vector aligned to ``flat``.
         """
         acts = cache["acts"]
         gy = np.asarray(gy, dtype=float)
@@ -87,11 +108,12 @@ class Mlp:
         g = gy
         if self.out_act == "tanh":
             g = g * (1.0 - acts[-1] ** 2)
-        grads = [None] * (2 * len(self.weights))
+        grads = np.empty(self.flat.size)
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in = acts[i]
-            grads[2 * i] = h_in.T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+            w0, w1, w_shape = self.layout[2 * i]
+            b0, b1, _ = self.layout[2 * i + 1]
+            np.matmul(acts[i].T, g, out=grads[w0:w1].reshape(w_shape))
+            np.add.reduce(g, axis=0, out=grads[b0:b1])
             g = g @ self.weights[i].T
             if i > 0:
                 g = g * (acts[i] > 0.0)
@@ -100,8 +122,7 @@ class Mlp:
 
     def copy(self):
         twin = Mlp(self.sizes, self.out_act, seed=0)
-        for dst, src in zip(twin.params(), self.params()):
-            dst[...] = src
+        twin.flat[...] = self.flat
         return twin
 
 
@@ -110,32 +131,26 @@ class Mlp:
 
 
 def adam_init(net):
-    return {
-        "step": 0,
-        "m": [np.zeros_like(p) for p in net.params()],
-        "v": [np.zeros_like(p) for p in net.params()],
-    }
+    return {"step": 0, "m": np.zeros_like(net.flat), "v": np.zeros_like(net.flat)}
 
 
 def opt_step(net, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One adaptive moment update, in place. Deterministic given state."""
-    params = net.params()
-    if len(grads) != len(params):
-        raise ParamError("gradient list length mismatch")
+    """One adaptive moment update of ``net.flat``, in place, from a gradient
+    vector aligned to it. Deterministic given state."""
+    if getattr(grads, "shape", None) != net.flat.shape:
+        raise ParamError("gradient vector shape mismatch")
     state["step"] += 1
     t = state["step"]
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        if g.shape != p.shape:
-            raise ParamError("gradient shape mismatch")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        if not np.all(np.isfinite(p)):
-            raise NumericError("non-finite parameters after optimizer step")
+    p, m, v = net.flat, state["m"], state["v"]
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads * grads
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    if not np.all(np.isfinite(p)):
+        raise NumericError("non-finite parameters after optimizer step")
     return net
 
 
@@ -143,19 +158,23 @@ def soft_update(target, source, tau):
     """target <- tau * source + (1 - tau) * target, elementwise."""
     if target.sizes != source.sizes or target.out_act != source.out_act:
         raise ParamError("architecture mismatch in soft update")
-    for tp, sp in zip(target.params(), source.params()):
-        tp *= 1.0 - tau
-        tp += tau * sp
+    tp = target.flat
+    tp *= 1.0 - tau
+    tp += tau * source.flat
     return target
 
 
-def clip_global_norm(grads, max_norm=10.0):
-    """Scales the gradient list in place; returns the pre-clip global norm."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+def clip_global_norm(net, grads, max_norm=10.0):
+    """Scales a gradient vector aligned to ``net.flat`` in place; returns the
+    pre-clip global norm.
+
+    The squares are summed parameter by parameter in ``net.layout`` order and
+    those sums added up, which fixes the rounding of the norm.
+    """
+    total = float(np.sqrt(sum(float(np.sum(grads[a:b] * grads[a:b]))
+                              for a, b, _ in net.layout)))
     if total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        grads *= max_norm / total
     return total
 
 
@@ -171,8 +190,7 @@ def save_net(net, path):
         fh.write(struct.pack("<B", 1 if net.out_act == "tanh" else 0))
         fh.write(struct.pack("<I", len(net.sizes)))
         fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
-        for p in net.params():
-            fh.write(p.astype("<f8").tobytes())
+        fh.write(net.flat.astype("<f8").tobytes())
 
 
 def load_net(path):
@@ -192,14 +210,12 @@ def load_net(path):
     sizes = list(struct.unpack_from(f"<{n_sizes}I", raw, off))
     off += 4 * n_sizes
     net = Mlp(sizes, "tanh" if out_flag else "linear", seed=0)
-    for p in net.params():
-        end = off + 8 * p.size
-        if end > len(raw):
-            raise DataError("snapshot truncated")
-        p[...] = np.frombuffer(raw[off:end], dtype="<f8").reshape(p.shape)
-        off = end
-    if off != len(raw):
+    end = off + 8 * net.flat.size
+    if end > len(raw):
+        raise DataError("snapshot truncated")
+    if end != len(raw):
         raise DataError("snapshot has trailing bytes")
+    net.flat[...] = np.frombuffer(raw, dtype="<f8", count=net.flat.size, offset=off)
     return net
 
 
@@ -243,9 +259,8 @@ def gradient_check(net, x, h=1e-5, rng=None):
 
     grads, gx = net.backward(cache, proj)
     worst = 0.0
-    for p, g in zip(net.params(), grads):
-        flat_p = p.ravel()
-        flat_g = g.ravel()
+    # every parameter coordinate, then the input, by the same probe
+    for flat_p, flat_g in ((net.flat, grads), (x.ravel(), np.asarray(gx).ravel())):
         for i in range(flat_p.size):
             keep = flat_p[i]
             flat_p[i] = keep + h
@@ -256,17 +271,4 @@ def gradient_check(net, x, h=1e-5, rng=None):
             num = (up - dn) / (2.0 * h)
             denom = max(abs(num) + abs(flat_g[i]), 1e-8)
             worst = max(worst, abs(num - flat_g[i]) / denom)
-    # input gradient by the same probe
-    xf = x.ravel()
-    gxf = np.asarray(gx).ravel()
-    for i in range(xf.size):
-        keep = xf[i]
-        xf[i] = keep + h
-        up = loss()
-        xf[i] = keep - h
-        dn = loss()
-        xf[i] = keep
-        num = (up - dn) / (2.0 * h)
-        denom = max(abs(num) + abs(gxf[i]), 1e-8)
-        worst = max(worst, abs(num - gxf[i]) / denom)
     return worst

@@ -538,6 +538,45 @@ def test_cli_invalid_env_seed_and_tournament_configs_exit_two(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("backtest, key", [
+    ({"episodes": -2}, "backtest.episodes"),
+    ({"episodes": 0}, "backtest.episodes"),
+    ({"window": 0}, "backtest.window"),
+    ({"window": 2.0}, "backtest.window"),
+    ({"split_ratio": 1.5}, "backtest.split_ratio"),
+    ({"split_ratio": 0}, "backtest.split_ratio"),
+    ({"split_ratio": "0.7"}, "backtest.split_ratio"),
+    ({"train": {"batch": 2.5}}, "train.batch"),
+    ({"train": {"buffer_capacity": 1e5}}, "train.buffer_capacity"),
+    ({"train": {"hidden": [0]}}, "train.hidden"),
+    ({"train": {"hidden": [8, 4.5]}}, "train.hidden"),
+    ({"train": {"hidden": 8}}, "train.hidden"),
+    ({"train": {"n_candidates": -3}}, "train.n_candidates"),
+    ({"train": {"pretrain_steps": -1}}, "train.pretrain_steps"),
+    ({"train": {"pretrain_episodes": 1.5}}, "train.pretrain_episodes"),
+    ({"train": {"warmup_steps": "64"}}, "train.warmup_steps"),
+])
+def test_cli_invalid_backtest_params_exit_two(tmp_path, capsys, backtest, key):
+    path = write_config(tmp_path, kind="backtest", env={"d": 1, "days": 30},
+                        agents=["ddpg"], seeds=[0], params={"backtest": backtest})
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_backtest_params_at_their_lower_limits_are_valid():
+    train = {"hidden": [], "n_candidates": 0, "pretrain_steps": 0,
+             "pretrain_episodes": 0, "warmup_steps": 0, "batch": 1,
+             "buffer_capacity": 1}
+    cfg = BacktestConfig.from_dict({"episodes": 1, "window": 1, "split_ratio": 0.5,
+                                    "train": train})
+    assert cfg.train.hidden == () and cfg.episodes == 1
+    ExperimentConfig.from_dict({"kind": "backtest", "env": {"d": 1, "days": 30},
+                                "params": {"backtest": {"train": train}}})
+
+
 def test_cli_too_few_samples_exit_two_without_traceback(tmp_path, capsys):
     path = tmp_path / "short.txt"
     path.write_text("".join(f"{i}\n" for i in range(1, 11)))

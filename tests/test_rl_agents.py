@@ -6,8 +6,8 @@ from stabletrade.market_sim import CppiConfig, synth_market
 from stabletrade.rl_agents import (
     BacktestConfig,
     DdpgAgent,
+    Batch,
     DiscreteTradingEnv,
-    Experience,
     ReplayBuffer,
     TournamentResult,
     TrainConfig,
@@ -50,12 +50,20 @@ def _tiny_agent(gamma=0.5, **kw):
 
 
 def _exp(s, a, r, s2, done=False, a_exp=None):
-    return Experience(np.atleast_1d(np.asarray(s, float)),
-                      np.atleast_1d(np.asarray(a, float)),
-                      float(r),
-                      np.atleast_1d(np.asarray(s2, float)),
-                      done,
-                      None if a_exp is None else np.atleast_1d(np.asarray(a_exp, float)))
+    return (np.atleast_1d(np.asarray(s, float)),
+            np.atleast_1d(np.asarray(a, float)),
+            float(r),
+            np.atleast_1d(np.asarray(s2, float)),
+            done,
+            None if a_exp is None else np.atleast_1d(np.asarray(a_exp, float)))
+
+
+def _batch(*exps):
+    """The transitions as one minibatch, rows in the order given."""
+    s, a, r, s2, done, ae = zip(*exps)
+    return Batch(np.stack(s), np.stack(a), np.array(r, dtype=float), np.stack(s2),
+                 np.array(done, dtype=float),
+                 None if any(e is None for e in ae) else np.stack(ae))
 
 
 # ---------------------------------------------------------------------------
@@ -65,27 +73,101 @@ def _exp(s, a, r, s2, done=False, a_exp=None):
 def test_buffer_ring_capacity():
     buf = ReplayBuffer(5)
     for i in range(12):
-        buf.add(_exp(i, 0, 0, 0))
+        buf.add(*_exp(i, 0, 0, 0))
     assert len(buf) == 5
-    kept = sorted(e.s[0] for e in buf._data)
+    kept = sorted(buf.sample(5, np.random.default_rng(0)).s[:, 0])
     assert kept == [7.0, 8.0, 9.0, 10.0, 11.0]
 
 
 def test_buffer_sample_distinct():
     buf = ReplayBuffer(50)
     for i in range(50):
-        buf.add(_exp(i, 0, 0, 0))
+        buf.add(*_exp(i, 0, 0, 0))
     rng = np.random.default_rng(0)
     batch = buf.sample(20, rng)
-    ids = {id(e) for e in batch}
+    ids = set(batch.s[:, 0])
     assert len(ids) == 20
 
 
 def test_buffer_sample_too_large():
     buf = ReplayBuffer(10)
-    buf.add(_exp(0, 0, 0, 0))
+    buf.add(*_exp(0, 0, 0, 0))
     with pytest.raises(ParamError):
         buf.sample(2, np.random.default_rng(0))
+
+
+class _ListReplay:
+    """The list-of-transitions ring buffer the column arrays replaced, with
+    its per-field stacking; the reference for the array-backed buffer."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.data = []
+        self.head = 0
+
+    def add(self, s, a, r, s_next, done, a_exp=None):
+        exp = (s, a, r, s_next, done, a_exp)
+        if len(self.data) < self.capacity:
+            self.data.append(exp)
+        else:
+            self.data[self.head] = exp
+            self.head = (self.head + 1) % self.capacity
+
+    def sample(self, n, rng):
+        idx = rng.choice(len(self.data), size=n, replace=False)
+        return _batch(*[self.data[i] for i in idx])
+
+
+@pytest.mark.parametrize("capacity, adds, expert", [
+    (37, 100, True), (37, 100, False), (64, 200, True), (100_000, 300, True),
+    (5, 12, False)])
+def test_buffer_matches_list_reference_past_wraparound(capacity, adds, expert):
+    data = np.random.default_rng(capacity + adds)
+    buf, ref = ReplayBuffer(capacity), _ListReplay(capacity)
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for k in range(adds):
+        exp = (data.normal(size=5), np.clip(data.normal(size=2), -1, 1),
+               data.normal(), data.normal(size=5), bool(k % 7 == 6),
+               data.uniform(-1, 1, size=2) if expert else None)
+        buf.add(*exp)
+        ref.add(*exp)
+        n = min(len(ref.data), 4)
+        got, want = buf.sample(n, rng), ref.sample(n, ref_rng)
+        assert len(buf) == len(ref.data)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_buffer_keeps_integer_states_and_actions():
+    buf, ref = ReplayBuffer(50), _ListReplay(50)
+    for k in range(80):
+        buf.add(k % 9, k % 3, 0.5 * k, (k + 1) % 9, k % 10 == 9)
+        ref.add(k % 9, k % 3, 0.5 * k, (k + 1) % 9, k % 10 == 9)
+    got = buf.sample(32, np.random.default_rng(2))
+    want = ref.sample(32, np.random.default_rng(2))
+    assert got.s.dtype.kind == got.a.dtype.kind == got.s_next.dtype.kind == "i"
+    assert got.r.dtype == got.done.dtype == np.float64
+    for g, w in zip(got[:5], want[:5]):
+        assert np.array_equal(g, w)
+    assert got.a_exp is None
+
+
+@pytest.mark.parametrize("k", [1, 10, 63, 64, 65, 129, 1000, 5000])
+def test_buffer_storage_grows_by_doubling_not_to_capacity(k):
+    buf = ReplayBuffer(100_000)
+    for i in range(k):
+        buf.add(np.full(15, float(i)), np.zeros(2), 0.0, np.zeros(15), False,
+                a_exp=np.zeros(2))
+    for col in buf._cols:
+        assert k <= len(col) < max(2 * k, 65)
+
+
+def test_buffer_rejects_mixed_expert_actions():
+    buf = ReplayBuffer(10)
+    buf.add(*_exp(0, 0, 0, 0, a_exp=0.5))
+    with pytest.raises(ParamError, match="expert actions"):
+        buf.add(*_exp(1, 0, 0, 0))
 
 
 def test_train_config_validation():
@@ -108,7 +190,7 @@ def test_train_config_validation():
 def test_critic_loss_zero_when_q_matches_reward():
     agent = _tiny_agent(gamma=0.0)
     agent.critic.biases[-1][0] = 0.7
-    batch = [_exp(1.0, 0.3, 0.7, 2.0), _exp(-1.0, 0.1, 0.7, 0.0)]
+    batch = _batch(_exp(1.0, 0.3, 0.7, 2.0), _exp(-1.0, 0.1, 0.7, 0.0))
     loss, _ = critic_loss(agent, batch)
     assert loss == pytest.approx(0.0, abs=1e-15)
 
@@ -119,7 +201,7 @@ def test_critic_loss_hand_arithmetic():
     agent.t_critic.weights[0][:, 0] = [0.5, 0.5]
     agent.t_critic.biases[0][0] = 0.1
     agent.t_actor.weights[0][0, 0] = 0.3
-    batch = [_exp(2.0, 0.5, 1.0, 1.0)]
+    batch = _batch(_exp(2.0, 0.5, 1.0, 1.0))
     loss, _ = critic_loss(agent, batch)
     a2 = np.tanh(0.3)
     y = 1.0 + 0.5 * (0.5 * 1.0 + 0.5 * a2 + 0.1)
@@ -130,7 +212,7 @@ def test_critic_loss_terminal_drops_bootstrap():
     agent = _tiny_agent(gamma=0.5)
     agent.critic.weights[0][:, 0] = [1.0, 2.0]
     agent.t_critic.biases[0][0] = 99.0
-    batch = [_exp(2.0, 0.5, 1.0, 1.0, done=True)]
+    batch = _batch(_exp(2.0, 0.5, 1.0, 1.0, done=True))
     loss, _ = critic_loss(agent, batch)
     assert loss == pytest.approx((3.0 - 1.0) ** 2, abs=1e-12)
 
@@ -138,8 +220,8 @@ def test_critic_loss_terminal_drops_bootstrap():
 def test_critic_update_reduces_loss():
     rng = np.random.default_rng(3)
     agent = DdpgAgent(2, 1, config=TrainConfig(hidden=(8,)), seed=1)
-    batch = [_exp(rng.normal(size=2), rng.normal(size=1), rng.normal(),
-                  rng.normal(size=2)) for _ in range(16)]
+    batch = _batch(*[_exp(rng.normal(size=2), rng.normal(size=1), rng.normal(),
+                          rng.normal(size=2)) for _ in range(16)])
     before, _ = critic_loss(agent, batch)
     for _ in range(50):
         critic_update(agent, batch)
@@ -152,7 +234,7 @@ def test_critic_divergence_guard():
     agent.config.divergence_limit = 1e-12
     agent.critic.biases[-1][0] = 1.0
     with pytest.raises(NumericError, match="diverged"):
-        critic_loss(agent, [_exp(0.0, 0.0, 0.0, 0.0)])
+        critic_loss(agent, _batch(_exp(0.0, 0.0, 0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +246,7 @@ def test_actor_gradient_zero_when_critic_ignores_action():
     _zero(agent.critic)
     agent.critic.weights[0][0, 0] = 1.0   # depends on state only
     before = [p.copy() for p in agent.actor.params()]
-    batch = [_exp([0.5, -0.2], [0.1], 0.0, [0.0, 0.0])]
+    batch = _batch(_exp([0.5, -0.2], [0.1], 0.0, [0.0, 0.0]))
     actor_update(agent, batch)
     for b, p in zip(before, agent.actor.params()):
         assert np.array_equal(b, p)
@@ -193,7 +275,7 @@ def test_actor_climbs_quadratic_bowl():
     cfg = TrainConfig(hidden=(8,), actor_lr=0.05)
     agent = DdpgAgent(2, 2, config=cfg, seed=4)
     agent.critic = _QuadCritic([0.4, -0.3], state_dim=2)
-    batch = [_exp([1.0, 0.5], [0.0, 0.0], 0.0, [1.0, 0.5])] * 4
+    batch = _batch(*[_exp([1.0, 0.5], [0.0, 0.0], 0.0, [1.0, 0.5])] * 4)
     for _ in range(200):
         actor_update(agent, batch)
     a = agent.act(np.array([1.0, 0.5]))
@@ -207,17 +289,16 @@ def test_actor_gradient_matches_finite_differences():
     loss, grads = actor_loss_grads(agent, states)
     h = 1e-6
     worst = 0.0
-    for p, g in zip(agent.actor.params(), grads):
-        flat_p, flat_g = p.ravel(), np.asarray(g).ravel()
-        for k in range(flat_p.size):
-            keep = flat_p[k]
-            flat_p[k] = keep + h
-            up, _ = actor_loss_grads(agent, states)
-            flat_p[k] = keep - h
-            dn, _ = actor_loss_grads(agent, states)
-            flat_p[k] = keep
-            num = (up - dn) / (2 * h)
-            worst = max(worst, abs(num - flat_g[k]) / max(abs(num) + abs(flat_g[k]), 1e-8))
+    flat_p, flat_g = agent.actor.flat, grads
+    for k in range(flat_p.size):
+        keep = flat_p[k]
+        flat_p[k] = keep + h
+        up, _ = actor_loss_grads(agent, states)
+        flat_p[k] = keep - h
+        dn, _ = actor_loss_grads(agent, states)
+        flat_p[k] = keep
+        num = (up - dn) / (2 * h)
+        worst = max(worst, abs(num - flat_g[k]) / max(abs(num) + abs(flat_g[k]), 1e-8))
     assert worst < 1e-3
 
 

@@ -39,8 +39,8 @@ def test_single_linear_layer_weight_gradient_is_input():
     x = np.array([0.5, -2.0, 3.0])
     _, cache = net.forward(x)
     grads, _ = net.backward(cache, np.array([1.0]))
-    np.testing.assert_allclose(grads[0].ravel(), x, atol=1e-14)
-    np.testing.assert_allclose(grads[1], [1.0], atol=1e-14)
+    np.testing.assert_allclose(grads[:3], x, atol=1e-14)
+    np.testing.assert_allclose(grads[3:], [1.0], atol=1e-14)
 
 
 def test_zero_weights_pass_through_output_bias():
@@ -93,7 +93,7 @@ def test_zero_gradient_leaves_parameters_unchanged():
     net = Mlp([3, 4, 2], seed=1)
     before = [p.copy() for p in net.params()]
     state = adam_init(net)
-    opt_step(net, [np.zeros_like(p) for p in net.params()], state)
+    opt_step(net, np.zeros_like(net.flat), state)
     for b, p in zip(before, net.params()):
         np.testing.assert_array_equal(b, p)
 
@@ -106,7 +106,7 @@ def test_quadratic_converges_to_minimizer():
     state = adam_init(net)
     for _ in range(500):
         w = float(net.weights[0][0, 0])
-        g = [np.array([[2.0 * (w - 3.0)]]), np.zeros(1)]
+        g = np.array([2.0 * (w - 3.0), 0.0])
         opt_step(net, g, state, lr=0.05)
     assert abs(float(net.weights[0][0, 0]) - 3.0) < 1e-3
 
@@ -117,9 +117,9 @@ def test_identical_streams_stay_identical():
     sa, sb = adam_init(a), adam_init(b)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        gs = [rng.normal(size=p.shape) for p in a.params()]
+        gs = rng.normal(size=a.flat.shape)
         opt_step(a, gs, sa)
-        opt_step(b, [g.copy() for g in gs], sb)
+        opt_step(b, gs.copy(), sb)
     for pa, pb in zip(a.params(), b.params()):
         np.testing.assert_array_equal(pa, pb)
 
@@ -127,7 +127,8 @@ def test_identical_streams_stay_identical():
 def test_nonfinite_update_raises():
     net = Mlp([2, 2], seed=0)
     state = adam_init(net)
-    bad = [np.full((2, 2), np.nan), np.zeros(2)]
+    bad = np.zeros(6)
+    bad[:4] = np.nan
     with pytest.raises(NumericError):
         opt_step(net, bad, state)
 
@@ -137,8 +138,8 @@ def test_parameters_stay_finite_under_clipped_noise():
     state = adam_init(net)
     rng = np.random.default_rng(6)
     for _ in range(2000):
-        gs = [rng.standard_cauchy(size=p.shape) for p in net.params()]
-        clip_global_norm(gs, 10.0)
+        gs = rng.standard_cauchy(size=net.flat.shape)
+        clip_global_norm(net, gs, 10.0)
         opt_step(net, gs, state, lr=1e-3)
     assert all(np.all(np.isfinite(p)) for p in net.params())
 
@@ -181,14 +182,15 @@ def test_soft_update_rejects_mismatched_architectures():
 
 
 def test_clip_scales_only_above_the_cap():
-    g = [np.array([3.0, 4.0])]  # norm 5
-    norm = clip_global_norm(g, 10.0)
+    net = Mlp([1, 1])           # one weight and one bias
+    g = np.array([3.0, 4.0])    # norm 5
+    norm = clip_global_norm(net, g, 10.0)
     assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(g[0], [3.0, 4.0])
-    g = [np.array([30.0, 40.0])]  # norm 50
-    norm = clip_global_norm(g, 10.0)
+    np.testing.assert_allclose(g, [3.0, 4.0])
+    g = np.array([30.0, 40.0])  # norm 50
+    norm = clip_global_norm(net, g, 10.0)
     assert norm == pytest.approx(50.0)
-    np.testing.assert_allclose(np.sqrt(np.sum(g[0] ** 2)), 10.0)
+    np.testing.assert_allclose(np.sqrt(np.sum(g ** 2)), 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +228,177 @@ def test_same_seed_same_init():
     a, b = Mlp([4, 4, 2], seed=5), Mlp([4, 4, 2], seed=5)
     for pa, pb in zip(a.params(), b.params()):
         np.testing.assert_array_equal(pa, pb)
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter vector against per-parameter references
+#
+# The references below are the per-parameter-list implementations the flat
+# vector replaced; the flat code must match them bit for bit.
+
+
+def _ref_init(sizes, seed):
+    rng = np.random.default_rng(seed)
+    params = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        params.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        params.append(rng.uniform(-bound, bound, size=fan_out))
+    return params
+
+
+def _ref_backward(params, out_act, cache, gy):
+    acts = cache["acts"]
+    g = np.atleast_2d(gy)
+    if out_act == "tanh":
+        g = g * (1.0 - acts[-1] ** 2)
+    weights = params[0::2]
+    grads = [None] * len(params)
+    for i in range(len(weights) - 1, -1, -1):
+        grads[2 * i] = acts[i].T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = g @ weights[i].T
+        if i > 0:
+            g = g * (acts[i] > 0.0)
+    return grads, g
+
+
+def _ref_opt_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    state["step"] += 1
+    t = state["step"]
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def _ref_soft_update(target, source, tau):
+    for tp, sp in zip(target, source):
+        tp *= 1.0 - tau
+        tp += tau * sp
+
+
+def _ref_clip(grads, max_norm):
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if total > max_norm and total > 0.0:
+        scale = max_norm / total
+        for g in grads:
+            g *= scale
+    return total
+
+
+def _split(net, vec):
+    """Per-parameter copies of a vector aligned to net.flat."""
+    return [vec[a:b].reshape(shape).copy() for a, b, shape in net.layout]
+
+
+def _flatten(arrays):
+    return np.concatenate([np.ravel(x) for x in arrays])
+
+
+_SHAPES = [[15, 64, 64, 1], [13, 64, 64, 2], [9, 32, 3], [3, 1], [5, 7, 4, 6, 2]]
+
+
+@pytest.mark.parametrize("sizes", _SHAPES)
+def test_flat_init_matches_per_layer_draws(sizes):
+    net = Mlp(sizes, seed=17)
+    ref = _ref_init(sizes, 17)
+    assert np.array_equal(net.flat, _flatten(ref))
+    for p, r in zip(net.params(), ref):
+        assert p.shape == r.shape and np.array_equal(p, r)
+        assert np.shares_memory(p, net.flat)
+
+
+@pytest.mark.parametrize("out_act", ["linear", "tanh"])
+@pytest.mark.parametrize("sizes", _SHAPES)
+def test_flat_backward_matches_per_layer_gradients(sizes, out_act):
+    net = Mlp(sizes, out_act=out_act, seed=3)
+    rng = np.random.default_rng(4)
+    for rows in (1, 64, 640):
+        _, cache = net.forward(rng.normal(size=(rows, sizes[0])))
+        gy = rng.normal(size=(rows, sizes[-1]))
+        grads, gx = net.backward(cache, gy)
+        ref, ref_gx = _ref_backward(net.params(), out_act, cache, gy)
+        assert np.array_equal(grads, _flatten(ref))
+        assert np.array_equal(gx, ref_gx)
+
+
+@pytest.mark.parametrize("sizes", _SHAPES)
+def test_flat_opt_step_matches_per_parameter_loop(sizes):
+    net = Mlp(sizes, seed=5)
+    ref = [p.copy() for p in net.params()]
+    state = adam_init(net)
+    ref_state = {"step": 0, "m": [np.zeros_like(p) for p in ref],
+                 "v": [np.zeros_like(p) for p in ref]}
+    rng = np.random.default_rng(6)
+    for k in range(25):
+        g = rng.normal(scale=10.0 ** (k % 5 - 2), size=net.flat.shape)
+        opt_step(net, g, state, lr=1e-3 * (1 + k % 3))
+        _ref_opt_step(ref, _split(net, g), ref_state, lr=1e-3 * (1 + k % 3))
+        assert np.array_equal(net.flat, _flatten(ref))
+        assert np.array_equal(state["m"], _flatten(ref_state["m"]))
+        assert np.array_equal(state["v"], _flatten(ref_state["v"]))
+    assert state["step"] == ref_state["step"] == 25
+
+
+def test_opt_step_rejects_a_misaligned_gradient():
+    net = Mlp([3, 4, 2], seed=0)
+    state = adam_init(net)
+    with pytest.raises(ParamError):
+        opt_step(net, np.zeros(net.flat.size + 1), state)
+    with pytest.raises(ParamError):
+        opt_step(net, [np.zeros_like(p) for p in net.params()], state)
+    assert state["step"] == 0
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.01, 0.05, 0.3, 1.0])
+def test_flat_soft_update_matches_per_parameter_loop(tau):
+    src = Mlp([15, 64, 64, 1], seed=1)
+    tgt = Mlp([15, 64, 64, 1], seed=2)
+    ref = [p.copy() for p in tgt.params()]
+    for _ in range(20):
+        soft_update(tgt, src, tau)
+        _ref_soft_update(ref, src.params(), tau)
+    assert np.array_equal(tgt.flat, _flatten(ref))
+
+
+@pytest.mark.parametrize("sizes", _SHAPES)
+@pytest.mark.parametrize("max_norm", [1e9, 10.0, 1e-3])
+def test_flat_clip_matches_per_parameter_norm(sizes, max_norm):
+    net = Mlp(sizes, seed=0)
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        g = rng.standard_cauchy(size=net.flat.shape)
+        ref = _split(net, g)
+        norm = clip_global_norm(net, g, max_norm)
+        ref_norm = _ref_clip(ref, max_norm)
+        assert norm == ref_norm
+        assert np.array_equal(g, _flatten(ref))
+        if max_norm == 1e9:
+            assert norm <= max_norm      # clipping inactive
+
+
+def test_flat_snapshot_bytes_match_per_parameter_writer(tmp_path):
+    import struct
+
+    net = Mlp([13, 64, 64, 2], out_act="tanh", seed=21)
+    path = tmp_path / "net.bin"
+    save_net(net, path)
+    ref = b"TNW1" + struct.pack("<I", 1) + struct.pack("<B", 1) \
+        + struct.pack("<I", 4) + struct.pack("<4I", 13, 64, 64, 2) \
+        + b"".join(p.astype("<f8").tobytes() for p in _ref_init([13, 64, 64, 2], 21))
+    assert path.read_bytes() == ref
+    assert np.array_equal(load_net(path).flat, net.flat)
+
+
+def test_copy_owns_its_vector():
+    net = Mlp([4, 5, 2], seed=9)
+    twin = net.copy()
+    assert np.array_equal(twin.flat, net.flat)
+    assert not np.shares_memory(twin.flat, net.flat)
+    twin.weights[0][0, 0] += 1.0
+    assert twin.flat[0] == net.flat[0] + 1.0
