@@ -7,7 +7,6 @@ is exactly its model mean. Pseudo-regret is computed from true means, never from
 realized rewards.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,16 @@ DEFAULT_NOISE = StableParams(1.8, 0.0, 0.5, 0.0)
 
 _KINDS = ("plain", "linear", "semiparam", "adversarial_mdp")
 
+# the keys of an MDP table, in MdpTables' field order, with their conversions
+_MDP_KEYS = {
+    "n_states": int,
+    "n_actions": int,
+    "horizon": int,
+    "transitions": lambda v: np.asarray(v, dtype=int),
+    "rewards": lambda v: np.asarray(v, dtype=float),
+    "start_states": lambda v: [int(s) for s in v],
+}
+
 
 @dataclass
 class MdpTables:
@@ -31,6 +40,19 @@ class MdpTables:
     transitions: np.ndarray       # (S, A) -> next state
     reward_means: np.ndarray      # (S, A)
     start_states: list
+
+    @classmethod
+    def from_dict(cls, raw):
+        """Validated tables from a mapping with exactly the keys of _MDP_KEYS."""
+        if not isinstance(raw, dict) or set(raw) != _MDP_KEYS.keys():
+            raise ConfigError(f"mdp table needs exactly the keys {sorted(_MDP_KEYS)}")
+        values = []
+        for key, convert in _MDP_KEYS.items():
+            try:
+                values.append(convert(raw[key]))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"mdp.{key} is malformed: {exc}") from None
+        return cls(*values).validate()
 
     def validate(self):
         if self.horizon < 1:
@@ -52,22 +74,6 @@ class MdpTables:
         if not self.start_states:
             raise DataError("at least one start state required")
         return self
-
-
-def load_mdp_tables(path):
-    """JSON file with states, actions, transitions, rewards, horizon, start_states."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    try:
-        n_states = int(raw["n_states"])
-        n_actions = int(raw["n_actions"])
-        horizon = int(raw["horizon"])
-        trans = np.asarray(raw["transitions"], dtype=int)
-        rew = np.asarray(raw["rewards"], dtype=float)
-        starts = [int(s) for s in raw["start_states"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed MDP table file {path}: {exc}") from None
-    return MdpTables(n_states, n_actions, horizon, trans, rew, starts).validate()
 
 
 def true_q(tables):
@@ -349,124 +355,3 @@ def regret(trace):
     prefix = np.cumsum(gaps)
     total = float(prefix[-1]) if prefix.size else 0.0
     return RegretResult(total=total, prefix=prefix)
-
-
-@dataclass
-class BayesRegretResult:
-    mean: float
-    half_width: float        # two standard errors
-    per_run: np.ndarray
-
-
-def bayes_regret(spec_or_factory, agent_factory, runs, rounds, base_seed=0):
-    """Average regret over environments drawn per run.
-
-    spec_or_factory is either a fixed EnvSpec (mu redrawn per run when None) or a
-    callable seed -> EnvSpec. agent_factory maps (env, seed) to a step agent.
-    """
-    totals = np.empty(runs)
-    for i in range(runs):
-        seed = base_seed + i
-        spec = spec_or_factory(seed) if callable(spec_or_factory) else spec_or_factory
-        env = make_env(spec, seed)
-        agent = agent_factory(env, seed)
-        totals[i] = regret(play(env, agent, rounds)).total
-    se = float(np.std(totals, ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
-    return BayesRegretResult(mean=float(np.mean(totals)), half_width=2.0 * se, per_run=totals)
-
-
-# ----------------------------------------------------------------------------
-# offline interaction logs
-
-
-@dataclass
-class InteractionLog:
-    users: np.ndarray        # round user ids, 0-based reindexed
-    items: np.ndarray        # round item ids, 0-based reindexed
-    rewards: np.ndarray
-    features: np.ndarray     # (rounds, d) logged pair features
-    n_users: int
-    n_items: int
-
-
-def load_interactions(path):
-    """CSV with header user_id,item_id,reward,f1..fd."""
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["user_id", "item_id", "reward"]:
-            raise DataError(f"{path}: header must start with user_id,item_id,reward")
-        d = len(header) - 3
-        if d < 1 or header[3:] != [f"f{i}" for i in range(1, d + 1)]:
-            raise DataError(f"{path}: feature columns must be named f1..fd")
-        users, items, rewards, feats = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                users.append(row[0])
-                items.append(row[1])
-                rewards.append(float(row[2]))
-                feats.append([float(v) for v in row[3:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    if not users:
-        raise DataError(f"{path}: no interaction rows")
-    uniq_u = sorted(set(users))
-    uniq_i = sorted(set(items))
-    umap = {u: k for k, u in enumerate(uniq_u)}
-    imap = {i: k for k, i in enumerate(uniq_i)}
-    return InteractionLog(
-        users=np.array([umap[u] for u in users]),
-        items=np.array([imap[i] for i in items]),
-        rewards=np.array(rewards),
-        features=np.array(feats),
-        n_users=len(uniq_u),
-        n_items=len(uniq_i),
-    )
-
-
-class ReplayBanditEnv:
-    """Offline replay over a logged interaction stream.
-
-    Arms are the distinct items; an arm's feature vector is its latest logged
-    row. Round contexts concatenate a one-hot user encoding with each item's
-    features. Pulling the logged item reveals the logged reward, any other pull
-    reveals nothing (reward 0, unmatched). Standard replay evaluation:
-    cumulative reward over matched rounds.
-    """
-
-    def __init__(self, log):
-        self.log = log
-        self.seed = 0
-        d = log.features.shape[1]
-        self.item_features = np.zeros((log.n_items, d))
-        for item, feat in zip(log.items, log.features):
-            self.item_features[item] = feat
-        self.n_arms = log.n_items
-        self.dim = log.n_users + d
-        self.matched = 0
-        self.matched_reward = 0.0
-
-    def rounds(self):
-        return len(self.log.rewards)
-
-    def context(self, t):
-        onehot = np.zeros(self.log.n_users)
-        onehot[self.log.users[t]] = 1.0
-        ctx = np.hstack([np.tile(onehot, (self.n_arms, 1)), self.item_features])
-        return RoundContext(t=t, contexts=ctx, user=int(self.log.users[t]))
-
-    def pull(self, t, arm):
-        if arm == self.log.items[t]:
-            self.matched += 1
-            r = float(self.log.rewards[t])
-            self.matched_reward += r
-            return r
-        return 0.0
-
-    def true_means(self, t):
-        # offline logs carry no ground truth; exposed for interface parity
-        return np.zeros(self.n_arms)

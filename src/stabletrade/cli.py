@@ -74,8 +74,6 @@ _KINDS = ("bandit-regret", "bayes-regret", "tournament", "backtest",
           "execution", "estimate-stable")
 
 _ENV_FIELDS = set(EnvSpec.__dataclass_fields__)
-_MDP_KEYS = {"n_states", "n_actions", "horizon", "transitions", "rewards",
-             "start_states"}
 _MARKET_KEYS = {"d", "days", "drift", "vol", "corr", "alpha", "max_loss",
                 "seed", "start_price"}
 _BANDIT_PARAM_KEYS = {"rounds", "env_seed"}
@@ -90,20 +88,23 @@ _ESTIMATE_PARAM_KEYS = {"file", "n_freq"}
 # configuration
 
 
-def _stable_from(raw):
+def _stable_from(raw, key):
     """[alpha, beta, sigma, delta] or a dict with exactly those keys."""
     if raw is None:
         return None
-    if isinstance(raw, (list, tuple)):
-        if len(raw) != 4:
-            raise ConfigError("stable params need [alpha, beta, sigma, delta]")
-        return StableParams(*[float(v) for v in raw])
     if isinstance(raw, dict):
         if set(raw) != {"alpha", "beta", "sigma", "delta"}:
-            raise ConfigError("stable params need alpha, beta, sigma and delta")
-        return StableParams(float(raw["alpha"]), float(raw["beta"]),
-                            float(raw["sigma"]), float(raw["delta"]))
-    raise ConfigError("stable params must be a 4-list or a dict")
+            raise ConfigError(f"{key}: stable params need alpha, beta, sigma and delta")
+        raw = [raw["alpha"], raw["beta"], raw["sigma"], raw["delta"]]
+    elif not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{key}: stable params must be a 4-list or a dict")
+    elif len(raw) != 4:
+        raise ConfigError(f"{key}: stable params need [alpha, beta, sigma, delta]")
+    try:
+        values = [float(v) for v in raw]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: stable params must be numbers, got {raw!r}") from None
+    return StableParams(*values)
 
 
 def _env_spec_from(raw):
@@ -116,23 +117,19 @@ def _env_spec_from(raw):
     if "noise" in d and d["noise"] is not None:
         n = d["noise"]
         if isinstance(n, list) and n and isinstance(n[0], (list, dict)):
-            d["noise"] = [_stable_from(v) for v in n]    # one set per arm
+            d["noise"] = [_stable_from(v, f"env.noise[{i}]")    # one set per arm
+                          for i, v in enumerate(n)]
         else:
-            d["noise"] = _stable_from(n)
+            d["noise"] = _stable_from(n, "env.noise")
     if d.get("context_params") is not None:
-        d["context_params"] = _stable_from(d["context_params"])
+        d["context_params"] = _stable_from(d["context_params"], "env.context_params")
     if d.get("mu") is not None:
-        d["mu"] = np.asarray(d["mu"], dtype=float)
+        try:
+            d["mu"] = np.asarray(d["mu"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"env.mu must be a list of numbers, got {d['mu']!r}") from None
     if d.get("mdp") is not None:
-        m = d["mdp"]
-        if not isinstance(m, dict) or set(m) != _MDP_KEYS:
-            raise ConfigError(f"mdp table needs exactly the keys {sorted(_MDP_KEYS)}")
-        d["mdp"] = MdpTables(
-            int(m["n_states"]), int(m["n_actions"]), int(m["horizon"]),
-            np.asarray(m["transitions"], dtype=int),
-            np.asarray(m["rewards"], dtype=float),
-            [int(s) for s in m["start_states"]],
-        ).validate()
+        d["mdp"] = MdpTables.from_dict(d["mdp"])
     return EnvSpec(**d).validate()
 
 
@@ -189,7 +186,9 @@ class ExperimentConfig:
                 f"this build writes {FORMAT_VERSION}")
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
-        self.seeds = [int(s) for s in self.seeds]
+        if not all(_is_int(s, 0) for s in self.seeds):
+            raise ConfigError(f"seeds must be integers >= 0, got {self.seeds!r}")
+        self.seeds = list(self.seeds)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if not isinstance(self.params, dict):

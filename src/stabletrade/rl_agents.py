@@ -162,12 +162,13 @@ class TrainConfig:
         return self
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, base=None):
+        """The keys of d set on top of base (the library defaults when None)."""
         known = {f.name for f in fields(cls)}
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown training keys: {sorted(extra)}")
-        cfg = cls(**d)
+        cfg = replace(cls() if base is None else base, **d)
         if isinstance(cfg.hidden, list):
             cfg.hidden = tuple(cfg.hidden)
         return cfg.validate()
@@ -383,12 +384,6 @@ def critic_loss(agent, batch):
     gy = (2.0 / len(r)) * resid[:, None]
     grads, _ = agent.critic.backward(cache, gy)
     return loss, grads
-
-
-def margin(a, a_exp, m=1.0, rho=1.0):
-    """Zero exactly at the expert action, saturating at m beyond distance rho."""
-    dist = float(np.linalg.norm(np.asarray(a, float) - np.asarray(a_exp, float)))
-    return m * min(1.0, dist / rho)
 
 
 def _candidate_set(agent, states, expert_actions, rng):
@@ -869,7 +864,7 @@ class BacktestConfig:
             raise ConfigError(f"unknown backtest keys: {sorted(extra)}")
         cfg = cls(**d)
         if train is not None:
-            cfg.train = TrainConfig.from_dict(train)
+            cfg.train = TrainConfig.from_dict(train, base=cfg.train)
         return cfg.validate()
 
     def validate(self):

@@ -8,19 +8,14 @@ losses, callers push the upstream gradient in.
 Each network keeps its parameters in one contiguous float64 vector,
 ``Mlp.flat`` (W0, b0, W1, b1, ..., weights row-major), and ``backward``
 returns the parameter gradients as one vector aligned to it. The optimizer
-moments, soft target updates, gradient clipping, copies and snapshots work
-on whole vectors; only the global norm is summed parameter by parameter, in
+moments, soft target updates, gradient clipping and copies work on whole
+vectors; only the global norm is summed parameter by parameter, in
 the order above, so that its rounding does not depend on the layout.
 """
 
-import struct
-
 import numpy as np
 
-from .errors import DataError, NumericError, ParamError
-
-_MAGIC = b"TNW1"
-_FORMAT_VERSION = 1
+from .errors import NumericError, ParamError
 
 
 class Mlp:
@@ -66,10 +61,6 @@ class Mlp:
     def params(self):
         """Live views into ``flat``, interleaved (W0, b0, W1, b1, ...)."""
         return list(self._params)
-
-    @property
-    def n_params(self):
-        return self.flat.size
 
     def forward(self, x):
         """Returns (output, cache); pure, touches no state."""
@@ -176,47 +167,6 @@ def clip_global_norm(net, grads, max_norm=10.0):
     if total > max_norm and total > 0.0:
         grads *= max_norm / total
     return total
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def save_net(net, path):
-    """Architecture header plus flat little-endian float64 parameters."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _FORMAT_VERSION))
-        fh.write(struct.pack("<B", 1 if net.out_act == "tanh" else 0))
-        fh.write(struct.pack("<I", len(net.sizes)))
-        fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
-        fh.write(net.flat.astype("<f8").tobytes())
-
-
-def load_net(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise DataError("not a network snapshot")
-    off = 4
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if version != _FORMAT_VERSION:
-        raise DataError(f"unsupported snapshot version {version}")
-    (out_flag,) = struct.unpack_from("<B", raw, off)
-    off += 1
-    (n_sizes,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    sizes = list(struct.unpack_from(f"<{n_sizes}I", raw, off))
-    off += 4 * n_sizes
-    net = Mlp(sizes, "tanh" if out_flag else "linear", seed=0)
-    end = off + 8 * net.flat.size
-    if end > len(raw):
-        raise DataError("snapshot truncated")
-    if end != len(raw):
-        raise DataError("snapshot has trailing bytes")
-    net.flat[...] = np.frombuffer(raw, dtype="<f8", count=net.flat.size, offset=off)
-    return net
 
 
 # ---------------------------------------------------------------------------

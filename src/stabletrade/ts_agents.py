@@ -26,10 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandit_envs import MdpTables, mdp_episode
-from .errors import ConfigError, NumericError, ParamError
+from .errors import ConfigError, ParamError
 from .stable_core import PdfTable, estimate_ecf, _tan_half
-
-SNAPSHOT_VERSION = 1
 
 _ALGORITHMS = ("cts", "acts", "scts", "sacts", "mdp_acts", "plain_ats")
 
@@ -43,7 +41,6 @@ class AgentConfig:
     mc_probs: int = 200          # resamples behind each pi estimate
     mh_step_scale: float = 0.1   # proposal step as a fraction of the arm scale
     warmup: int = None           # pulls per arm before the posterior machinery engages
-    debug_checks: bool = False
 
     def validate(self):
         if self.algorithm not in _ALGORITHMS:
@@ -137,20 +134,13 @@ def _coupled_estimate(j, lam, affinity, mu_bars, bs):
     return center, gamma
 
 
-def _check_pd(b):
-    if np.linalg.eigvalsh(b)[0] <= 0.0:
-        raise NumericError("information matrix lost positive definiteness")
-
-
 class _RewardHistory:
     """Append-only float64 reward log: a buffer that doubles when full plus a
     count, so the likelihood reads the rewards without copying them."""
 
-    def __init__(self, rewards=()):
-        rewards = np.asarray(rewards, dtype=float)
-        self._buf = np.empty(max(64, rewards.size))
-        self._buf[: rewards.size] = rewards
-        self._n = rewards.size
+    def __init__(self):
+        self._buf = np.empty(64)
+        self._n = 0
 
     def append(self, reward):
         if self._n == self._buf.size:
@@ -278,32 +268,6 @@ def tail_weights(beliefs, deltas, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# rng snapshot helpers
-
-
-def _pack_rng(rng):
-    return rng.bit_generator.state
-
-
-def _unpack_rng(state):
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
-def _pack_belief(b):
-    if b is None:
-        return None
-    return dict(alpha=b.alpha, beta=b.beta, sigma=b.sigma, prior_mu=b.prior_mu, prior_var=b.prior_var)
-
-
-def _unpack_belief(d):
-    if d is None:
-        return None
-    return ArmBelief(**d)
-
-
-# ---------------------------------------------------------------------------
 # Gaussian lineage
 
 
@@ -331,46 +295,10 @@ class CtsAgent:
         pi = _pi_estimate(thetas, self.mu_bar, self.B, self.v, self.config.mc_probs, self.rng)
         _weighted_update(self.B, self.y, thetas, pi, arm, reward)
         self.mu_bar = _solve_spd(self.B, self.y)
-        if self.config.debug_checks:
-            _check_pd(self.B)
         self.history.append(
             dict(thetas=thetas.copy(), weights=pi.copy(), arm=arm, reward=reward)
         )
         return arm, reward
-
-    def snapshot(self):
-        return dict(
-            version=SNAPSHOT_VERSION,
-            algorithm=self.algorithm,
-            n_arms=self.n_arms,
-            dim=self.dim,
-            config=self.config.__dict__.copy(),
-            B=self.B.tolist(),
-            y=self.y.tolist(),
-            rng=_pack_rng(self.rng),
-            history=[
-                dict(thetas=h["thetas"].tolist(), weights=h["weights"].tolist(),
-                     arm=h["arm"], reward=h["reward"])
-                for h in self.history
-            ],
-        )
-
-    @classmethod
-    def restore(cls, snap):
-        if snap["version"] != SNAPSHOT_VERSION:
-            raise ConfigError(f"unsupported snapshot version {snap['version']}")
-        agent = cls(snap["n_arms"], snap["dim"], AgentConfig(**snap["config"]), 0)
-        agent.B = np.asarray(snap["B"], dtype=float)
-        agent.y = np.asarray(snap["y"], dtype=float)
-        agent.mu_bar = _solve_spd(agent.B, agent.y)
-        agent.rng = _unpack_rng(snap["rng"])
-        agent.history = [
-            dict(thetas=np.asarray(h["thetas"]), weights=np.asarray(h["weights"]),
-                 arm=h["arm"], reward=h["reward"])
-            for h in snap["history"]
-        ]
-        return agent
-
 
 class SctsAgent:
     """Per-user contextual sampling with affinity-coupled estimators.
@@ -422,8 +350,6 @@ class SctsAgent:
         pi = _pi_estimate(thetas, center, gamma, self.v, self.config.mc_probs, self.rng)
         _weighted_update(self.B[j], self.y[j], thetas, pi, arm, reward)
         self.mu_bar[j] = _solve_spd(self.B[j], self.y[j])
-        if self.config.debug_checks:
-            _check_pd(self.B[j])
         self.history.append(
             dict(user=j, thetas=thetas.copy(), weights=pi.copy(), arm=arm, reward=reward)
         )
@@ -443,20 +369,11 @@ class _StableSlot:
         self.mu_bar = np.zeros(dim)
         self.theta = np.zeros((n_arms, dim))
         self.beliefs = [None] * n_arms
-        self.rewards = [()] * n_arms
+        self.rewards = [_RewardHistory() for _ in range(n_arms)]
         self.pulls = np.zeros(n_arms, dtype=int)
         self.visits = 0
         self.ready = False
         self._lp_cache = [None] * n_arms
-
-    @property
-    def rewards(self):
-        """One growable history per arm."""
-        return self._rewards
-
-    @rewards.setter
-    def rewards(self, per_arm):
-        self._rewards = [_RewardHistory(r) for r in per_arm]
 
 
 class _StableBase:
@@ -560,8 +477,6 @@ class _StableBase:
         weights = tail_weights(slot.beliefs, locs, float(locs[arm]))
         _weighted_update(slot.B, slot.y, slot.theta, weights, arm, reward)
         slot.mu_bar = _solve_spd(slot.B, slot.y)
-        if self.config.debug_checks:
-            _check_pd(slot.B)
         self._record(j, slot, weights, arm, reward)
         self._after_reward(slot, arm, reward)
         return arm, reward
@@ -576,62 +491,6 @@ class _StableBase:
                 reward=reward,
             )
         )
-
-    # -- persistence
-
-    def snapshot(self):
-        return dict(
-            version=SNAPSHOT_VERSION,
-            algorithm=self.algorithm,
-            n_arms=self.n_arms,
-            dim=self.dim,
-            n_users=self.n_users,
-            affinity=self.affinity.tolist(),
-            config=self.config.__dict__.copy(),
-            rng=_pack_rng(self.rng),
-            slots=[
-                dict(
-                    B=s.B.tolist(),
-                    y=s.y.tolist(),
-                    theta=s.theta.tolist(),
-                    beliefs=[_pack_belief(b) for b in s.beliefs],
-                    rewards=[r.values.tolist() for r in s.rewards],
-                    pulls=s.pulls.tolist(),
-                    visits=s.visits,
-                    ready=s.ready,
-                )
-                for s in self.slots
-            ],
-        )
-
-    @classmethod
-    def restore(cls, snap):
-        if snap["version"] != SNAPSHOT_VERSION:
-            raise ConfigError(f"unsupported snapshot version {snap['version']}")
-        agent = object.__new__(cls)
-        _StableBase.__init__(
-            agent,
-            snap["n_arms"],
-            snap["dim"],
-            AgentConfig(**snap["config"]),
-            0,
-            n_users=snap.get("n_users", 1),
-            affinity=np.asarray(snap["affinity"]),
-        )
-        agent.rng = _unpack_rng(snap["rng"])
-        for slot, raw in zip(agent.slots, snap["slots"]):
-            slot.B = np.asarray(raw["B"], dtype=float)
-            slot.y = np.asarray(raw["y"], dtype=float)
-            slot.mu_bar = _solve_spd(slot.B, slot.y)
-            slot.theta = np.asarray(raw["theta"], dtype=float)
-            slot.beliefs = [_unpack_belief(b) for b in raw["beliefs"]]
-            slot.rewards = raw["rewards"]
-            slot.pulls = np.asarray(raw["pulls"], dtype=int)
-            slot.visits = raw["visits"]
-            slot.ready = raw["ready"]
-            slot._lp_cache = [None] * agent.n_arms
-        return agent
-
 
 class ActsAgent(_StableBase):
     """Asymmetric-reward Thompson sampling, single shared state slot."""

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from stabletrade.bandit_envs import (
-    BayesRegretResult,
     EnvSpec,
     MdpTables,
-    ReplayBanditEnv,
-    bayes_regret,
-    load_interactions,
-    load_mdp_tables,
     make_env,
     mdp_episode,
     play,
@@ -181,24 +176,34 @@ def test_regret_shift_invariance():
     assert totals[0] == pytest.approx(totals[2], abs=1e-9)
 
 
+def per_seed_regret(spec_of, agent_cls, seeds, rounds):
+    """Total regret per seed on an environment drawn from that seed, the loop
+    the bayes-regret kind runs."""
+    totals = []
+    for seed in seeds:
+        env = make_env(spec_of(seed), seed)
+        totals.append(regret(play(env, agent_cls(env, seed), rounds)).total)
+    return np.array(totals)
+
+
 def test_bayes_regret_oracle_agent_zero():
-    res = bayes_regret(linear_spec(horizon=200, noise=ZERO_NOISE), OracleAgent, 10, 200)
-    assert isinstance(res, BayesRegretResult)
-    assert res.mean == pytest.approx(0.0, abs=1e-9)
+    spec = linear_spec(horizon=200, noise=ZERO_NOISE)
+    totals = per_seed_regret(lambda seed: spec, OracleAgent, range(10), 200)
+    assert np.mean(totals) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_bayes_regret_uniform_on_uniform_prior():
     # two arms with means drawn U[0,1]: E regret of uniform play = T E|gap| / 2 = T/6
-    def factory(seed):
+    def spec_of(seed):
         r = np.random.default_rng(seed + 77)
         return EnvSpec(
             kind="plain", n_arms=2, arm_means=list(r.uniform(0, 1, 2)), noise=ZERO_NOISE
         )
 
     rounds = 300
-    res = bayes_regret(factory, UniformAgent, 300, rounds, base_seed=5)
-    assert res.mean == pytest.approx(rounds / 6.0, rel=0.10)
-    assert res.half_width > 0.0
+    totals = per_seed_regret(spec_of, UniformAgent, range(5, 305), rounds)
+    assert np.mean(totals) == pytest.approx(rounds / 6.0, rel=0.10)
+    assert np.std(totals) > 0.0
 
 
 # ----------------------------------------------------------------------- MDP
@@ -286,8 +291,8 @@ def test_mdp_greedy_adversary():
     assert [env2.start_state() for _ in range(4)] == [0, 1, 0, 1]
 
 
-def test_mdp_tables_validation(tmp_path):
-    bad = dict(
+def test_mdp_tables_validation():
+    raw = dict(
         n_states=2,
         n_actions=1,
         horizon=1,
@@ -295,63 +300,14 @@ def test_mdp_tables_validation(tmp_path):
         rewards=[[0.0], [0.0]],
         start_states=[0],
     )
-    f = tmp_path / "mdp.json"
-    f.write_text(__import__("json").dumps(bad))
     with pytest.raises(DataError, match="state 0"):
-        load_mdp_tables(f)
-    bad["transitions"] = [[1], [0]]
-    f.write_text(__import__("json").dumps(bad))
-    tables = load_mdp_tables(f)
+        MdpTables.from_dict(raw)
+    raw["transitions"] = [[1], [0]]
+    tables = MdpTables.from_dict(raw)
     assert tables.n_states == 2
-
-
-# ------------------------------------------------------------- offline logs
-
-
-def write_log(tmp_path):
-    rows = [
-        "user_id,item_id,reward,f1,f2",
-        "alice,x,1.0,0.5,0.1",
-        "bob,y,0.0,0.2,0.9",
-        "alice,y,1.0,0.2,0.9",
-    ]
-    f = tmp_path / "log.csv"
-    f.write_text("\n".join(rows) + "\n")
-    return f
-
-
-def test_load_interactions(tmp_path):
-    log = load_interactions(write_log(tmp_path))
-    assert log.n_users == 2 and log.n_items == 2
-    assert log.rewards.tolist() == [1.0, 0.0, 1.0]
-    assert log.features.shape == (3, 2)
-
-
-def test_load_interactions_bad_header(tmp_path):
-    f = tmp_path / "bad.csv"
-    f.write_text("user,item,r,f1\n1,2,0.5,0.1\n")
-    with pytest.raises(DataError):
-        load_interactions(f)
-    f.write_text("user_id,item_id,reward,g1\n1,2,0.5,0.1\n")
-    with pytest.raises(DataError):
-        load_interactions(f)
-
-
-def test_load_interactions_bad_row(tmp_path):
-    f = tmp_path / "bad.csv"
-    f.write_text("user_id,item_id,reward,f1\nalice,x,oops,0.1\n")
-    with pytest.raises(DataError, match=":2:"):
-        load_interactions(f)
-
-
-def test_replay_env(tmp_path):
-    env = ReplayBanditEnv(load_interactions(write_log(tmp_path)))
-    ctx = env.context(0)
-    assert ctx.contexts.shape == (2, 4)          # 2 users one-hot + 2 features
-    assert ctx.contexts[0, 0] == 1.0             # alice is user 0
-    # pulling the logged item reveals the logged reward, the other reveals nothing
-    logged = env.log.items[0]
-    assert env.pull(0, logged) == 1.0
-    assert env.pull(1, 1 - env.log.items[1]) == 0.0
-    assert env.matched == 1
-    assert env.matched_reward == 1.0
+    assert tables.transitions.dtype.kind == "i"
+    assert tables.reward_means.dtype == np.float64
+    with pytest.raises(ConfigError, match="exactly the keys"):
+        MdpTables.from_dict({k: v for k, v in raw.items() if k != "horizon"})
+    with pytest.raises(DataError, match="mdp.start_states"):
+        MdpTables.from_dict({**raw, "start_states": 0})

@@ -161,14 +161,15 @@ def test_same_algorithm_twice_with_labels(tmp_path):
 
 
 def test_stable_params_from_list_and_dict():
-    p = cli._stable_from([1.5, 0.2, 1.0, 0.0])
+    p = cli._stable_from([1.5, 0.2, 1.0, 0.0], "env.noise")
     assert (p.alpha, p.beta) == (1.5, 0.2)
-    q = cli._stable_from({"alpha": 1.5, "beta": 0.2, "sigma": 1.0, "delta": 0.0})
+    q = cli._stable_from({"alpha": 1.5, "beta": 0.2, "sigma": 1.0, "delta": 0.0},
+                         "env.noise")
     assert q == p
-    with pytest.raises(ConfigError):
-        cli._stable_from([1.5, 0.2])
-    with pytest.raises(ConfigError):
-        cli._stable_from({"alpha": 1.5})
+    with pytest.raises(ConfigError, match="env.noise"):
+        cli._stable_from([1.5, 0.2], "env.noise")
+    with pytest.raises(ConfigError, match="env.noise"):
+        cli._stable_from({"alpha": 1.5}, "env.noise")
 
 
 def test_load_config_wraps_parse_errors(tmp_path):
@@ -575,6 +576,33 @@ def test_backtest_params_at_their_lower_limits_are_valid():
     assert cfg.train.hidden == () and cfg.episodes == 1
     ExperimentConfig.from_dict({"kind": "backtest", "env": {"d": 1, "days": 30},
                                 "params": {"backtest": {"train": train}}})
+
+
+MDP_TOY = {"n_states": 2, "n_actions": 2, "horizon": 2,
+           "transitions": [[0, 1], [0, 1]], "rewards": [[0.3, 0.1], [0.0, 1.0]],
+           "start_states": [0]}
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"env": {"kind": "adversarial_mdp", "mdp": {**MDP_TOY, "n_states": "x"}}},
+     "mdp.n_states"),
+    ({"env": {"kind": "adversarial_mdp",
+              "mdp": {**MDP_TOY, "transitions": [[0, 1], [1]]}}}, "mdp.transitions"),
+    ({"env": {"kind": "adversarial_mdp", "mdp": {**MDP_TOY, "start_states": 0}}},
+     "mdp.start_states"),
+    ({"env": {**LINEAR_ENV, "noise": ["a", 0, 1, 0]}}, "env.noise"),
+    ({"env": {**LINEAR_ENV, "mu": ["a", "b"]}}, "env.mu"),
+    ({"seeds": ["z"]}, "seeds"),
+    ({"seeds": [0, 1.5]}, "seeds"),
+    ({"seeds": [-1]}, "seeds"),
+])
+def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key):
+    path = write_config(tmp_path, **over)
+    assert cli.main(["run", str(path), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_too_few_samples_exit_two_without_traceback(tmp_path, capsys):

@@ -24,7 +24,6 @@ from stabletrade.rl_agents import (
     evaluate,
     format_table2,
     format_table3,
-    margin,
     perfect_foresight_curve,
     run_trader,
     sarsa,
@@ -304,12 +303,6 @@ def test_actor_gradient_matches_finite_differences():
 
 # ---------------------------------------------------------------------------
 # margin loss
-
-
-def test_margin_zero_iff_expert():
-    assert margin([0.2, 0.1], [0.2, 0.1]) == 0.0
-    assert margin([0.2, 0.2], [0.2, 0.1]) > 0.0
-    assert margin([5.0, 0.0], [0.0, 0.0], m=1.0, rho=1.0) == 1.0
 
 
 def test_margin_loss_identity_candidates():
@@ -708,6 +701,15 @@ def test_backtest_config_rejects_unknown_keys():
         BacktestConfig.from_dict({"episodes": 5, "floor": 0.9})
     cfg = BacktestConfig.from_dict({"episodes": 5, "train": {"gamma": 0.9}})
     assert cfg.episodes == 5 and cfg.train.gamma == 0.9
+
+
+def test_partial_train_table_keeps_the_backtest_training_defaults():
+    cfg = BacktestConfig.from_dict({"train": {"batch": 64, "hidden": [8]}})
+    t = cfg.train
+    assert (t.noise_scale, t.warmup_steps) == (0.2, 64)
+    assert (t.pretrain_steps, t.pretrain_episodes) == (300, 3)
+    assert t.hidden == (8,)
+    assert BacktestConfig().train.hidden == (64, 64)      # the default is untouched
 
 
 def test_backtest_needs_scorable_test_split():

@@ -1,18 +1,16 @@
 """Network substrate tests: hand gradients vs finite differences, optimizer
-behavior, soft updates and the snapshot format."""
+behavior and soft updates."""
 
 import numpy as np
 import pytest
 
-from stabletrade.errors import DataError, NumericError, ParamError
+from stabletrade.errors import NumericError, ParamError
 from stabletrade.tinynet import (
     Mlp,
     adam_init,
     clip_global_norm,
     gradient_check,
-    load_net,
     opt_step,
-    save_net,
     soft_update,
 )
 
@@ -193,37 +191,6 @@ def test_clip_scales_only_above_the_cap():
     np.testing.assert_allclose(np.sqrt(np.sum(g ** 2)), 10.0)
 
 
-# ---------------------------------------------------------------------------
-# snapshots
-
-
-def test_snapshot_round_trip_is_bit_exact(tmp_path):
-    net = Mlp([3, 7, 2], out_act="tanh", seed=12)
-    path = tmp_path / "net.bin"
-    save_net(net, path)
-    twin = load_net(path)
-    assert twin.sizes == net.sizes and twin.out_act == net.out_act
-    for a, b in zip(net.params(), twin.params()):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_snapshot_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a net at all")
-    with pytest.raises(DataError):
-        load_net(path)
-
-
-def test_snapshot_rejects_truncation(tmp_path):
-    net = Mlp([3, 4, 1], seed=0)
-    path = tmp_path / "net.bin"
-    save_net(net, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-9])
-    with pytest.raises(DataError):
-        load_net(path)
-
-
 def test_same_seed_same_init():
     a, b = Mlp([4, 4, 2], seed=5), Mlp([4, 4, 2], seed=5)
     for pa, pb in zip(a.params(), b.params()):
@@ -380,19 +347,6 @@ def test_flat_clip_matches_per_parameter_norm(sizes, max_norm):
         assert np.array_equal(g, _flatten(ref))
         if max_norm == 1e9:
             assert norm <= max_norm      # clipping inactive
-
-
-def test_flat_snapshot_bytes_match_per_parameter_writer(tmp_path):
-    import struct
-
-    net = Mlp([13, 64, 64, 2], out_act="tanh", seed=21)
-    path = tmp_path / "net.bin"
-    save_net(net, path)
-    ref = b"TNW1" + struct.pack("<I", 1) + struct.pack("<B", 1) \
-        + struct.pack("<I", 4) + struct.pack("<4I", 13, 64, 64, 2) \
-        + b"".join(p.astype("<f8").tobytes() for p in _ref_init([13, 64, 64, 2], 21))
-    assert path.read_bytes() == ref
-    assert np.array_equal(load_net(path).flat, net.flat)
 
 
 def test_copy_owns_its_vector():
