@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParamError
+from .errors import ConfigError, DataError, ParamError, _is_int
 from .stable_core import StableParams, sample
 
 DEFAULT_CONTEXT_PARAMS = StableParams(1.8, 0.3, 1.0, 0.0)
@@ -19,14 +19,28 @@ DEFAULT_NOISE = StableParams(1.8, 0.0, 0.5, 0.0)
 
 _KINDS = ("plain", "linear", "semiparam", "adversarial_mdp")
 
-# the keys of an MDP table, in MdpTables' field order, with their conversions
+
+def _int(v):
+    if not _is_int(v):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _int_list(v):
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of integers, got {v!r}")
+    return [_int(x) for x in v]
+
+
+# the keys of an MDP table, in MdpTables' field order, with their conversions;
+# only integers pass where indices and counts go, nothing is truncated
 _MDP_KEYS = {
-    "n_states": int,
-    "n_actions": int,
-    "horizon": int,
-    "transitions": lambda v: np.asarray(v, dtype=int),
+    "n_states": _int,
+    "n_actions": _int,
+    "horizon": _int,
+    "transitions": lambda v: np.asarray([_int_list(row) for row in v], dtype=int),
     "rewards": lambda v: np.asarray(v, dtype=float),
-    "start_states": lambda v: [int(s) for s in v],
+    "start_states": _int_list,
 }
 
 
@@ -98,7 +112,6 @@ class EnvSpec:
     context_params: StableParams = DEFAULT_CONTEXT_PARAMS
     resample_contexts: bool = False
     n_users: int = 1
-    user_mode: str = "round_robin"
     v_max: float = 1.0
     v_step: float = 0.1
     mdp: MdpTables = None
@@ -119,8 +132,6 @@ class EnvSpec:
                 )
         if self.kind == "adversarial_mdp" and self.mdp is None:
             raise ConfigError("adversarial_mdp environments need mdp tables")
-        if self.user_mode not in ("round_robin", "random"):
-            raise ConfigError(f"unknown user_mode {self.user_mode!r}")
         if self.adversary not in ("round_robin", "greedy"):
             raise ConfigError(f"unknown adversary {self.adversary!r}")
         return self
@@ -131,17 +142,14 @@ class RoundContext:
     t: int
     contexts: np.ndarray          # (n_arms, dim)
     user: int = 0
-    stage: tuple = None           # (h, state) in MDP settings
 
 
 @dataclass
 class RunTrace:
-    seed: int
     arms: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     opt_means: list = field(default_factory=list)
     chosen_means: list = field(default_factory=list)
-    contexts: list = field(default_factory=list)
     users: list = field(default_factory=list)
 
     def record(self, ctx, arm, reward, means):
@@ -149,7 +157,6 @@ class RunTrace:
         self.rewards.append(float(reward))
         self.opt_means.append(float(np.max(means)))
         self.chosen_means.append(float(means[arm]))
-        self.contexts.append(ctx.contexts)
         self.users.append(ctx.user)
 
 
@@ -163,7 +170,6 @@ class BanditEnv:
     def __init__(self, spec, seed):
         spec.validate()
         self.spec = spec
-        self.seed = int(seed)
         ss = np.random.SeedSequence([int(seed), 0xBA4D17])
         ctx_ss, noise_ss, user_ss, mu_ss = ss.spawn(4)
         self._ctx_rng = np.random.default_rng(ctx_ss)
@@ -195,7 +201,6 @@ class BanditEnv:
             self._fixed_contexts = self._draw_contexts()
         self._ctx_cache = []
         self._v_cache = [0.0]
-        self._user_cache = []
 
     def _draw_contexts(self):
         return sample(
@@ -221,17 +226,8 @@ class BanditEnv:
             self._v_cache.append(nxt)
         return self._v_cache[t]
 
-    def _user_at(self, t):
-        if self.spec.n_users == 1:
-            return 0
-        if self.spec.user_mode == "round_robin":
-            return t % self.spec.n_users
-        while len(self._user_cache) <= t:
-            self._user_cache.append(int(self._user_rng.integers(self.spec.n_users)))
-        return self._user_cache[t]
-
     def context(self, t):
-        return RoundContext(t=t, contexts=self._contexts_at(t), user=self._user_at(t))
+        return RoundContext(t=t, contexts=self._contexts_at(t), user=t % self.spec.n_users)
 
     def true_means(self, t):
         """Per-arm expected rewards at round t."""
@@ -241,9 +237,6 @@ class BanditEnv:
         if self.spec.kind == "semiparam":
             base = base + self._v_at(t)
         return base
-
-    def optimal_arm(self, t):
-        return int(np.argmax(self.true_means(t)))
 
     def pull(self, t, arm):
         if not (0 <= arm < self.spec.n_arms):
@@ -261,7 +254,6 @@ class MdpEnv:
         spec.validate()
         self.spec = spec
         self.tables = spec.mdp.validate()
-        self.seed = int(seed)
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x3D9]))
         self._episode = 0
         noise = spec.noise
@@ -293,7 +285,6 @@ class MdpEnv:
 
 @dataclass
 class EpisodeTrace:
-    start: int
     states: list
     actions: list
     rewards: list
@@ -321,8 +312,7 @@ def mdp_episode(env, policy, values=None):
         mean_total += float(tables.reward_means[cur, a])
         cur = nxt
     regret_ep = float(q[0][s].max() - mean_total)
-    trace = EpisodeTrace(start=s, states=states, actions=actions, rewards=rewards,
-                         final_state=cur)
+    trace = EpisodeTrace(states=states, actions=actions, rewards=rewards, final_state=cur)
     return trace, regret_ep
 
 
@@ -335,7 +325,7 @@ def make_env(spec, seed):
 
 def play(env, agent, rounds):
     """Drive a step-based agent for the given number of rounds, recording a trace."""
-    trace = RunTrace(seed=env.seed)
+    trace = RunTrace()
     for t in range(rounds):
         ctx = env.context(t)
         arm, reward = agent.step(ctx, env)

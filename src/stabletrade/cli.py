@@ -26,7 +26,8 @@ import numpy as np
 
 from . import rl_agents
 from .bandit_envs import EnvSpec, MdpTables, make_env, play, regret, true_q
-from .errors import ConfigError, DataError, InsufficientDataError, NumericError, ParamError
+from .errors import (ConfigError, DataError, InsufficientDataError, NumericError,
+                     ParamError, _is_int, _is_real, _require)
 from .market_sim import (
     CppiConfig,
     Metrics,
@@ -45,7 +46,6 @@ from .rl_agents import (
     TournamentResult,
     TrainConfig,
     VectorMarketEnv,
-    _is_int,
     alternating_series,
     backtest_curve,
     evaluate,
@@ -74,8 +74,19 @@ _KINDS = ("bandit-regret", "bayes-regret", "tournament", "backtest",
           "execution", "estimate-stable")
 
 _ENV_FIELDS = set(EnvSpec.__dataclass_fields__)
-_MARKET_KEYS = {"d", "days", "drift", "vol", "corr", "alpha", "max_loss",
-                "seed", "start_price"}
+# synthetic-market keys: (admissible value, what the message asks for);
+# alpha and max_loss may also be null, which is their default
+_MARKET_KEYS = {
+    "d": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "days": (lambda v: _is_int(v, 2), "an integer >= 2"),
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "drift": (lambda v: _is_real(v) and v > -1.0, "a number > -1"),
+    "vol": (lambda v: _is_real(v) and v >= 0.0, "a number >= 0"),
+    "corr": (lambda v: _is_real(v) and -1.0 <= v <= 1.0, "a number in [-1, 1]"),
+    "alpha": (lambda v: _is_real(v) and 0.0 < v <= 2.0, "a number in (0, 2]"),
+    "max_loss": (lambda v: _is_real(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "start_price": (lambda v: _is_real(v) and v > 0.0, "a number > 0"),
+}
 _BANDIT_PARAM_KEYS = {"rounds", "env_seed"}
 _TOURNAMENT_PARAM_KEYS = {"days", "episodes"}
 _BACKTEST_PARAM_KEYS = {"backtest"}
@@ -141,19 +152,15 @@ def _market_from(raw, fallback_seed=0):
         if extra:
             raise ConfigError(f"csv markets take no other env keys: {sorted(extra)}")
         return load_ohlcv(d["csv"])
-    extra = set(d) - _MARKET_KEYS
+    extra = set(d) - set(_MARKET_KEYS)
     if extra:
         raise ConfigError(f"unknown market keys: {sorted(extra)}")
-    alpha = d.get("alpha")
-    max_loss = d.get("max_loss")
-    return synth_market(
-        int(d.get("d", 2)), int(d.get("days", 250)),
-        drift=float(d.get("drift", 0.05)), vol=float(d.get("vol", 0.2)),
-        corr=float(d.get("corr", 0.3)), seed=int(d.get("seed", fallback_seed)),
-        alpha=None if alpha is None else float(alpha),
-        max_loss=None if max_loss is None else float(max_loss),
-        start_price=float(d.get("start_price", 100.0)),
-    )
+    kw = {"d": 2, "days": 250, "seed": fallback_seed}    # synth_market's defaults otherwise
+    for key, v in d.items():
+        ok, want = _MARKET_KEYS[key]
+        _require(ok(v) or (v is None and key in ("alpha", "max_loss")), f"env.{key}", v, want)
+        kw[key] = v if v is None or key in ("d", "days", "seed") else float(v)
+    return synth_market(**kw)
 
 
 def _check_param_keys(kind, params, allowed):
@@ -265,9 +272,9 @@ class ExperimentConfig:
         if "seed" in self.env:
             raise ConfigError("execution draws one market per seed, drop env seed")
         _market_from(self.env)
-        for c in self.cadences():
-            if c < 1:
-                raise ConfigError("cadences must be positive day counts")
+        cad = self.cadences()
+        _require(isinstance(cad, list) and cad and all(_is_int(c, 1) for c in cad),
+                 "params.cadences", cad, "a non-empty list of integers >= 1")
 
     def _validate_estimate_stable(self):
         _check_param_keys(self.kind, self.params, _ESTIMATE_PARAM_KEYS)
@@ -294,7 +301,7 @@ class ExperimentConfig:
         return ["estimate"]
 
     def cadences(self):
-        return [int(c) for c in self.params.get("cadences", [1, 5, 21])]
+        return self.params.get("cadences", [1, 5, 21])
 
     def canonical(self):
         # out_dir is where results land, not what the experiment is; leaving
@@ -433,15 +440,9 @@ def _execution_cell(cfg, label, seed):
                       multiplier=float(cfg.params.get("multiplier", 2.0)))
     rule.validate(initial_asset=initial_cash)
     env = TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
-    day = [0]
-
-    def policy(state):
-        act = (cppi_expert_action(state, rule) if day[0] % cadence == 0
-               else np.zeros(series.n_stocks))
-        day[0] += 1
-        return act
-
-    curve = run_policy(env, policy)
+    curve = run_policy(env, lambda state: (cppi_expert_action(state, rule)
+                                           if state.t % cadence == 0
+                                           else np.zeros(series.n_stocks)))
     rows = [(t, float(v)) for t, v in enumerate(curve)]
     return {"header": ("day", "asset"), "rows": rows,
             "stats": {**asdict(metrics(curve)), "floor": floor,
@@ -941,8 +942,8 @@ def check_ddpg_learnability():
         cfg = TrainConfig(lam_e=0.0, warmup_steps=64, noise_scale=0.3)
         agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=s)
         train(agent, env, 300)
-        curve = evaluate(agent, VectorMarketEnv(series, cost_bps=0.0,
-                                                reward_scale=0.05))
+        curve = evaluate(agent.act, VectorMarketEnv(series, cost_bps=0.0,
+                                                    reward_scale=0.05))
         ratio = (curve[-1] - curve[0]) / (omn[-1] - omn[0])
         ratios.append(float(ratio))
         wins += ratio >= 0.9

@@ -43,7 +43,6 @@ class PortfolioState:
 class CppiConfig:
     floor: float
     multiplier: float
-    allow_leverage: bool = False
 
     def validate(self, initial_asset=None):
         if self.multiplier < 0:
@@ -55,30 +54,21 @@ class CppiConfig:
         return self
 
 
-@dataclass
-class Exposure:
-    value: float
-    capped: bool
-
-
 def cppi_exposure(asset, cfg):
-    """Risky exposure k * max(A - F, 0), capped at A unless leverage is on."""
-    e = cfg.multiplier * max(asset - cfg.floor, 0.0)
-    if not cfg.allow_leverage and e > asset:
-        return Exposure(value=float(asset), capped=True)
-    return Exposure(value=float(e), capped=False)
+    """Risky exposure k * max(A - F, 0), capped at A."""
+    return float(min(cfg.multiplier * max(asset - cfg.floor, 0.0), asset))
 
 
 def cppi_expert_action(state, cfg):
     """Trade toward an equal-weight risky basket worth the CPPI exposure."""
     a = state.total_asset
-    e = cppi_exposure(a, cfg).value
+    e = cppi_exposure(a, cfg)
     d = state.p.shape[0]
     target_value = np.full(d, e / d)
     return target_value / state.p - state.h
 
 
-def step(state, action, next_prices, cost_bps=10.0, fractional=True):
+def step(state, action, next_prices, cost_bps=10.0):
     """Execute the trade at today's close, mark to next_prices.
 
     Returns (new state, reward). Reward is the total-asset change.
@@ -90,15 +80,10 @@ def step(state, action, next_prices, cost_bps=10.0, fractional=True):
     c = cost_bps / 1e4
     sells = np.minimum(np.maximum(-action, 0.0), state.h)
     buys = np.maximum(action, 0.0)
-    if not fractional:
-        sells = np.floor(sells)
-        buys = np.floor(buys)
     cash = state.b + float(sells @ state.p) * (1.0 - c)
     buy_notional = float(buys @ state.p)
     if buy_notional * (1.0 + c) > cash and buy_notional > 0.0:
         buys = buys * (cash / ((1.0 + c) * buy_notional))
-        if not fractional:
-            buys = np.floor(buys)
         buy_notional = float(buys @ state.p)
     cash -= buy_notional * (1.0 + c)
     if -1e-9 * (1.0 + buy_notional) < cash < 0.0:
@@ -199,18 +184,8 @@ def load_ohlcv(path):
                        close=cols[3], volume=cols[4])
 
 
-def split(series, ratio=0.7, date_range=None):
-    """Chronological split. date_range = ((train_lo, train_hi), (test_lo, test_hi))
-    inclusive ISO bounds overrides the ratio."""
-    if date_range is not None:
-        (a, b), (c, d) = date_range
-        tr = [i for i, dt in enumerate(series.dates) if a <= dt <= b]
-        te = [i for i, dt in enumerate(series.dates) if c <= dt <= d]
-        if not tr:
-            raise DataError("empty training range")
-        train = series.window(tr[0], tr[-1] + 1)
-        test = series.window(te[0], te[-1] + 1) if te else series.window(0, 0)
-        return train, test
+def split(series, ratio=0.7):
+    """Chronological split: the first ceil(ratio * days) days train."""
     if not 0.0 < ratio <= 1.0:
         raise ConfigError("split ratio must lie in (0, 1]")
     n = int(np.ceil(ratio * series.n_days))
@@ -307,13 +282,12 @@ def synth_market(d, days, drift=0.05, vol=0.2, corr=0.3, seed=0,
 class TradingEnv:
     """Steps a portfolio through a price series day by day."""
 
-    def __init__(self, series, initial_cash=10000.0, cost_bps=10.0, fractional=True):
+    def __init__(self, series, initial_cash=10000.0, cost_bps=10.0):
         if series.n_days < 2:
             raise ParamError("series too short to trade")
         self.series = series
         self.initial_cash = float(initial_cash)
         self.cost_bps = float(cost_bps)
-        self.fractional = fractional
         self.state = None
 
     def reset(self):
@@ -335,8 +309,7 @@ class TradingEnv:
         if self.done:
             raise ParamError("episode finished")
         nxt = self.series.close[self.state.t + 1]
-        self.state, reward = step(self.state, action, nxt,
-                                  cost_bps=self.cost_bps, fractional=self.fractional)
+        self.state, reward = step(self.state, action, nxt, cost_bps=self.cost_bps)
         return self.state, reward, self.done
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bandit_envs import RoundContext
-from .errors import ConfigError, NumericError, ParamError
+from .errors import ConfigError, NumericError, ParamError, _is_int, _is_real, _require
 from .market_sim import (
     CppiConfig,
     OhlcvSeries,
@@ -23,6 +23,7 @@ from .market_sim import (
     cppi_expert_action,
     median_metrics,
     metrics,
+    run_policy,
     split,
     synth_market,
 )
@@ -105,10 +106,6 @@ class ReplayBuffer:
         return Batch(*(None if col is None else col[idx] for col in self._cols))
 
 
-def _is_int(v, least):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
-
-
 def _check_ints(table, cfg, least_by_key):
     for key, least in least_by_key:
         v = getattr(cfg, key)
@@ -128,8 +125,6 @@ class TrainConfig:
     hidden: tuple = (64, 64)
     noise_scale: float = 0.3
     noise_final: float = 0.01
-    noise_kind: str = "gaussian"
-    ou_theta: float = 0.15
     margin_m: float = 1.0
     margin_rho: float = 1.0
     n_candidates: int = 8
@@ -140,6 +135,9 @@ class TrainConfig:
     divergence_limit: float = 1e6
 
     def validate(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            _require(f.type is not float or _is_real(v), f"train.{f.name}", v, "a finite number")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
@@ -155,8 +153,6 @@ class TrainConfig:
                 f"train.hidden must be a list of integers >= 1, got {self.hidden!r}")
         if self.lam_e < 0.0:
             raise ConfigError("expert weight must be non-negative")
-        if self.noise_kind not in ("gaussian", "ou"):
-            raise ConfigError(f"unknown noise kind {self.noise_kind!r}")
         if self.margin_rho <= 0.0 or self.margin_m < 0.0:
             raise ConfigError("margin needs rho > 0 and m >= 0")
         return self
@@ -164,6 +160,8 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d, base=None):
         """The keys of d set on top of base (the library defaults when None)."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"params.backtest.train must be a table, got {d!r}")
         known = {f.name for f in fields(cls)}
         extra = set(d) - known
         if extra:
@@ -187,11 +185,10 @@ class VectorMarketEnv:
     """
 
     def __init__(self, series, window=3, initial_cash=100.0, cost_bps=10.0,
-                 trade_scale=1.0, reward_scale=1.0, expert=None):
+                 reward_scale=1.0, expert=None):
         self.tenv = TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
         self.window = int(window)
         self.d = series.n_stocks
-        self.trade_scale = float(trade_scale)
         self.reward_scale = float(reward_scale)
         self.expert = expert
         self.state_dim = self.d * self.window + self.d + 1
@@ -224,13 +221,13 @@ class VectorMarketEnv:
             raise ConfigError("no expert attached to this environment")
         s = self.tenv.state
         shares = cppi_expert_action(s, self.expert)
-        a = shares * s.p / (s.total_asset * self.trade_scale)
+        a = shares * s.p / s.total_asset
         return np.clip(a, -1.0, 1.0)
 
     def step(self, action):
         action = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
         s = self.tenv.state
-        shares = action * self.trade_scale * s.total_asset / s.p
+        shares = action * s.total_asset / s.p
         state, reward, done = self.tenv.step(shares)
         self.curve.append(state.total_asset)
         return self._features(), reward * self.reward_scale, done
@@ -314,15 +311,11 @@ def perfect_foresight_curve(series, initial_cash=100.0, cost_bps=0.0):
     """One-stock lookahead policy: all-in before an up day, all-out otherwise."""
     if series.n_stocks != 1:
         raise ParamError("lookahead oracle handles one stock")
-    env = TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
-    state = env.reset()
-    curve = [state.total_asset]
-    while not env.done:
+    def policy(state):
         up = series.close[state.t + 1, 0] > series.close[state.t, 0]
-        trade = np.array([state.b / state.p[0] if up else -state.h[0]])
-        state, _, _ = env.step(trade)
-        curve.append(state.total_asset)
-    return np.asarray(curve)
+        return np.array([state.b / state.p[0] if up else -state.h[0]])
+    return run_policy(TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps),
+                      policy)
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +337,11 @@ class DdpgAgent:
         self.opt_actor = adam_init(self.actor)
         self.opt_critic = adam_init(self.critic)
         self.rng = np.random.default_rng(int(seeder.integers(2**31)))
-        self._ou = np.zeros(action_dim)
-
-    def reset_noise(self):
-        self._ou[:] = 0.0
 
     def act(self, state, noise_scale=0.0):
         a, _ = self.actor.forward(np.asarray(state, dtype=float))
         if noise_scale > 0.0:
-            if self.config.noise_kind == "ou":
-                self._ou += -self.config.ou_theta * self._ou \
-                    + noise_scale * self.rng.standard_normal(self.action_dim)
-                a = a + self._ou
-            else:
-                a = a + noise_scale * self.rng.standard_normal(self.action_dim)
+            a = a + noise_scale * self.rng.standard_normal(self.action_dim)
         return np.clip(a, -1.0, 1.0)
 
     def soft_updates(self):
@@ -507,7 +491,6 @@ def train(agent, env, episodes):
         frac = ep / max(1, episodes - 1)
         noise = cfg.noise_scale + frac * (cfg.noise_final - cfg.noise_scale)
         s = env.reset()
-        agent.reset_noise()
         done = False
         ep_td, ep_la, ep_je, n_upd = 0.0, 0.0, 0.0, 0
         while not done:
@@ -541,12 +524,13 @@ def train(agent, env, episodes):
     return TrainResult(episode_returns=returns, logs=logs, pretrained=pretrained)
 
 
-def evaluate(agent, env):
-    """Noise-free rollout; returns the currency equity curve."""
+def evaluate(policy, env):
+    """One rollout of policy(state) -> action on a learner-facing env
+    (VectorMarketEnv, DiscreteTradingEnv); returns the currency equity curve."""
     s = env.reset()
     done = False
     while not done:
-        s, _, done = env.step(agent.act(s))
+        s, _, done = env.step(policy(s))
     return np.asarray(env.curve)
 
 
@@ -562,7 +546,6 @@ def _check_discrete(env):
 @dataclass
 class TabularResult:
     q: np.ndarray
-    episode_returns: list
 
     def greedy_policy(self):
         table = self.q.argmax(axis=1)
@@ -574,7 +557,6 @@ def _td_control(env, episodes, on_policy, alpha=0.1, gamma=0.99,
     _check_discrete(env)
     rng = np.random.default_rng(seed)
     q = np.zeros((env.n_states, env.n_actions))
-    returns = []
 
     def pick(s, eps):
         if rng.random() < eps:
@@ -586,10 +568,8 @@ def _td_control(env, episodes, on_policy, alpha=0.1, gamma=0.99,
         s = env.reset()
         a = pick(s, eps)
         done = False
-        total = 0.0
         while not done:
             s2, r, done = env.step(a)
-            total += r
             a2 = pick(s2, eps)
             if on_policy:
                 boot = q[s2, a2]
@@ -598,8 +578,7 @@ def _td_control(env, episodes, on_policy, alpha=0.1, gamma=0.99,
             target = r + gamma * (0.0 if done else boot)
             q[s, a] += alpha * (target - q[s, a])
             s, a = s2, a2
-        returns.append(total)
-    return TabularResult(q=q, episode_returns=returns)
+    return TabularResult(q=q)
 
 
 def tabular_q(env, episodes, **kw):
@@ -613,7 +592,6 @@ def sarsa(env, episodes, **kw):
 @dataclass
 class DqnResult:
     net: Mlp
-    episode_returns: list
 
     def greedy_policy(self):
         def policy(s):
@@ -634,7 +612,6 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
     target = net.copy()
     opt = adam_init(net)
     buffer = ReplayBuffer(capacity)
-    returns = []
 
     def onehot(idx):
         x = np.zeros((len(idx), env.n_states))
@@ -645,7 +622,6 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
         eps = eps_start + (ep / max(1, episodes - 1)) * (eps_final - eps_start)
         s = env.reset()
         done = False
-        total = 0.0
         while not done:
             if rng.random() < eps:
                 a = int(rng.integers(env.n_actions))
@@ -653,7 +629,6 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
                 qv, _ = net.forward(onehot([s])[0])
                 a = int(np.argmax(qv))
             s2, r, done = env.step(a)
-            total += r
             buffer.add(s, a, r, s2, done)
             s = s2
             if len(buffer) >= batch:
@@ -668,8 +643,7 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
                 clip_global_norm(net, grads)
                 opt_step(net, grads, opt, lr=lr)
                 soft_update(target, net, tau)
-        returns.append(total)
-    return DqnResult(net=net, episode_returns=returns)
+    return DqnResult(net=net)
 
 
 def _simplex_grid(d, resolution):
@@ -782,24 +756,16 @@ def _episode_return(curve):
 
 def run_trader(name, series, seed, episodes=40):
     """Train the named agent on a series; return its evaluation equity curve."""
-    if name in ("ql", "sarsa"):
-        env = DiscreteTradingEnv(series)
-        fit = tabular_q if name == "ql" else sarsa
-        res = fit(env, episodes, seed=seed)
-        policy = res.greedy_policy()
-    elif name == "dqn":
-        env = DiscreteTradingEnv(series)
-        res = dqn_lite(env, episodes, seed=seed)
-        policy = res.greedy_policy()
-    elif name in ("cb_ts", "ac_ts"):
+    if name in ("cb_ts", "ac_ts"):
         return bandit_trade(name, series, seed)
-    else:
+    if name not in ("ql", "sarsa", "dqn"):
         raise ConfigError(f"unknown tournament agent {name!r}")
-    s = env.reset()
-    done = False
-    while not done:
-        s, _, done = env.step(policy(s))
-    return np.asarray(env.curve)
+    env = DiscreteTradingEnv(series)
+    if name == "dqn":
+        res = dqn_lite(env, episodes, seed=seed)
+    else:
+        res = (tabular_q if name == "ql" else sarsa)(env, episodes, seed=seed)
+    return evaluate(res.greedy_policy(), env)
 
 
 def tournament(names=None, rounds=10, seed=0, days=120, episodes=40):
@@ -856,6 +822,8 @@ class BacktestConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"params.backtest must be a table, got {d!r}")
         d = dict(d)
         train = d.pop("train", None)
         known = {f.name for f in fields(cls)}
@@ -898,7 +866,7 @@ def _ddpg_curve(train_series, test_series, seed, cfg, supervised):
     tc = cfg.train if supervised else replace(cfg.train, lam_e=0.0)
     agent = DdpgAgent(env.state_dim, env.action_dim, config=tc, seed=seed)
     train(agent, env, cfg.episodes)
-    return evaluate(agent, make_env(test_series))
+    return evaluate(agent.act, make_env(test_series))
 
 
 def backtest_curve(name, train_series, test_series, seed, cfg):
@@ -909,14 +877,9 @@ def backtest_curve(name, train_series, test_series, seed, cfg):
         env = DiscreteTradingEnv(train_series, initial_cash=cfg.initial_cash,
                                  cost_bps=cfg.cost_bps)
         res = dqn_lite(env, cfg.episodes, seed=seed)
-        policy = res.greedy_policy()
-        test_env = DiscreteTradingEnv(test_series, initial_cash=cfg.initial_cash,
-                                      cost_bps=cfg.cost_bps)
-        s = test_env.reset()
-        done = False
-        while not done:
-            s, _, done = test_env.step(policy(s))
-        return np.asarray(test_env.curve)
+        return evaluate(res.greedy_policy(),
+                        DiscreteTradingEnv(test_series, initial_cash=cfg.initial_cash,
+                                           cost_bps=cfg.cost_bps))
     if name == "ddpg":
         return _ddpg_curve(train_series, test_series, seed, cfg, supervised=False)
     if name == "cppi_ddpg":

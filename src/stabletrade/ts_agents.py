@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandit_envs import MdpTables, mdp_episode
-from .errors import ConfigError, ParamError
+from .errors import ConfigError, ParamError, _is_int, _is_real, _require
 from .stable_core import PdfTable, estimate_ecf, _tan_half
 
 _ALGORITHMS = ("cts", "acts", "scts", "sacts", "mdp_acts", "plain_ats")
@@ -45,12 +45,15 @@ class AgentConfig:
     def validate(self):
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.lam < 0:
-            raise ConfigError("lam must be non-negative")
-        if self.refresh_every < 1 or self.mc_probs < 1:
-            raise ConfigError("refresh_every and mc_probs must be positive")
-        if self.mh_step_scale <= 0:
-            raise ConfigError("mh_step_scale must be positive")
+        v, lam, step, warmup = self.v, self.lam, self.mh_step_scale, self.warmup
+        _require(v is None or (_is_real(v) and v >= 0), "agent.v", v, "a number >= 0")
+        _require(_is_real(lam) and lam >= 0, "agent.lam", lam, "a number >= 0")
+        _require(_is_real(step) and step > 0, "agent.mh_step_scale", step, "a number > 0")
+        for key in ("refresh_every", "mc_probs"):
+            _require(_is_int(getattr(self, key), 1), f"agent.{key}", getattr(self, key),
+                     "an integer >= 1")
+        _require(warmup is None or _is_int(warmup, 1), "agent.warmup", warmup,
+                 "an integer >= 1")
         return self
 
     def resolved_v(self):
@@ -541,6 +544,9 @@ class PlainAtsAgent(_StableBase):
 # ---------------------------------------------------------------------------
 # episodic variant
 
+# N(0, 1) location prior of every (state, action) pair before its first reward
+_PRIOR_MU, _PRIOR_SD = 0.0, 1.0
+
 
 class MdpActsAgent:
     """Posterior-sampling control for deterministic finite MDPs.
@@ -552,24 +558,21 @@ class MdpActsAgent:
 
     algorithm = "mdp_acts"
 
-    def __init__(self, n_states, n_actions, horizon, config, seed,
-                 prior_mu=0.0, prior_var=1.0):
+    def __init__(self, n_states, n_actions, horizon, config, seed):
         config.validate()
         self.n_states, self.n_actions, self.horizon = n_states, n_actions, horizon
         self.config = config
         # per-pair coverage floor; empirical means over heavy tails need depth
         self.warmup = config.warmup if config.warmup is not None else 25
         self.rng = np.random.default_rng(seed)
-        self.prior_mu, self.prior_var = float(prior_mu), float(prior_var)
         self.rewards = [[_RewardHistory() for _ in range(n_actions)] for _ in range(n_states)]
         self.beliefs = [[None] * n_actions for _ in range(n_states)]
-        self.theta = np.full((n_states, n_actions), self.prior_mu)
+        self.theta = np.full((n_states, n_actions), _PRIOR_MU)
         self.known_next = np.full((n_states, n_actions), -1, dtype=int)
         self.visits = np.zeros((n_states, n_actions), dtype=int)
         self.b_mat = [np.eye(n_actions) for _ in range(n_states)]
         self.y_vec = [np.zeros(n_actions) for _ in range(n_states)]
         self.point_q = np.zeros((horizon, n_states, n_actions))
-        self.episodes = 0
 
     def _backward(self, means, trans):
         q = np.zeros((self.horizon + 1, self.n_states, self.n_actions))
@@ -589,7 +592,7 @@ class MdpActsAgent:
                 hist = self.rewards[s][a]
                 if not hist:
                     # nothing observed: fresh prior draw drives the exploration
-                    draw = self.prior_mu + np.sqrt(self.prior_var) * self.rng.normal()
+                    draw = _PRIOR_MU + _PRIOR_SD * self.rng.normal()
                     self.theta[s, a] = draw
                     m[s, a] = draw
                 else:
@@ -634,7 +637,6 @@ class MdpActsAgent:
         for s in set(trace.states):
             self._slot_update(s, trace)
         self.point_q = self._backward(self._empirical_means(), self.known_next)
-        self.episodes += 1
         return trace, reg
 
     def _observe(self, s, a, r, nxt):

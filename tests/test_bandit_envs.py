@@ -48,7 +48,7 @@ class OracleAgent:
         pass
 
     def step(self, ctx, env):
-        arm = env.optimal_arm(ctx.t)
+        arm = int(np.argmax(env.true_means(ctx.t)))
         return arm, env.pull(ctx.t, arm)
 
 

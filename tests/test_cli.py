@@ -556,6 +556,12 @@ def test_cli_invalid_env_seed_and_tournament_configs_exit_two(tmp_path, capsys,
     ({"train": {"pretrain_steps": -1}}, "train.pretrain_steps"),
     ({"train": {"pretrain_episodes": 1.5}}, "train.pretrain_episodes"),
     ({"train": {"warmup_steps": "64"}}, "train.warmup_steps"),
+    ({"train": {"noise_kind": "ou"}}, "unknown training keys: ['noise_kind']"),
+    ({"train": {"ou_theta": 0.15}}, "unknown training keys: ['ou_theta']"),
+    ({"train": [1, 2]}, "train must be a table"),
+    ([1, 2], "params.backtest must be a table"),
+    ({"train": {"gamma": "x"}}, "train.gamma"),
+    ({"train": {"tau": float("nan")}}, "train.tau"),
 ])
 def test_cli_invalid_backtest_params_exit_two(tmp_path, capsys, backtest, key):
     path = write_config(tmp_path, kind="backtest", env={"d": 1, "days": 30},
@@ -595,6 +601,14 @@ MDP_TOY = {"n_states": 2, "n_actions": 2, "horizon": 2,
     ({"seeds": ["z"]}, "seeds"),
     ({"seeds": [0, 1.5]}, "seeds"),
     ({"seeds": [-1]}, "seeds"),
+    # integers only: nothing is truncated
+    ({"env": {"kind": "adversarial_mdp", "mdp": {**MDP_TOY, "horizon": 2.9}}},
+     "mdp.horizon"),
+    ({"env": {"kind": "adversarial_mdp",
+              "mdp": {**MDP_TOY, "transitions": [[0, 1.7], [0, 1]]}}}, "mdp.transitions"),
+    ({"env": {"kind": "adversarial_mdp", "mdp": {**MDP_TOY, "start_states": "01"}}},
+     "mdp.start_states"),
+    ({"env": {**LINEAR_ENV, "user_mode": "random"}}, "unknown env keys: ['user_mode']"),
 ])
 def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key):
     path = write_config(tmp_path, **over)
@@ -602,6 +616,45 @@ def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key)
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+BACKTEST_RUN = {"kind": "backtest", "agents": ["up"], "seeds": [0], "params": {}}
+EXECUTION_RUN = {"kind": "execution", "agents": [], "seeds": [0],
+                 "env": {"d": 1, "days": 30}}
+
+
+@pytest.mark.parametrize("over, key", [
+    ({**BACKTEST_RUN, "env": {"days": "x"}}, "env.days"),
+    ({**BACKTEST_RUN, "env": {"d": 1.0}}, "env.d"),
+    ({**BACKTEST_RUN, "env": {"seed": -1}}, "env.seed"),
+    ({**BACKTEST_RUN, "env": {"vol": -1}}, "env.vol"),
+    ({**BACKTEST_RUN, "env": {"corr": 2}}, "env.corr"),
+    ({**BACKTEST_RUN, "env": {"corr": -1.5}}, "env.corr"),
+    ({**BACKTEST_RUN, "env": {"max_loss": -1}}, "env.max_loss"),
+    ({**BACKTEST_RUN, "env": {"max_loss": 1.5}}, "env.max_loss"),
+    ({**BACKTEST_RUN, "env": {"drift": "nan"}}, "env.drift"),
+    ({**BACKTEST_RUN, "env": {"drift": float("nan")}}, "env.drift"),
+    ({**BACKTEST_RUN, "env": {"vol": float("inf")}}, "env.vol"),
+    ({**BACKTEST_RUN, "env": {"alpha": 2.5}}, "env.alpha"),
+    ({**BACKTEST_RUN, "env": {"start_price": 0}}, "env.start_price"),
+    ({**EXECUTION_RUN, "params": {"cadences": ["q"]}}, "params.cadences"),
+    ({**EXECUTION_RUN, "params": {"cadences": [0]}}, "params.cadences"),
+    ({**EXECUTION_RUN, "params": {"cadences": 5}}, "params.cadences"),
+    ({"agents": [{"algorithm": "acts", "refresh_every": "7"}]}, "agent.refresh_every"),
+    ({"agents": [{"algorithm": "cts", "v": "big"}]}, "agent.v"),
+    ({"agents": [{"algorithm": "cts", "v": -1.0}]}, "agent.v"),
+    ({"agents": [{"algorithm": "acts", "mc_probs": 2.5}]}, "agent.mc_probs"),
+    ({"agents": [{"algorithm": "scts", "lam": "high"}]}, "agent.lam"),
+    ({"agents": [{"algorithm": "acts", "mh_step_scale": 0}]}, "agent.mh_step_scale"),
+    ({"agents": [{"algorithm": "acts", "warmup": 0}]}, "agent.warmup"),
+])
+def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
+                                                                 over, key):
+    path = write_config(tmp_path, **over)
+    assert cli.main(["run", str(path), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 """Dead-surface guard: every public top-level function or class in the package
 is used somewhere in the package outside its own definition, or is a listed
-test oracle."""
+test oracle, and every public method of a public class is read as an
+attribute somewhere in the package."""
 
 import ast
 import pathlib
@@ -50,6 +51,21 @@ def unreferenced_public_names(src=SRC):
             if not any(n == node.name and owner != node.name for n, owner in used)]
 
 
+def unused_public_methods(src=SRC):
+    """(module, class, method) of each public method of a public class whose
+    name no package code reads as an attribute."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    attrs = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute)}
+    return [(module, cls.name, fn.name)
+            for module, tree in trees.items()
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and fn.name not in attrs]
+
+
 def test_every_public_name_has_a_caller_or_is_an_oracle():
     dead = [f"{module}.{name}" for module, name in unreferenced_public_names()
             if name not in ORACLES]
@@ -61,3 +77,8 @@ def test_every_oracle_still_exists():
              for name in (node.name for node in ast.parse(path.read_text()).body
                           if isinstance(node, (ast.FunctionDef, ast.ClassDef)))}
     assert set(ORACLES) <= names
+
+
+def test_every_public_method_is_read_somewhere():
+    dead = [f"{module}.{cls}.{name}" for module, cls, name in unused_public_methods()]
+    assert dead == []
