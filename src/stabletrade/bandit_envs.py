@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParamError, _is_int
+from .errors import ConfigError, DataError, ParamError, _is_int, _require
 from .stable_core import StableParams, sample
 
 DEFAULT_CONTEXT_PARAMS = StableParams(1.8, 0.3, 1.0, 0.0)
@@ -120,6 +120,9 @@ class EnvSpec:
     def validate(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown environment kind {self.kind!r}")
+        for key in ("n_arms", "dim", "horizon", "n_users"):
+            value = getattr(self, key)
+            _require(_is_int(value, 1), f"env.{key}", value, "an integer >= 1")
         if self.kind == "plain":
             if self.arm_means is None:
                 raise ConfigError("plain environments need arm_means")

@@ -90,8 +90,13 @@ _MARKET_KEYS = {
 _BANDIT_PARAM_KEYS = {"rounds", "env_seed"}
 _TOURNAMENT_PARAM_KEYS = {"days", "episodes"}
 _BACKTEST_PARAM_KEYS = {"backtest"}
-_EXECUTION_PARAM_KEYS = {"cadences", "floor", "multiplier", "initial_cash",
-                         "cost_bps"}
+# execution float params: default, range test, range; floor is a fraction
+# of the initial cash
+_EXECUTION_REALS = {"initial_cash": (100.0, lambda v: v > 0.0, "> 0"),
+                    "cost_bps": (10.0, lambda v: 0.0 <= v < 1e4, "in [0, 10000)"),
+                    "floor": (0.85, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                    "multiplier": (2.0, lambda v: v >= 0.0, ">= 0")}
+_EXECUTION_PARAM_KEYS = {"cadences"} | set(_EXECUTION_REALS)
 _ESTIMATE_PARAM_KEYS = {"file", "n_freq"}
 
 
@@ -272,6 +277,7 @@ class ExperimentConfig:
         if "seed" in self.env:
             raise ConfigError("execution draws one market per seed, drop env seed")
         _market_from(self.env)
+        _execution_setup(self.params)
         cad = self.cadences()
         _require(isinstance(cad, list) and cad and all(_is_int(c, 1) for c in cad),
                  "params.cadences", cad, "a non-empty list of integers >= 1")
@@ -430,23 +436,31 @@ def _backtest_cell(cfg, label, seed):
             "stats": asdict(metrics(curve))}
 
 
+def _execution_setup(params):
+    """(initial cash, cost in bps, CPPI floor rule) of an execution run."""
+    v = {}
+    for key, (default, ok, want) in _EXECUTION_REALS.items():
+        v[key] = params.get(key, default)
+        _require(_is_real(v[key]) and ok(v[key]), f"params.{key}", v[key],
+                 f"a finite number {want}")
+    initial_cash = float(v["initial_cash"])
+    rule = CppiConfig(floor=float(v["floor"]) * initial_cash,
+                      multiplier=float(v["multiplier"]))
+    return initial_cash, float(v["cost_bps"]), rule.validate(initial_cash)
+
+
 def _execution_cell(cfg, label, seed):
     cadence = int(label[1:])
     series = _market_from(cfg.env, fallback_seed=seed)
-    initial_cash = float(cfg.params.get("initial_cash", 100.0))
-    cost_bps = float(cfg.params.get("cost_bps", 10.0))
-    floor = float(cfg.params.get("floor", 0.85)) * initial_cash
-    rule = CppiConfig(floor=floor,
-                      multiplier=float(cfg.params.get("multiplier", 2.0)))
-    rule.validate(initial_asset=initial_cash)
+    initial_cash, cost_bps, rule = _execution_setup(cfg.params)
     env = TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
     curve = run_policy(env, lambda state: (cppi_expert_action(state, rule)
                                            if state.t % cadence == 0
                                            else np.zeros(series.n_stocks)))
     rows = [(t, float(v)) for t, v in enumerate(curve)]
     return {"header": ("day", "asset"), "rows": rows,
-            "stats": {**asdict(metrics(curve)), "floor": floor,
-                      "floor_breached": bool(curve.min() < floor - 1e-9)}}
+            "stats": {**asdict(metrics(curve)), "floor": rule.floor,
+                      "floor_breached": bool(curve.min() < rule.floor - 1e-9)}}
 
 
 def _read_reals(path):

@@ -138,27 +138,30 @@ def load_ohlcv(path):
     Every (date, ticker) cell must appear exactly once and every ticker must
     cover every date; offending rows are named in errors.
     """
+    try:
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"env.csv {str(path)!r} cannot be read: {exc}") from None
+    header = lines[0] if lines else None
+    if header is None or [c.strip() for c in header] != _COLUMNS:
+        raise DataError(f"expected header {','.join(_COLUMNS)}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != _COLUMNS:
-            raise DataError(f"expected header {','.join(_COLUMNS)}")
-        for idx, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise DataError(f"row {idx}: expected 7 fields, got {len(row)}")
-            date, ticker = row[0].strip(), row[1].strip()
-            try:
-                vals = [float(v) for v in row[2:]]
-            except ValueError:
-                raise DataError(f"row {idx}: non-numeric value") from None
-            if not all(np.isfinite(vals)):
-                raise DataError(f"row {idx}: non-finite value")
-            if min(vals[:4]) <= 0.0:
-                raise DataError(f"row {idx}: non-positive price")
-            rows.append((idx, date, ticker, vals))
+    for idx, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 7:
+            raise DataError(f"row {idx}: expected 7 fields, got {len(row)}")
+        date, ticker = row[0].strip(), row[1].strip()
+        try:
+            vals = [float(v) for v in row[2:]]
+        except ValueError:
+            raise DataError(f"row {idx}: non-numeric value") from None
+        if not all(np.isfinite(vals)):
+            raise DataError(f"row {idx}: non-finite value")
+        if min(vals[:4]) <= 0.0:
+            raise DataError(f"row {idx}: non-positive price")
+        rows.append((idx, date, ticker, vals))
     if not rows:
         raise DataError("no data rows")
     dates = sorted({r[1] for r in rows})

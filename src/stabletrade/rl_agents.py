@@ -8,7 +8,6 @@ performance-weighted constant-rebalanced mixtures) and the bandit traders feed
 the tournament and backtest tables.
 """
 
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -339,7 +338,7 @@ class DdpgAgent:
         self.rng = np.random.default_rng(int(seeder.integers(2**31)))
 
     def act(self, state, noise_scale=0.0):
-        a, _ = self.actor.forward(np.asarray(state, dtype=float))
+        a = self.actor.predict(state)
         if noise_scale > 0.0:
             a = a + noise_scale * self.rng.standard_normal(self.action_dim)
         return np.clip(a, -1.0, 1.0)
@@ -354,8 +353,8 @@ def critic_loss(agent, batch):
     gradients; terminal rows drop the bootstrap."""
     cfg = agent.config
     s, a, r, s2, done, _ = batch
-    a2, _ = agent.t_actor.forward(s2)
-    q2, _ = agent.t_critic.forward(np.hstack([s2, a2]))
+    a2 = agent.t_actor.predict(s2)
+    q2 = agent.t_critic.predict(np.hstack([s2, a2]))
     y = r + cfg.gamma * (1.0 - done) * q2[:, 0]
     q, cache = agent.critic.forward(np.hstack([s, a]))
     med = float(np.median(np.abs(q)))
@@ -371,13 +370,17 @@ def critic_loss(agent, batch):
 
 
 def _candidate_set(agent, states, expert_actions, rng):
-    pi, _ = agent.actor.forward(states)
-    cands = [pi, expert_actions]
-    for _ in range(agent.config.n_candidates):
-        perturbed = expert_actions + 0.5 * agent.config.margin_rho \
-            * rng.standard_normal(expert_actions.shape)
-        cands.append(np.clip(perturbed, -1.0, 1.0))
-    return np.stack(cands, axis=1)
+    """(n, k + 2, d): the actor's action, the expert's, then k clipped
+    Gaussian perturbations of the expert's, drawn perturbation-major."""
+    k = agent.config.n_candidates
+    n, d = expert_actions.shape
+    cands = np.empty((n, k + 2, d))
+    cands[:, 0] = agent.actor.predict(states)
+    cands[:, 1] = expert_actions
+    noise = rng.standard_normal((k, n, d)).transpose(1, 0, 2)
+    np.clip(expert_actions[:, None, :] + 0.5 * agent.config.margin_rho * noise,
+            -1.0, 1.0, out=cands[:, 2:])
+    return cands
 
 
 def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None,
@@ -398,19 +401,23 @@ def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None,
     n_cand = candidates.shape[1]
     flat_s = np.repeat(states, n_cand, axis=0)
     flat_a = candidates.reshape(n * n_cand, -1)
-    q_flat, _ = agent.critic.forward(np.hstack([flat_s, flat_a]))
+    q_flat = agent.critic.predict(np.hstack([flat_s, flat_a]))
     q = q_flat[:, 0].reshape(n, n_cand)
     dist = np.linalg.norm(candidates - expert_actions[:, None, :], axis=2)
     pen = cfg.margin_m * np.minimum(1.0, dist / cfg.margin_rho)
     scores = q + pen
     best = np.argmax(scores, axis=1)
     rows = np.arange(n)
-    q_exp, cache_e = agent.critic.forward(np.hstack([states, expert_actions]))
-    value = float(np.mean(scores[rows, best] - q_exp[:, 0]))
+    top = scores[rows, best]
+    expert_in = np.hstack([states, expert_actions])
     if not want_grads:
-        return value
-    a_best = candidates[rows, best]
-    _, cache_b = agent.critic.forward(np.hstack([states, a_best]))
+        return float(np.mean(top - agent.critic.predict(expert_in)[:, 0]))
+    # one cached pass over [best rows; expert rows], split into two caches
+    best_in = np.hstack([states, candidates[rows, best]])
+    q_pair, cache = agent.critic.forward(np.vstack([best_in, expert_in]))
+    value = float(np.mean(top - q_pair[n:, 0]))
+    cache_b = {"acts": [h[:n] for h in cache["acts"]], "squeeze": False}
+    cache_e = {"acts": [h[n:] for h in cache["acts"]], "squeeze": False}
     up = np.full((n, 1), 1.0 / n)
     g_best, _ = agent.critic.backward(cache_b, up)
     g_exp, _ = agent.critic.backward(cache_e, -up)
@@ -597,7 +604,7 @@ class DqnResult:
         def policy(s):
             x = np.zeros(self.net.sizes[0])
             x[s] = 1.0
-            qv, _ = self.net.forward(x)
+            qv = self.net.predict(x)
             return int(np.argmax(qv))
         return policy
 
@@ -626,14 +633,14 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
             if rng.random() < eps:
                 a = int(rng.integers(env.n_actions))
             else:
-                qv, _ = net.forward(onehot([s])[0])
+                qv = net.predict(onehot([s])[0])
                 a = int(np.argmax(qv))
             s2, r, done = env.step(a)
             buffer.add(s, a, r, s2, done)
             s = s2
             if len(buffer) >= batch:
                 si, ai, ri, s2i, di, _ = buffer.sample(batch, rng)
-                q2, _ = target.forward(onehot(s2i))
+                q2 = target.predict(onehot(s2i))
                 y = ri + gamma * (1.0 - di) * q2.max(axis=1)
                 qv, cache = net.forward(onehot(si))
                 gy = np.zeros_like(qv)
@@ -837,10 +844,22 @@ class BacktestConfig:
 
     def validate(self):
         _check_ints("backtest", self, (("episodes", 1), ("window", 1)))
-        r = self.split_ratio
-        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r < 1.0:
-            raise ConfigError(f"backtest.split_ratio must lie in (0, 1), got {r!r}")
+        for key, ok, want in (("split_ratio", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+                              ("initial_cash", lambda v: v > 0.0, "> 0"),
+                              ("cost_bps", lambda v: 0.0 <= v < 1e4, "in [0, 10000)"),
+                              ("floor_frac", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                              ("multiplier", lambda v: v >= 0.0, ">= 0"),
+                              ("reward_scale", lambda v: v > 0.0, "> 0")):
+            v = getattr(self, key)
+            _require(_is_real(v) and ok(v), f"backtest.{key}", v, f"a finite number {want}")
+        self.floor_rule()
         return self
+
+    def floor_rule(self):
+        """The CPPI rule that supervises ``cppi_ddpg``: a floor of
+        ``floor_frac`` times the initial cash."""
+        return CppiConfig(floor=self.floor_frac * self.initial_cash,
+                          multiplier=self.multiplier).validate(self.initial_cash)
 
     def split(self, series):
         """Chronological (train, test) split; the test part needs two days
@@ -852,10 +871,7 @@ class BacktestConfig:
 
 
 def _ddpg_curve(train_series, test_series, seed, cfg, supervised):
-    expert = None
-    if supervised:
-        expert = CppiConfig(floor=cfg.floor_frac * cfg.initial_cash,
-                            multiplier=cfg.multiplier)
+    expert = cfg.floor_rule() if supervised else None
     def make_env(series):
         return VectorMarketEnv(series, window=cfg.window,
                                initial_cash=cfg.initial_cash,

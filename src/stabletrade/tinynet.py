@@ -11,6 +11,14 @@ returns the parameter gradients as one vector aligned to it. The optimizer
 moments, soft target updates, gradient clipping and copies work on whole
 vectors; only the global norm is summed parameter by parameter, in
 the order above, so that its rounding does not depend on the layout.
+
+``forward`` returns the output together with the cache of activations that
+``backward`` needs. ``predict`` returns the same output, bit for bit, with
+no cache: it writes the hidden layers into one buffer per layer that the
+network keeps, grown to the largest row count seen, so that the large
+passes nothing backpropagates (acting, target values, the candidates of a
+margin loss) do not allocate fresh memory on every call. Its output is a
+fresh array. Both run the same layer loop.
 """
 
 import numpy as np
@@ -52,6 +60,7 @@ class Mlp:
         self._params = [self.flat[a:b].reshape(shape) for a, b, shape in self.layout]
         self.weights = self._params[0::2]
         self.biases = self._params[1::2]
+        self._hidden, self._hidden_rows = [], 0    # predict's layer buffers
         rng = np.random.default_rng(seed)
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
@@ -62,8 +71,7 @@ class Mlp:
         """Live views into ``flat``, interleaved (W0, b0, W1, b1, ...)."""
         return list(self._params)
 
-    def forward(self, x):
-        """Returns (output, cache); pure, touches no state."""
+    def _input(self, x):
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         if squeeze:
@@ -72,18 +80,42 @@ class Mlp:
             raise ParamError(
                 f"input shape {x.shape} does not feed a {self.sizes[0]}-wide layer"
             )
+        return x, squeeze
+
+    def _layers(self, x, outs):
+        """Activations [x, h1, ..., y], one per layer; layer i writes into
+        the buffer outs[i], or into a fresh array where that is None."""
         acts = [x]
         h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            last = i == len(self.weights) - 1
-            if last:
-                h = np.tanh(z) if self.out_act == "tanh" else z
-            else:
-                h = np.maximum(z, 0.0)
+        last = len(self.weights) - 1
+        for i, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
+            h = np.matmul(h, w, out=out)
+            h += b
+            if i < last:
+                np.maximum(h, 0.0, out=h)
+            elif self.out_act == "tanh":
+                np.tanh(h, out=h)
             acts.append(h)
+        return acts
+
+    def forward(self, x):
+        """Returns (output, cache); pure, touches no state."""
+        x, squeeze = self._input(x)
+        acts = self._layers(x, [None] * len(self.weights))
+        h = acts[-1]
         cache = {"acts": acts, "squeeze": squeeze}
         return (h[0] if squeeze else h), cache
+
+    def predict(self, x):
+        """``forward``'s output without its cache, through the network's
+        hidden-layer buffers; the output itself is a fresh array."""
+        x, squeeze = self._input(x)
+        rows = x.shape[0]
+        if rows > self._hidden_rows:
+            self._hidden = [np.empty((rows, n)) for n in self.sizes[1:-1]]
+            self._hidden_rows = rows
+        h = self._layers(x, [buf[:rows] for buf in self._hidden] + [None])[-1]
+        return h[0] if squeeze else h
 
     def backward(self, cache, gy):
         """Gradients of sum(output * gy) for every parameter plus the input.
@@ -107,7 +139,7 @@ class Mlp:
             np.add.reduce(g, axis=0, out=grads[b0:b1])
             g = g @ self.weights[i].T
             if i > 0:
-                g = g * (acts[i] > 0.0)
+                g *= acts[i] > 0.0
         gx = g[0] if cache["squeeze"] else g
         return grads, gx
 

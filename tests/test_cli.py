@@ -562,6 +562,16 @@ def test_cli_invalid_env_seed_and_tournament_configs_exit_two(tmp_path, capsys,
     ([1, 2], "params.backtest must be a table"),
     ({"train": {"gamma": "x"}}, "train.gamma"),
     ({"train": {"tau": float("nan")}}, "train.tau"),
+    ({"initial_cash": "x"}, "backtest.initial_cash"),
+    ({"initial_cash": 0}, "backtest.initial_cash"),
+    ({"cost_bps": -1}, "backtest.cost_bps"),
+    ({"cost_bps": 1e4}, "backtest.cost_bps"),
+    ({"floor_frac": 1.0}, "backtest.floor_frac"),
+    ({"floor_frac": -0.1}, "backtest.floor_frac"),
+    ({"multiplier": -2.0}, "backtest.multiplier"),
+    ({"multiplier": True}, "backtest.multiplier"),
+    ({"reward_scale": 0}, "backtest.reward_scale"),
+    ({"reward_scale": float("inf")}, "backtest.reward_scale"),
 ])
 def test_cli_invalid_backtest_params_exit_two(tmp_path, capsys, backtest, key):
     path = write_config(tmp_path, kind="backtest", env={"d": 1, "days": 30},
@@ -609,6 +619,13 @@ MDP_TOY = {"n_states": 2, "n_actions": 2, "horizon": 2,
     ({"env": {"kind": "adversarial_mdp", "mdp": {**MDP_TOY, "start_states": "01"}}},
      "mdp.start_states"),
     ({"env": {**LINEAR_ENV, "user_mode": "random"}}, "unknown env keys: ['user_mode']"),
+    ({"env": {**LINEAR_ENV, "n_arms": "x"}}, "env.n_arms"),
+    ({"env": {**LINEAR_ENV, "n_arms": 0}}, "env.n_arms"),
+    ({"env": {**LINEAR_ENV, "dim": 3.0}}, "env.dim"),
+    ({"env": {**LINEAR_ENV, "horizon": 0}}, "env.horizon"),
+    ({"env": {**LINEAR_ENV, "horizon": True}}, "env.horizon"),
+    ({"env": {**LINEAR_ENV, "n_users": 0}}, "env.n_users"),
+    ({"env": {**LINEAR_ENV, "n_users": "2"}}, "env.n_users"),
 ])
 def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key):
     path = write_config(tmp_path, **over)
@@ -648,6 +665,13 @@ EXECUTION_RUN = {"kind": "execution", "agents": [], "seeds": [0],
     ({"agents": [{"algorithm": "scts", "lam": "high"}]}, "agent.lam"),
     ({"agents": [{"algorithm": "acts", "mh_step_scale": 0}]}, "agent.mh_step_scale"),
     ({"agents": [{"algorithm": "acts", "warmup": 0}]}, "agent.warmup"),
+    ({**BACKTEST_RUN, "env": {"csv": "no-such-prices.csv"}}, "env.csv"),
+    ({**EXECUTION_RUN, "params": {"floor": 1.5}}, "params.floor"),
+    ({**EXECUTION_RUN, "params": {"floor": 1.0}}, "params.floor"),
+    ({**EXECUTION_RUN, "params": {"initial_cash": "x"}}, "params.initial_cash"),
+    ({**EXECUTION_RUN, "params": {"initial_cash": -5}}, "params.initial_cash"),
+    ({**EXECUTION_RUN, "params": {"cost_bps": float("nan")}}, "params.cost_bps"),
+    ({**EXECUTION_RUN, "params": {"multiplier": -1}}, "params.multiplier"),
 ])
 def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
                                                                  over, key):

@@ -414,3 +414,11 @@ def test_env_step_guards():
     assert env.done
     with pytest.raises(ParamError):
         env.step(np.zeros(1))
+
+
+def test_load_ohlcv_unreadable_file_is_a_data_error(tmp_path):
+    binary = tmp_path / "prices.bin"
+    binary.write_bytes(b"date,ticker\n\xd0\xff\xfe\x00")
+    for path in (str(tmp_path / "nope.csv"), str(tmp_path), str(binary)):
+        with pytest.raises(DataError, match=r"env\.csv .*cannot be read"):
+            load_ohlcv(path)

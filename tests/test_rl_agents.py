@@ -12,6 +12,7 @@ from stabletrade.rl_agents import (
     TournamentResult,
     TrainConfig,
     VectorMarketEnv,
+    _candidate_set,
     actor_loss_grads,
     actor_update,
     alternating_series,
@@ -32,6 +33,7 @@ from stabletrade.rl_agents import (
     train,
     up_run,
 )
+from stabletrade.tinynet import Mlp
 
 
 def _zero(net):
@@ -349,6 +351,92 @@ def test_margin_loss_nonnegative_with_random_candidates():
     ae = np.clip(rng.normal(size=(8, 2)), -1, 1)
     for _ in range(10):
         assert cppi_margin_loss(agent, s, ae, rng=rng) >= -1e-12
+
+
+# The references below are the candidate loop and the three-pass margin loss
+# that one perturbation draw and one cached [best; expert] pass replaced; the
+# new code must match them bit for bit.
+
+
+def _ref_candidate_set(agent, states, expert_actions, rng):
+    pi, _ = agent.actor.forward(states)
+    cands = [pi, expert_actions]
+    for _ in range(agent.config.n_candidates):
+        perturbed = expert_actions + 0.5 * agent.config.margin_rho \
+            * rng.standard_normal(expert_actions.shape)
+        cands.append(np.clip(perturbed, -1.0, 1.0))
+    return np.stack(cands, axis=1)
+
+
+def _ref_margin_loss(agent, states, expert_actions, candidates=None, rng=None):
+    cfg = agent.config
+    n = states.shape[0]
+    if candidates is None:
+        candidates = _ref_candidate_set(agent, states, expert_actions, rng)
+    n_cand = candidates.shape[1]
+    flat_s = np.repeat(states, n_cand, axis=0)
+    flat_a = candidates.reshape(n * n_cand, -1)
+    q_flat, _ = agent.critic.forward(np.hstack([flat_s, flat_a]))
+    q = q_flat[:, 0].reshape(n, n_cand)
+    dist = np.linalg.norm(candidates - expert_actions[:, None, :], axis=2)
+    scores = q + cfg.margin_m * np.minimum(1.0, dist / cfg.margin_rho)
+    best = np.argmax(scores, axis=1)
+    rows = np.arange(n)
+    q_exp, cache_e = agent.critic.forward(np.hstack([states, expert_actions]))
+    value = float(np.mean(scores[rows, best] - q_exp[:, 0]))
+    _, cache_b = agent.critic.forward(np.hstack([states, candidates[rows, best]]))
+    up = np.full((n, 1), 1.0 / n)
+    g_best, _ = agent.critic.backward(cache_b, up)
+    g_exp, _ = agent.critic.backward(cache_e, -up)
+    return value, g_best + g_exp
+
+
+def _margin_batch(seed, n=64, state_dim=13, action_dim=2):
+    """A default-config agent and a batch at the backtest's shapes."""
+    agent = DdpgAgent(state_dim, action_dim, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    return (agent, rng.normal(size=(n, state_dim)),
+            np.clip(rng.normal(scale=0.6, size=(n, action_dim)), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_candidate_set_matches_per_draw_loop(seed):
+    agent, s, ae = _margin_batch(seed)
+    got = _candidate_set(agent, s, ae, np.random.default_rng(seed))
+    ref = _ref_candidate_set(agent, s, ae, np.random.default_rng(seed))
+    assert got.shape == ref.shape == (64, agent.config.n_candidates + 2, 2)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_margin_loss_matches_three_pass_reference(seed):
+    agent, s, ae = _margin_batch(seed)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        value, grads = cppi_margin_loss(agent, s, ae, rng=rng, want_grads=True)
+        ref_value, ref_grads = _ref_margin_loss(agent, s, ae, rng=ref_rng)
+        assert value == ref_value
+        assert np.array_equal(grads, ref_grads)
+    assert rng.random() == ref_rng.random()     # the streams stayed in step
+    # explicit candidates without the expert action, and the value-only path
+    cands = np.random.default_rng(seed + 7).uniform(-1.0, 1.0, size=(64, 5, 2))
+    value, grads = cppi_margin_loss(agent, s, ae, candidates=cands, want_grads=True)
+    ref_value, ref_grads = _ref_margin_loss(agent, s, ae, candidates=cands)
+    assert value == ref_value and np.array_equal(grads, ref_grads)
+    assert cppi_margin_loss(agent, s, ae, candidates=cands) == ref_value
+
+
+def test_margin_loss_makes_one_cached_and_one_cache_free_critic_pass(monkeypatch):
+    agent, s, ae = _margin_batch(0)
+    calls = []
+    for name in ("forward", "predict"):
+        def counted(net, x, _name=name, _orig=getattr(Mlp, name)):
+            if net is agent.critic:
+                calls.append((_name, np.shape(x)[0]))
+            return _orig(net, x)
+        monkeypatch.setattr(Mlp, name, counted)
+    cppi_margin_loss(agent, s, ae, want_grads=True)
+    assert sorted(calls) == [("forward", 128), ("predict", 640)]
 
 
 # ---------------------------------------------------------------------------

@@ -356,3 +356,83 @@ def test_copy_owns_its_vector():
     assert not np.shares_memory(twin.flat, net.flat)
     twin.weights[0][0, 0] += 1.0
     assert twin.flat[0] == net.flat[0] + 1.0
+
+
+# ---------------------------------------------------------------------------
+# predict: forward's output through the net's own hidden buffers
+
+
+def _ref_forward(params, out_act, x):
+    """The allocating layer loop that forward's in-place loop replaced."""
+    h = np.atleast_2d(x)
+    weights, biases = params[0::2], params[1::2]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w + b
+        if i == len(weights) - 1:
+            h = np.tanh(z) if out_act == "tanh" else z
+        else:
+            h = np.maximum(z, 0.0)
+    return h
+
+
+@pytest.mark.parametrize("out_act", ["linear", "tanh"])
+@pytest.mark.parametrize("sizes", _SHAPES)
+def test_in_place_forward_matches_allocating_reference(sizes, out_act):
+    net = Mlp(sizes, out_act=out_act, seed=11)
+    rng = np.random.default_rng(12)
+    for rows in (1, 64, 640):
+        x = rng.normal(size=(rows, sizes[0]))
+        assert np.array_equal(net.forward(x)[0], _ref_forward(net.params(), out_act, x))
+
+
+@pytest.mark.parametrize("out_act", ["linear", "tanh"])
+@pytest.mark.parametrize("sizes", _SHAPES)
+def test_predict_matches_forward_output(sizes, out_act):
+    net = Mlp(sizes, out_act=out_act, seed=8)
+    rng = np.random.default_rng(9)
+    # growing, then smaller batches that reuse the grown buffers
+    for rows in (1, 64, 640, 64, 1, 640):
+        x = rng.normal(size=(rows, sizes[0]))
+        assert np.array_equal(net.predict(x), net.forward(x)[0])
+    x1 = rng.normal(size=sizes[0])
+    y1 = net.predict(x1)
+    assert y1.shape == (sizes[-1],)
+    assert np.array_equal(y1, net.forward(x1)[0])
+    # the buffers hold activations, not weights: an update shows at once
+    opt_step(net, rng.normal(size=net.flat.shape), adam_init(net), lr=0.1)
+    x = rng.normal(size=(64, sizes[0]))
+    assert np.array_equal(net.predict(x), net.forward(x)[0])
+
+
+def test_predict_results_do_not_alias():
+    net = Mlp([15, 64, 64, 1], seed=1)
+    rng = np.random.default_rng(2)
+    first = net.predict(rng.normal(size=(640, 15)))
+    second = net.predict(rng.normal(size=(64, 15)))
+    keep = first.copy(), second.copy()
+    net.predict(rng.normal(size=(640, 15)))
+    assert np.array_equal(first, keep[0]) and np.array_equal(second, keep[1])
+    assert not np.shares_memory(first, second)
+    for buf in net._hidden:
+        assert not np.shares_memory(first, buf) and not np.shares_memory(second, buf)
+
+
+def test_predict_buffers_grow_only_to_the_largest_batch():
+    net = Mlp([13, 64, 32, 2], out_act="tanh", seed=3)
+    rng = np.random.default_rng(4)
+    net.predict(rng.normal(size=13))
+    assert [b.shape for b in net._hidden] == [(1, 64), (1, 32)]
+    for rows, largest in ((64, 64), (640, 640), (64, 640), (1, 640)):
+        net.predict(rng.normal(size=(rows, 13)))
+        assert [b.shape for b in net._hidden] == [(largest, 64), (largest, 32)]
+    assert Mlp([3, 1], seed=0).predict(np.ones((5, 3))).shape == (5, 1)
+
+
+def test_copy_gets_its_own_predict_buffers():
+    net = Mlp([4, 5, 2], seed=9)
+    x = np.random.default_rng(0).normal(size=(8, 4))
+    y = net.predict(x)
+    twin = net.copy()
+    assert np.array_equal(twin.predict(x), y)
+    for mine in net._hidden:
+        assert not any(np.shares_memory(mine, theirs) for theirs in twin._hidden)
