@@ -734,8 +734,10 @@ def run(config, workers=None, force=False):
                 "pass --force to overwrite")
     cells = _cells_for(config)
     cfg_dict = config.canonical()
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as ex:
+    # never more worker processes than cores or cells
+    workers = min(workers, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_cell, [cfg_dict] * len(cells),
                                   [c[0] for c in cells], [c[1] for c in cells]))
     else:

@@ -26,6 +26,10 @@ _LN_INV_CF_FLOOR = np.log(1e12)   # |CF| at the integration cutoff is 1e-12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 16384
 _SIGMA_FLOOR = 1e-12
+# PdfTable.density: point count from which the computed knot index beats
+# np.interp's search, and the index estimate's downward bias in knot widths
+_DIRECT_MIN_POINTS = 600
+_KNOT_BIAS = 2.0 ** -20
 
 
 def _tan_half(alpha):
@@ -196,17 +200,31 @@ class PdfTable:
         x0 = -half_width
         phi = np.conj(_sampling_cf(ref, u)) * np.exp(1j * u * (x0 + shift))
         dens = np.fft.irfft(phi, n=n).real / dx
-        self.grid_x = x0 + np.arange(n) * dx
+        del u, phi
+        self._x0, self._dx, self._n = x0, dx, n
+        grid_x = self.grid_x
         self.grid_p = np.maximum(dens, 0.0)
+        del dens
         # interpolate only on the inner half; beyond it FFT aliasing grows, so
         # extend with the stable tail order |z|^-(alpha+1) matched at the edge
         self.edge = 0.5 * half_width
-        self.edge_lo = float(np.interp(-self.edge, self.grid_x, self.grid_p))
-        self.edge_hi = float(np.interp(self.edge, self.grid_x, self.grid_p))
+        self.edge_lo = float(np.interp(-self.edge, grid_x, self.grid_p))
+        self.edge_hi = float(np.interp(self.edge, grid_x, self.grid_p))
+        # the knots that bracket the inner region, one extra on each side so
+        # every |z| <= edge lies between two of them; np.interp on these knots
+        # equals np.interp on the whole grid there
+        inner = np.flatnonzero(np.abs(grid_x) <= self.edge)
+        lo, hi = inner[0] - 1, inner[-1] + 2
+        self._knot_x = grid_x[lo:hi].copy()
+        self._knot_p = self.grid_p[lo:hi]
+        del grid_x
+        # np.interp's slope formula, once per table
+        self._slopes = np.diff(self._knot_p) / np.diff(self._knot_x)
+        self._inv_dx = 1.0 / dx
+        self._t0 = self._knot_x[0] * self._inv_dx + _KNOT_BIAS
         # cumulative view over the inner region, tails integrated analytically
-        inner = np.abs(self.grid_x) <= self.edge
-        self._inner_x = self.grid_x[inner]
-        dens = self.grid_p[inner]
+        self._inner_x = self._knot_x[1:-1]
+        dens = self._knot_p[1:-1]
         seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(self._inner_x)
         mass_left = self.edge_lo * self.edge / self.alpha
         mass_right = self.edge_hi * self.edge / self.alpha
@@ -214,9 +232,41 @@ class PdfTable:
         self._total_mass = cum[-1] + mass_right
         self._inner_cdf = cum / self._total_mass
 
+    @property
+    def grid_x(self):
+        """The FFT grid's knots, rebuilt on demand; lookups never need them all."""
+        return self._x0 + np.arange(self._n) * self._dx
+
+    def _interp_direct(self, z):
+        """np.interp(z, grid_x, grid_p) for |z| <= edge, bit for bit, with the
+        knot index computed from the uniform spacing instead of searched.
+
+        The biased estimate is the knot at or one below z; one comparison with
+        the next knot settles it. z is clamped to the knots first, so points
+        past them get a finite value for the caller to replace, and NaN stays
+        NaN without a warning.
+        """
+        kx = self._knot_x
+        zc = np.maximum(z, kx[0])
+        np.minimum(zc, kx[-1], out=zc)
+        t = zc * self._inv_dx
+        t -= self._t0
+        np.fmax(t, 0.0, out=t)       # NaN to 0, so the cast stays quiet
+        k = t.astype(np.intp)
+        k = k + (kx[1:].take(k) <= zc)
+        out = kx.take(k)
+        np.subtract(zc, out, out=out)
+        out *= self._slopes.take(k, mode="clip")
+        out += self._knot_p.take(k)
+        return out
+
     def density(self, x, mean_loc=0.0):
         z = np.asarray(x, dtype=float) - mean_loc
-        out = np.interp(z, self.grid_x, self.grid_p)
+        if z.size < _DIRECT_MIN_POINTS:
+            # below the crossover np.interp's per-call cost is lower
+            out = np.interp(z, self._knot_x, self._knot_p)
+        else:
+            out = self._interp_direct(z)
         far = np.abs(z) > self.edge
         if far.any():
             # both tails in one pass over the far points only; the side's edge
@@ -228,7 +278,11 @@ class PdfTable:
         return out
 
     def logpdf(self, x, mean_loc=0.0):
-        return np.log(np.maximum(self.density(x, mean_loc), 1e-300))
+        d = self.density(x, mean_loc)
+        if d.ndim == 0:             # a numpy scalar or a 0-d array
+            return np.log(np.maximum(d, 1e-300))
+        np.maximum(d, 1e-300, out=d)
+        return np.log(d, out=d)
 
     def tail_beyond(self, c, mean_loc=0.0):
         """P(X > c) from the tabulated cumulative, analytic in the extensions."""

@@ -10,10 +10,11 @@ Two lineages share one linear update rule:
     update weights are normalized upper-tail probabilities beyond the chosen
     arm's score.
 
-Every round after warm-up runs one MH sweep, and each sweep evaluates every
-arm's likelihood over that arm's whole reward history at dim candidate
-locations: O(pulls x dim) density points per arm, so a run of T rounds costs
-O(T^2) in total.
+Every round after warm-up runs one MH sweep. Each sweep evaluates every arm's
+proposals over that arm's whole reward history: O(pulls x dim) density points
+per arm, so a run of T rounds costs O(T^2) in total. The likelihood at the
+current locations is cached per reward, so a new reward costs dim points and
+only a refit re-evaluates the whole history.
 
 The semi-contextual variants keep one state slot per user and correct the local
 estimator with an affinity-weighted sum over the other users' slots; at
@@ -88,23 +89,29 @@ def _solve_spd(b, y):
         return np.linalg.lstsq(b, y, rcond=None)[0]
 
 
-def _draw_mu(center, gamma, v, rng):
-    """One draw from N(center, v^2 gamma^-1); consumes no randomness at v = 0."""
+def _sampling_factor(gamma, v):
+    """Cholesky factor of the precision gamma, or None at v = 0 where no draw
+    needs it."""
+    return np.linalg.cholesky(gamma) if v > 0.0 else None
+
+
+def _draw_mu(center, chol, v, rng):
+    """One draw from N(center, v^2 gamma^-1) given gamma's Cholesky factor;
+    consumes no randomness at v = 0."""
     if v <= 0.0:
         return center.copy()
-    chol = np.linalg.cholesky(gamma)
     z = rng.normal(size=center.shape[0])
     return center + v * np.linalg.solve(chol.T, z)
 
 
-def _pi_estimate(thetas, center, gamma, v, n_mc, rng):
-    """Monte-Carlo pull probabilities under resampled mu draws."""
+def _pi_estimate(thetas, center, chol, v, n_mc, rng):
+    """Monte-Carlo pull probabilities under resampled mu draws; chol is the
+    Cholesky factor of the sampling precision."""
     n = thetas.shape[0]
     if v <= 0.0:
         pi = np.zeros(n)
         pi[int(np.argmax(thetas @ center))] = 1.0
         return pi
-    chol = np.linalg.cholesky(gamma)
     z = rng.normal(size=(center.shape[0], n_mc))
     draws = center[:, None] + v * np.linalg.solve(chol.T, z)
     winners = np.argmax(thetas @ draws, axis=0)
@@ -189,18 +196,26 @@ class ArmBelief:
         self.alpha, self.beta, self.sigma = alpha, beta, sigma
         self.table = PdfTable(alpha, beta, sigma)
 
+    def log_terms(self, rewards, deltas):
+        """Per-reward log densities in one density pass, delta-major: row d
+        holds logpdf(r_i - loc(delta_d)) for every reward i."""
+        locs = np.atleast_1d(np.asarray(deltas, dtype=float))
+        locs = locs - self.beta * self.sigma * _tan_half(self.alpha)
+        return self.table.logpdf(np.asarray(rewards, dtype=float)[None, :] - locs[:, None])
+
+    def posterior_from_terms(self, terms, deltas):
+        """Sum each delta's row of log_terms and add the location prior. Each
+        row is contiguous, so the sum's pairwise order does not depend on
+        whether terms is a whole array or a column slice of a wider buffer."""
+        out = terms.sum(axis=1)
+        out -= 0.5 * (deltas - self.prior_mu) ** 2 / self.prior_var
+        return out
+
     def log_posterior(self, rewards, deltas):
         """Log stable likelihood of the rewards plus the normal location prior,
         evaluated at each candidate delta."""
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-        locs = deltas - self.beta * self.sigma * _tan_half(self.alpha)
-        # one density pass, reward-major: neighbouring points share a reward,
-        # so np.interp's search starts next to its previous hit
-        lp = self.table.logpdf(np.asarray(rewards, dtype=float)[:, None] - locs[None, :])
-        # summing each delta's contiguous row keeps np.sum's pairwise order
-        out = np.sum(np.ascontiguousarray(lp.T), axis=1)
-        out -= 0.5 * (deltas - self.prior_mu) ** 2 / self.prior_var
-        return out
+        return self.posterior_from_terms(self.log_terms(rewards, deltas), deltas)
 
 
 def _moment_beliefs(rewards):
@@ -292,10 +307,11 @@ class CtsAgent:
 
     def step(self, ctx, env):
         thetas = np.asarray(ctx.contexts, dtype=float)
-        mu_hat = _draw_mu(self.mu_bar, self.B, self.v, self.rng)
+        chol = _sampling_factor(self.B, self.v)
+        mu_hat = _draw_mu(self.mu_bar, chol, self.v, self.rng)
         arm = int(np.argmax(thetas @ mu_hat))
         reward = env.pull(ctx.t, arm)
-        pi = _pi_estimate(thetas, self.mu_bar, self.B, self.v, self.config.mc_probs, self.rng)
+        pi = _pi_estimate(thetas, self.mu_bar, chol, self.v, self.config.mc_probs, self.rng)
         _weighted_update(self.B, self.y, thetas, pi, arm, reward)
         self.mu_bar = _solve_spd(self.B, self.y)
         self.history.append(
@@ -347,10 +363,11 @@ class SctsAgent:
             raise ParamError(f"unknown user index {j}")
         thetas = np.asarray(ctx.contexts, dtype=float)
         center, gamma = self.local_estimate(j)
-        mu_hat = _draw_mu(center, gamma, self.v, self.rng)
+        chol = _sampling_factor(gamma, self.v)
+        mu_hat = _draw_mu(center, chol, self.v, self.rng)
         arm = int(np.argmax(thetas @ mu_hat))
         reward = env.pull(ctx.t, arm)
-        pi = _pi_estimate(thetas, center, gamma, self.v, self.config.mc_probs, self.rng)
+        pi = _pi_estimate(thetas, center, chol, self.v, self.config.mc_probs, self.rng)
         _weighted_update(self.B[j], self.y[j], thetas, pi, arm, reward)
         self.mu_bar[j] = _solve_spd(self.B[j], self.y[j])
         self.history.append(
@@ -376,7 +393,12 @@ class _StableSlot:
         self.pulls = np.zeros(n_arms, dtype=int)
         self.visits = 0
         self.ready = False
+        # per arm: the log posterior at theta (None once a reward arrives),
+        # and the per-reward terms behind it, a (dim, capacity) buffer whose
+        # first _filled columns hold logpdf(r_i - loc(theta_d))
         self._lp_cache = [None] * n_arms
+        self._terms = [np.empty((dim, 64)) for _ in range(n_arms)]
+        self._filled = [0] * n_arms
 
 
 class _StableBase:
@@ -410,6 +432,7 @@ class _StableBase:
             slot.beliefs[n] = belief_from_history(slot.rewards[n].values)
             slot.theta[n, :] = slot.beliefs[n].prior_mu
         slot._lp_cache = [None] * self.n_arms
+        slot._filled = [0] * self.n_arms
         slot.ready = True
 
     def _after_reward(self, slot, arm, reward):
@@ -425,7 +448,7 @@ class _StableBase:
             est = estimate_ecf(slot.rewards[arm].values)
             p = est.params
             slot.beliefs[arm].refit(p.alpha, p.beta, max(p.sigma, 1e-6))
-            slot._lp_cache[arm] = None
+            slot._filled[arm] = 0
 
     # -- Metropolis-Hastings
 
@@ -438,12 +461,30 @@ class _StableBase:
             cur = slot.theta[n]
             props = cur + self.config.mh_step_scale * belief.sigma * self.rng.normal(size=self.dim)
             if slot._lp_cache[n] is None:
-                slot._lp_cache[n] = belief.log_posterior(rewards, cur)
+                slot._lp_cache[n] = self._current_posterior(slot, n)
             lp_cur = slot._lp_cache[n]
-            lp_prop = belief.log_posterior(rewards, props)
+            terms = belief.log_terms(rewards, props)
+            lp_prop = belief.posterior_from_terms(terms, props)
             accept = np.log(self.rng.uniform(size=self.dim)) < lp_prop - lp_cur
             slot.theta[n] = np.where(accept, props, cur)
             slot._lp_cache[n] = np.where(accept, lp_prop, lp_cur)
+            np.copyto(slot._terms[n][:, : rewards.size], terms, where=accept[:, None])
+
+    def _current_posterior(self, slot, n):
+        """Arm n's log posterior at theta from the cached per-reward terms,
+        evaluating only the rewards not yet cached: the newest one after a
+        pull, the whole history after a refit."""
+        rewards = slot.rewards[n].values
+        m, done = rewards.size, slot._filled[n]
+        buf = slot._terms[n]
+        if buf.shape[1] < m:
+            grown = np.empty((self.dim, max(2 * buf.shape[1], m)))
+            grown[:, :done] = buf[:, :done]
+            slot._terms[n] = buf = grown
+        belief, cur = slot.beliefs[n], slot.theta[n]
+        buf[:, done:m] = belief.log_terms(rewards[done:], cur)
+        slot._filled[n] = m
+        return belief.posterior_from_terms(buf[:, :m], cur)
 
     # -- one bandit round
 
@@ -470,7 +511,7 @@ class _StableBase:
             return warm, reward
         self._mh_sweep(slot)
         center, gamma = self._estimate(j)
-        mu_hat = _draw_mu(center, gamma, self.v, self.rng)
+        mu_hat = _draw_mu(center, _sampling_factor(gamma, self.v), self.v, self.rng)
         scores = self._scores(slot, mu_hat)
         arm = int(np.argmax(scores))
         reward = env.pull(ctx.t, arm)

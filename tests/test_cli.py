@@ -267,6 +267,38 @@ def test_bandit_rerun_is_byte_identical(tmp_path):
         assert a == b, name
 
 
+class _RecordingPool:
+    """ProcessPoolExecutor stand-in that records its size and runs the cells
+    in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers, cores, pool", [(8, 2, 2), (8, 16, 4), (3, 16, 3),
+                                                  (8, 1, None), (8, None, None),
+                                                  (1, 16, None)])
+def test_run_pool_never_exceeds_cores_or_cells(tmp_path, monkeypatch, workers, cores, pool):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    _RecordingPool.sizes = []
+    cfg = small_config(tmp_path / "r", seeds=[0, 1])   # 2 agents x 2 seeds = 4 cells
+    rep = cli.run(cfg, workers=workers)
+    assert rep.failures == []
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
+
+
 def test_fixed_env_seed_vs_bayes_redraw(tmp_path):
     base = {"agents": [{"algorithm": "uniform"}], "seeds": [0, 1]}
     fixed = small_config(tmp_path / "f", **base)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabletrade import stable_core
 from stabletrade.errors import InsufficientDataError, ParamError
 from stabletrade.stable_core import (
     PdfTable,
@@ -274,6 +277,51 @@ def test_pdf_table_density_matches_two_pass_tails_bit_for_bit(alpha, beta, sigma
         new, old = t.density(v), _two_pass_density(t, v)
         assert np.ndim(new) == np.ndim(old) == 0
         assert new == old
+
+
+@pytest.mark.parametrize("alpha, beta, sigma, grid", [
+    (1.5, 0.6, 1.0, {}), (1.8, -0.9, 0.3, {}), (2.0, 0.0, 2.0, {}),
+    (1.5, 0.0, 1.0, {"span": 40.0, "n": 2 ** 12})])
+def test_pdf_table_lookup_matches_np_interp_bit_for_bit(alpha, beta, sigma, grid):
+    """density and logpdf against np.interp on the whole FFT grid plus the
+    two-pass tails, through both lookups: the computed knot index (large
+    calls) and np.interp on the inner knots (calls below the crossover)."""
+    t = PdfTable(alpha, beta, sigma, **grid)
+    gx, e = t.grid_x, t.edge
+    x = np.concatenate([
+        gx, np.nextafter(gx, np.inf), np.nextafter(gx, -np.inf),   # every knot
+        0.5 * (gx[1:] + gx[:-1]),                                  # midpoints
+        [gx[-1], e, -e, np.nextafter(e, 0.0), np.nextafter(-e, 0.0),
+         np.nextafter(e, np.inf), np.nextafter(-e, -np.inf), 1e300, -1e300],
+    ])
+    small = stable_core._DIRECT_MIN_POINTS - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for loc in (0.0, 0.37 * sigma, -2.5 * e):
+            ref = _two_pass_density(t, x, loc)
+            log_ref = np.log(np.maximum(ref, 1e-300))
+            np.testing.assert_array_equal(t.density(x, loc), ref)
+            np.testing.assert_array_equal(t.logpdf(x, loc), log_ref)
+            for i in range(0, x.size, small):
+                np.testing.assert_array_equal(t.density(x[i:i + small], loc), ref[i:i + small])
+                np.testing.assert_array_equal(t.logpdf(x[i:i + small], loc),
+                                              log_ref[i:i + small])
+        # NaN stays NaN and +-inf takes the tail, on both lookups and at 0-d
+        odd = np.array([np.nan, np.inf, -np.inf, 0.0])
+        for v in (odd, np.tile(odd, small), *odd, *(np.asarray(v) for v in odd)):
+            new, old = t.density(v), _two_pass_density(t, v)
+            assert type(new) is type(old) and np.shape(new) == np.shape(old)
+            np.testing.assert_array_equal(new, old)
+            log_new = t.logpdf(v)
+            log_old = np.log(np.maximum(old, 1e-300))
+            assert type(log_new) is type(log_old) and np.shape(log_new) == np.shape(log_old)
+            np.testing.assert_array_equal(log_new, log_old)
+        for v in (0.5 * e, 3.0 * e, -3.0 * e, e, -e):
+            for arg in (v, np.asarray(v)):
+                new, old = t.density(arg), _two_pass_density(t, arg)
+                assert type(new) is type(old) and np.shape(new) == ()
+                assert new == old
+                assert type(t.logpdf(arg)) is np.float64
 
 
 # ------------------------------------------------------------------ estimate

@@ -131,7 +131,8 @@ def test_pi_estimate_is_a_probability_vector():
 def test_pi_estimate_finds_a_dominant_arm():
     thetas = np.array([[5.0, 5.0], [-5.0, -5.0]])
     center = np.array([1.0, 1.0])
-    pi = _pi_estimate(thetas, center, 100.0 * np.eye(2), 0.3, 300, np.random.default_rng(1))
+    chol = np.linalg.cholesky(100.0 * np.eye(2))
+    pi = _pi_estimate(thetas, center, chol, 0.3, 300, np.random.default_rng(1))
     assert pi[0] > 0.99
 
 
@@ -290,6 +291,66 @@ def test_log_posterior_matches_per_delta_loop_bit_for_bit(dim, n, beta):
     far = np.concatenate([deltas, [40.0 * edge, -40.0 * edge]])
     np.testing.assert_array_equal(belief.log_posterior(rewards, far),
                                   _per_delta_log_posterior(belief, rewards, far))
+
+
+def _recomputing_sweep(agent, slot):
+    """The MH sweep without the per-reward cache: the current location's log
+    posterior is recomputed over the whole history whenever a pull or a refit
+    has invalidated it. The reference the cached sweep must match bit for bit."""
+    for n in range(agent.n_arms):
+        belief = slot.beliefs[n]
+        rewards = slot.rewards[n].values
+        cur = slot.theta[n]
+        props = cur + agent.config.mh_step_scale * belief.sigma * agent.rng.normal(size=agent.dim)
+        if slot._lp_cache[n] is None:
+            slot._lp_cache[n] = belief.log_posterior(rewards, cur)
+        lp_cur = slot._lp_cache[n]
+        lp_prop = belief.log_posterior(rewards, props)
+        accept = np.log(agent.rng.uniform(size=agent.dim)) < lp_prop - lp_cur
+        slot.theta[n] = np.where(accept, props, cur)
+        slot._lp_cache[n] = np.where(accept, lp_prop, lp_cur)
+
+
+_SWEEP_CASES = {
+    "acts": (EnvSpec(kind="linear", n_arms=3, dim=3, horizon=700),
+             lambda cfg: ActsAgent(3, 3, cfg, seed=3)),
+    "sacts": (EnvSpec(kind="plain", n_arms=3, horizon=700, arm_means=[0.0, 0.3, 0.5],
+                      n_users=2),
+              lambda cfg: SactsAgent(3, 1, cfg, seed=4, n_users=2,
+                                     affinity=np.array([[1.0, 0.5], [0.5, 1.0]]))),
+    "plain_ats": (EnvSpec(kind="plain", n_arms=3, horizon=700, arm_means=[0.0, 0.2, 0.3]),
+                  lambda cfg: PlainAtsAgent(3, cfg, seed=5)),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_SWEEP_CASES))
+def test_cached_sweep_matches_recomputing_sweep_bit_for_bit(algorithm):
+    spec, build = _SWEEP_CASES[algorithm]
+    cfg = AgentConfig(algorithm=algorithm, refresh_every=5)
+    cached, ref = build(cfg), build(cfg)
+    ref._mh_sweep = lambda slot: _recomputing_sweep(ref, slot)
+    e1, e2 = make_env(spec, 11), make_env(spec, 11)
+    refits = 0
+    for t in range(700):
+        ctx1, ctx2 = e1.context(t), e2.context(t)
+        assert cached.step(ctx1, e1) == ref.step(ctx2, e2)
+        for a, b in zip(cached.slots, ref.slots):
+            np.testing.assert_array_equal(a.theta, b.theta)
+            for lp_a, lp_b in zip(a._lp_cache, b._lp_cache):
+                assert (lp_a is None) == (lp_b is None)
+                if lp_a is not None:
+                    np.testing.assert_array_equal(lp_a, lp_b)
+        # a refit (50 rewards on) leaves an arm's term buffer empty until its next sweep
+        refits += sum(f == 0 and len(r) >= 50 for s in cached.slots
+                      for f, r in zip(s._filled, s.rewards))
+    assert len(cached.history) == len(ref.history) == 700
+    for h1, h2 in zip(cached.history, ref.history):
+        assert h1.keys() == h2.keys()
+        for key in h1:
+            np.testing.assert_array_equal(h1[key], h2[key])
+    # the run refits often and grows the term buffers past their first size
+    assert refits >= 10
+    assert max(buf.shape[1] for s in cached.slots for buf in s._terms) > 64
 
 
 # ---------------------------------------------------------------------------
