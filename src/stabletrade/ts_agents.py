@@ -89,16 +89,10 @@ def _solve_spd(b, y):
         return np.linalg.lstsq(b, y, rcond=None)[0]
 
 
-def _sampling_factor(gamma, v):
-    """Cholesky factor of the precision gamma, or None at v = 0 where no draw
-    needs it."""
-    return np.linalg.cholesky(gamma) if v > 0.0 else None
-
-
 def _draw_mu(center, chol, v, rng):
     """One draw from N(center, v^2 gamma^-1) given gamma's Cholesky factor;
-    consumes no randomness at v = 0."""
-    if v <= 0.0:
+    chol is None at v = 0, where the draw is center and consumes no randomness."""
+    if chol is None:
         return center.copy()
     z = rng.normal(size=center.shape[0])
     return center + v * np.linalg.solve(chol.T, z)
@@ -106,9 +100,9 @@ def _draw_mu(center, chol, v, rng):
 
 def _pi_estimate(thetas, center, chol, v, n_mc, rng):
     """Monte-Carlo pull probabilities under resampled mu draws; chol is the
-    Cholesky factor of the sampling precision."""
+    Cholesky factor of the sampling precision, None at v = 0."""
     n = thetas.shape[0]
-    if v <= 0.0:
+    if chol is None:
         pi = np.zeros(n)
         pi[int(np.argmax(thetas @ center))] = 1.0
         return pi
@@ -307,7 +301,7 @@ class CtsAgent:
 
     def step(self, ctx, env):
         thetas = np.asarray(ctx.contexts, dtype=float)
-        chol = _sampling_factor(self.B, self.v)
+        chol = np.linalg.cholesky(self.B) if self.v > 0.0 else None
         mu_hat = _draw_mu(self.mu_bar, chol, self.v, self.rng)
         arm = int(np.argmax(thetas @ mu_hat))
         reward = env.pull(ctx.t, arm)
@@ -363,7 +357,7 @@ class SctsAgent:
             raise ParamError(f"unknown user index {j}")
         thetas = np.asarray(ctx.contexts, dtype=float)
         center, gamma = self.local_estimate(j)
-        chol = _sampling_factor(gamma, self.v)
+        chol = np.linalg.cholesky(gamma) if self.v > 0.0 else None
         mu_hat = _draw_mu(center, chol, self.v, self.rng)
         arm = int(np.argmax(thetas @ mu_hat))
         reward = env.pull(ctx.t, arm)
@@ -511,7 +505,8 @@ class _StableBase:
             return warm, reward
         self._mh_sweep(slot)
         center, gamma = self._estimate(j)
-        mu_hat = _draw_mu(center, _sampling_factor(gamma, self.v), self.v, self.rng)
+        chol = np.linalg.cholesky(gamma) if self.v > 0.0 else None
+        mu_hat = _draw_mu(center, chol, self.v, self.rng)
         scores = self._scores(slot, mu_hat)
         arm = int(np.argmax(scores))
         reward = env.pull(ctx.t, arm)

@@ -115,7 +115,7 @@ def test_weighted_update_onehot_is_rank_one():
 def test_pi_estimate_zero_v_is_one_hot():
     thetas = np.array([[1.0, 0.0], [0.0, 2.0]])
     center = np.array([0.5, 1.0])
-    pi = _pi_estimate(thetas, center, np.eye(2), 0.0, 100, np.random.default_rng(0))
+    pi = _pi_estimate(thetas, center, None, 0.0, 100, np.random.default_rng(0))
     np.testing.assert_allclose(pi, [0.0, 1.0])
 
 
