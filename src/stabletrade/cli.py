@@ -1,11 +1,14 @@
 """Experiment harness behind the ``stabletrade`` command.
 
 A single JSON file describes one experiment: which environment, which agents,
-which seeds, where results land.  ``run`` executes every (agent x seed) cell,
-optionally across worker processes, and writes per-cell trace CSVs next to an
-aggregate summary and plot-ready tables.  Every output file carries the config
-hash, re-running a config with the same seeds reproduces identical bytes, and
-a results directory refuses cells from a different config unless forced.
+which seeds, where results land.  Loading it runs its kind's parser once,
+which checks the config and turns it into cells, each a job over the parsed
+inputs, so bad input fails at load and never inside a cell.  ``run``
+executes every (cell x seed), optionally across worker processes that
+receive the jobs, and writes per-cell trace CSVs next to an aggregate
+summary and plot-ready tables.  Every output file carries the config hash,
+re-running a config with the same seeds reproduces identical bytes, and a
+results directory refuses cells from a different config unless forced.
 
 ``verify`` runs the built-in check suites (closed-form oracles, gradient
 probes, floor guarantees, reproducibility) and prints a machine-readable
@@ -21,6 +24,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from .rl_agents import (
     tournament,
     train,
 )
-from .stable_core import StableParams, char_fn, estimate_ecf, sample
+from .stable_core import _ECF_MIN_SAMPLES, StableParams, char_fn, estimate_ecf, sample
 from .tinynet import Mlp, gradient_check
 from .ts_agents import (
     ActsAgent,
@@ -69,9 +73,6 @@ from .ts_agents import (
 )
 
 FORMAT_VERSION = 1
-
-_KINDS = ("bandit-regret", "bayes-regret", "tournament", "backtest",
-          "execution", "estimate-stable")
 
 _ENV_FIELDS = set(EnvSpec.__dataclass_fields__)
 # synthetic-market keys: (admissible value, what the message asks for);
@@ -149,23 +150,30 @@ def _env_spec_from(raw):
     return EnvSpec(**d).validate()
 
 
-def _market_from(raw, fallback_seed=0):
-    """A price series from a CSV path or synthetic generator settings."""
-    d = dict(raw) if raw else {}
-    if "csv" in d:
-        extra = set(d) - {"csv"}
+def _market_settings(raw):
+    """A loaded CSV price series, or the checked synth_market keywords."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"env must be a table, got {raw!r}")
+    if "csv" in raw:
+        extra = set(raw) - {"csv"}
         if extra:
             raise ConfigError(f"csv markets take no other env keys: {sorted(extra)}")
-        return load_ohlcv(d["csv"])
-    extra = set(d) - set(_MARKET_KEYS)
+        return load_ohlcv(raw["csv"])
+    extra = set(raw) - set(_MARKET_KEYS)
     if extra:
         raise ConfigError(f"unknown market keys: {sorted(extra)}")
-    kw = {"d": 2, "days": 250, "seed": fallback_seed}    # synth_market's defaults otherwise
-    for key, v in d.items():
+    kw = {"d": 2, "days": 250}    # synth_market's defaults otherwise
+    for key, v in raw.items():
         ok, want = _MARKET_KEYS[key]
         _require(ok(v) or (v is None and key in ("alpha", "max_loss")), f"env.{key}", v, want)
         kw[key] = v if v is None or key in ("d", "days", "seed") else float(v)
-    return synth_market(**kw)
+    return kw
+
+
+def _market_from(raw):
+    """A price series from a CSV path or synthetic generator settings."""
+    market = _market_settings(raw)
+    return synth_market(**market) if isinstance(market, dict) else market
 
 
 def _check_param_keys(kind, params, allowed):
@@ -178,7 +186,10 @@ def _check_param_keys(kind, params, allowed):
 class ExperimentConfig:
     """One experiment: an environment, agents to run on it, seeds, a target
     directory.  The hash covers everything that shapes the results (not the
-    cosmetic name or the output location), so moved copies still match."""
+    cosmetic name or the output location), so moved copies still match.
+
+    ``validate`` parses the config into ``cells``: (label, job) pairs in
+    output order, where ``job(seed)`` runs one cell on the parsed inputs."""
 
     kind: str
     name: str = "experiment"
@@ -190,7 +201,7 @@ class ExperimentConfig:
     format_version: int = FORMAT_VERSION
 
     def validate(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if int(self.format_version) != FORMAT_VERSION:
             raise ConfigError(
@@ -198,116 +209,30 @@ class ExperimentConfig:
                 f"this build writes {FORMAT_VERSION}")
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
-        if not all(_is_int(s, 0) for s in self.seeds):
-            raise ConfigError(f"seeds must be integers >= 0, got {self.seeds!r}")
+        _require(all(_is_int(s, 0) for s in self.seeds), "seeds", self.seeds,
+                 "integers >= 0")
         self.seeds = list(self.seeds)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a table")
+        if not isinstance(self.agents, (list, tuple)):
+            raise ConfigError("agents must be a list")
         self.agents = [a if isinstance(a, dict) else {"algorithm": str(a)}
                        for a in self.agents]
         for a in self.agents:
             if "algorithm" not in a:
                 raise ConfigError("every agent entry needs an algorithm name")
-        getattr(self, "_validate_" + self.kind.replace("-", "_"))()
-        labels = self.labels()
+        cells = _KINDS[self.kind][0](self)
+        labels = [lab for lab, _ in cells]
+        for lab in labels:
+            if not (isinstance(lab, str) and
+                    lab.replace("_", "").replace("-", "").replace(".", "").isalnum()):
+                raise ConfigError(f"label {lab!r} not usable in file names")
         if len(set(labels)) != len(labels):
             raise ConfigError("agent labels must be distinct, set label: on duplicates")
-        for lab in labels:
-            if not lab.replace("_", "").replace("-", "").replace(".", "").isalnum():
-                raise ConfigError(f"label {lab!r} not usable in file names")
+        self.cells = cells
         return self
-
-    def _validate_bandit_regret(self):
-        _check_param_keys(self.kind, self.params, _BANDIT_PARAM_KEYS)
-        if "rounds" in self.params and not _is_int(self.params["rounds"], 1):
-            raise ConfigError(
-                f"params.rounds must be an integer >= 1, got {self.params['rounds']!r}")
-        if "env_seed" in self.params:
-            if self.kind == "bayes-regret":
-                raise ConfigError("bayes-regret draws the environment from each seed, "
-                                  "drop params.env_seed")
-            if not _is_int(self.params["env_seed"], 0):
-                raise ConfigError(f"params.env_seed must be an integer >= 0, "
-                                  f"got {self.params['env_seed']!r}")
-        spec = _env_spec_from(self.env)
-        if not self.agents:
-            raise ConfigError("bandit experiments need at least one agent")
-        for a in self.agents:
-            d = {k: v for k, v in a.items() if k != "label"}
-            if d["algorithm"] == "uniform":
-                if set(d) != {"algorithm"}:
-                    raise ConfigError("the uniform baseline takes no settings")
-                if spec.kind == "adversarial_mdp":
-                    raise ConfigError("the uniform baseline plays arm rounds, not episodes")
-                continue
-            AgentConfig.from_dict(d)
-
-    _validate_bayes_regret = _validate_bandit_regret
-
-    def _validate_tournament(self):
-        _check_param_keys(self.kind, self.params, _TOURNAMENT_PARAM_KEYS)
-        if self.env:
-            raise ConfigError("tournaments build their own markets, drop env")
-        for key, least in (("days", 2), ("episodes", 1)):
-            if key in self.params and not _is_int(self.params[key], least):
-                raise ConfigError(f"params.{key} must be an integer >= {least}, "
-                                  f"got {self.params[key]!r}")
-        self._check_fixed_roster(rl_agents.TOURNAMENT_AGENTS)
-
-    def _validate_backtest(self):
-        _check_param_keys(self.kind, self.params, _BACKTEST_PARAM_KEYS)
-        _market_from(self.env)
-        BacktestConfig.from_dict(self.params.get("backtest", {}))
-        self._check_fixed_roster(rl_agents.BACKTEST_AGENTS)
-
-    def _check_fixed_roster(self, roster):
-        for a in self.agents:
-            if set(a) - {"algorithm", "label"}:
-                raise ConfigError("roster agents take only algorithm and label")
-            if a["algorithm"] not in roster:
-                raise ConfigError(
-                    f"unknown agent {a['algorithm']!r}, choose from {list(roster)}")
-
-    def _validate_execution(self):
-        _check_param_keys(self.kind, self.params, _EXECUTION_PARAM_KEYS)
-        if self.agents:
-            raise ConfigError("execution runs trade the built-in floor policy, drop agents")
-        if "seed" in self.env:
-            raise ConfigError("execution draws one market per seed, drop env seed")
-        _market_from(self.env)
-        _execution_setup(self.params)
-        cad = self.cadences()
-        _require(isinstance(cad, list) and cad and all(_is_int(c, 1) for c in cad),
-                 "params.cadences", cad, "a non-empty list of integers >= 1")
-
-    def _validate_estimate_stable(self):
-        _check_param_keys(self.kind, self.params, _ESTIMATE_PARAM_KEYS)
-        if self.agents or self.env:
-            raise ConfigError("estimate-stable takes only params.file")
-        if "file" not in self.params:
-            raise ConfigError("estimate-stable needs params.file")
-        if "n_freq" in self.params and not _is_int(self.params["n_freq"], 2):
-            raise ConfigError(
-                f"params.n_freq must be an integer >= 2, got {self.params['n_freq']!r}")
-
-    def labels(self):
-        if self.kind in ("bandit-regret", "bayes-regret", "backtest"):
-            agents = self.agents or (
-                [{"algorithm": n} for n in rl_agents.BACKTEST_AGENTS]
-                if self.kind == "backtest" else [])
-            return [a.get("label", a["algorithm"]) for a in agents]
-        if self.kind == "tournament":
-            agents = self.agents or [{"algorithm": n}
-                                     for n in rl_agents.TOURNAMENT_AGENTS]
-            return [a.get("label", a["algorithm"]) for a in agents]
-        if self.kind == "execution":
-            return [f"c{c}" for c in self.cadences()]
-        return ["estimate"]
-
-    def cadences(self):
-        return self.params.get("cadences", [1, 5, 21])
 
     def canonical(self):
         # out_dir is where results land, not what the experiment is; leaving
@@ -364,37 +289,55 @@ class UniformAgent:
         return arm, env.pull(ctx.t, arm)
 
 
-def _bandit_agent(entry, spec, seed):
-    d = {k: v for k, v in entry.items() if k != "label"}
-    if d["algorithm"] == "uniform":
-        return UniformAgent(spec.n_arms, seed=seed)
-    cfg = AgentConfig.from_dict(d)
-    return make_agent(cfg, n_arms=spec.n_arms, dim=spec.dim,
-                      n_users=spec.n_users, seed=seed, mdp=spec.mdp)
-
-
 # ---------------------------------------------------------------------------
-# experiment cells
+# experiment kinds: each parser checks its kind's params, env and agents and
+# returns the cells as (label, job) pairs; a job is a picklable partial of a
+# cell function over the parsed inputs, called with the cell seed
 
 
-def _agent_entry(cfg, label):
-    agents = cfg.agents or [{"algorithm": n} for n in (
-        rl_agents.BACKTEST_AGENTS if cfg.kind == "backtest"
-        else rl_agents.TOURNAMENT_AGENTS)]
-    for a in agents:
-        if a.get("label", a["algorithm"]) == label:
-            return a
-    raise ConfigError(f"no agent labelled {label!r}")
-
-
-def _bandit_cell(cfg, label, seed):
-    spec = _env_spec_from(cfg.env)
-    rounds = int(cfg.params.get("rounds", spec.horizon))
+def _parse_bandit(cfg):
+    params = cfg.params
+    _check_param_keys(cfg.kind, params, _BANDIT_PARAM_KEYS)
+    if "rounds" in params:
+        _require(_is_int(params["rounds"], 1), "params.rounds", params["rounds"],
+                 "an integer >= 1")
     # a fixed-env study varies only the agent seed; the Bayes variant redraws
-    # the environment with the cell seed so averaging estimates the prior mean
-    env_seed = seed if cfg.kind == "bayes-regret" else int(cfg.params.get("env_seed", 0))
-    env = make_env(spec, env_seed)
-    agent = _bandit_agent(_agent_entry(cfg, label), spec, seed)
+    # the environment with the cell seed (env_seed None) so averaging
+    # estimates the prior mean
+    env_seed = None
+    if cfg.kind == "bandit-regret":
+        env_seed = params.get("env_seed", 0)
+        _require(_is_int(env_seed, 0), "params.env_seed", env_seed, "an integer >= 0")
+    elif "env_seed" in params:
+        raise ConfigError("bayes-regret draws the environment from each seed, "
+                          "drop params.env_seed")
+    spec = _env_spec_from(cfg.env)
+    rounds = params.get("rounds", spec.horizon)
+    if not cfg.agents:
+        raise ConfigError("bandit experiments need at least one agent")
+    cells = []
+    for a in cfg.agents:
+        d = {k: v for k, v in a.items() if k != "label"}
+        agent = None    # the uniform baseline
+        if d["algorithm"] == "uniform":
+            if set(d) != {"algorithm"}:
+                raise ConfigError("the uniform baseline takes no settings")
+            if spec.kind == "adversarial_mdp":
+                raise ConfigError("the uniform baseline plays arm rounds, not episodes")
+        else:
+            agent = AgentConfig.from_dict(d)
+        cells.append((a.get("label", d["algorithm"]),
+                      partial(_bandit_cell, spec, agent, rounds, env_seed)))
+    return cells
+
+
+def _bandit_cell(spec, agent_cfg, rounds, env_seed, seed):
+    env = make_env(spec, seed if env_seed is None else env_seed)
+    if agent_cfg is None:
+        agent = UniformAgent(spec.n_arms, seed=seed)
+    else:
+        agent = make_agent(agent_cfg, n_arms=spec.n_arms, dim=spec.dim,
+                           n_users=spec.n_users, seed=seed, mdp=spec.mdp)
     if spec.kind == "adversarial_mdp":
         rows = []
         cum = 0.0
@@ -415,29 +358,72 @@ def _bandit_cell(cfg, label, seed):
                       "mean_reward": float(np.mean(trace.rewards))}}
 
 
-def _tournament_cell(cfg, label, seed):
-    names = [a["algorithm"] for a in cfg.agents] or None
-    res = tournament(names, rounds=1, seed=seed,
-                     days=int(cfg.params.get("days", 120)),
-                     episodes=int(cfg.params.get("episodes", 40)))
+def _roster(cfg, roster, keys):
+    """The agent entries of a fixed-roster kind, each algorithm listed once;
+    the whole roster when none is listed."""
+    agents = cfg.agents or [{"algorithm": n} for n in roster]
+    seen = set()
+    for a in agents:
+        if set(a) - keys:
+            raise ConfigError(f"{cfg.kind} agents take only {' and '.join(sorted(keys))}")
+        name = a["algorithm"]
+        if name not in roster:
+            raise ConfigError(f"unknown agent {name!r}, choose from {list(roster)}")
+        if name in seen:
+            raise ConfigError(f"agent {name!r} is listed twice, list each algorithm once")
+        seen.add(name)
+    return agents
+
+
+def _parse_tournament(cfg):
+    params = cfg.params
+    _check_param_keys(cfg.kind, params, _TOURNAMENT_PARAM_KEYS)
+    if cfg.env:
+        raise ConfigError("tournaments build their own markets, drop env")
+    days, episodes = params.get("days", 120), params.get("episodes", 40)
+    _require(_is_int(days, 2), "params.days", days, "an integer >= 2")
+    _require(_is_int(episodes, 1), "params.episodes", episodes, "an integer >= 1")
+    names = [a["algorithm"] for a in
+             _roster(cfg, rl_agents.TOURNAMENT_AGENTS, {"algorithm"})]
+    if len(names) < 2:
+        raise ConfigError("a tournament needs at least two agents")
+    return [("round", partial(_tournament_cell, names, days, episodes))]
+
+
+def _tournament_cell(names, days, episodes, seed):
+    res = tournament(names, rounds=1, seed=seed, days=days, episodes=episodes)
     rows = [(n, float(res.returns[i, 0])) for i, n in enumerate(res.names)]
     return {"header": ("agent", "round_return"), "rows": rows,
             "stats": {"best": res.names[int(np.argmax(res.returns[:, 0]))]}}
 
 
-def _backtest_cell(cfg, label, seed):
+def _parse_backtest(cfg):
+    _check_param_keys(cfg.kind, cfg.params, _BACKTEST_PARAM_KEYS)
     series = _market_from(cfg.env)
     bt = BacktestConfig.from_dict(cfg.params.get("backtest", {}))
+    agents = _roster(cfg, rl_agents.BACKTEST_AGENTS, {"algorithm", "label"})
     train_series, test_series = bt.split(series)
-    name = _agent_entry(cfg, label)["algorithm"]
+    return [(a.get("label", a["algorithm"]),
+             partial(_backtest_cell, a["algorithm"], train_series, test_series, bt))
+            for a in agents]
+
+
+def _backtest_cell(name, train_series, test_series, bt, seed):
     curve = backtest_curve(name, train_series, test_series, seed, bt)
     rows = [(t, float(v)) for t, v in enumerate(curve)]
+    # the algorithm names the Table 3 row, the label only the files
     return {"header": ("day", "asset"), "rows": rows,
-            "stats": asdict(metrics(curve))}
+            "stats": asdict(metrics(curve)), "algorithm": name}
 
 
-def _execution_setup(params):
-    """(initial cash, cost in bps, CPPI floor rule) of an execution run."""
+def _parse_execution(cfg):
+    params = cfg.params
+    _check_param_keys(cfg.kind, params, _EXECUTION_PARAM_KEYS)
+    if cfg.agents:
+        raise ConfigError("execution runs trade the built-in floor policy, drop agents")
+    if "seed" in cfg.env:
+        raise ConfigError("execution draws one market per seed, drop env seed")
+    market = _market_settings(cfg.env)
     v = {}
     for key, (default, ok, want) in _EXECUTION_REALS.items():
         v[key] = params.get(key, default)
@@ -445,14 +431,17 @@ def _execution_setup(params):
                  f"a finite number {want}")
     initial_cash = float(v["initial_cash"])
     rule = CppiConfig(floor=float(v["floor"]) * initial_cash,
-                      multiplier=float(v["multiplier"]))
-    return initial_cash, float(v["cost_bps"]), rule.validate(initial_cash)
+                      multiplier=float(v["multiplier"])).validate(initial_cash)
+    cadences = params.get("cadences", [1, 5, 21])
+    _require(isinstance(cadences, list) and cadences and all(_is_int(c, 1) for c in cadences),
+             "params.cadences", cadences, "a non-empty list of integers >= 1")
+    return [(f"c{c}", partial(_execution_cell, market, initial_cash,
+                              float(v["cost_bps"]), rule, c))
+            for c in cadences]
 
 
-def _execution_cell(cfg, label, seed):
-    cadence = int(label[1:])
-    series = _market_from(cfg.env, fallback_seed=seed)
-    initial_cash, cost_bps, rule = _execution_setup(cfg.params)
+def _execution_cell(market, initial_cash, cost_bps, rule, cadence, seed):
+    series = synth_market(**market, seed=seed) if isinstance(market, dict) else market
     env = TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
     curve = run_policy(env, lambda state: (cppi_expert_action(state, rule)
                                            if state.t % cadence == 0
@@ -464,11 +453,11 @@ def _execution_cell(cfg, label, seed):
 
 
 def _read_reals(path):
-    """Newline-delimited reals; blank lines and # comments are skipped."""
+    """Newline-delimited finite reals; blank lines and # comments are skipped."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read samples from {path}: {exc}") from None
     out = []
     for i, line in enumerate(lines):
@@ -479,6 +468,8 @@ def _read_reals(path):
             out.append(float(s))
         except ValueError:
             raise DataError(f"{path} line {i + 1}: not a real number: {s!r}") from None
+        if not np.isfinite(out[-1]):
+            raise DataError(f"{path} line {i + 1}: not a finite number: {s!r}")
     if not out:
         raise DataError(f"{path} holds no samples")
     return np.asarray(out)
@@ -490,35 +481,32 @@ def _estimate_payload(est, n):
             "delta": p.delta, "n": int(n), "degenerate": bool(est.degenerate)}
 
 
-def _estimate_cell(cfg, label, seed):
-    xs = _read_reals(cfg.params["file"])
-    est = estimate_ecf(xs, n_freq=cfg.params.get("n_freq", 10))
+def _parse_estimate(cfg):
+    params = cfg.params
+    _check_param_keys(cfg.kind, params, _ESTIMATE_PARAM_KEYS)
+    if cfg.agents or cfg.env:
+        raise ConfigError("estimate-stable takes only params.file")
+    if "file" not in params:
+        raise ConfigError("estimate-stable needs params.file")
+    n_freq = params.get("n_freq", 10)
+    _require(_is_int(n_freq, 2), "params.n_freq", n_freq, "an integer >= 2")
+    path = params["file"]
+    _require(isinstance(path, str), "params.file", path, "a file path")
+    xs = _read_reals(path)
+    if xs.size < _ECF_MIN_SAMPLES:
+        raise InsufficientDataError(f"params.file {path} holds {xs.size} samples, "
+                                    f"need at least {_ECF_MIN_SAMPLES}")
+    return [("estimate", partial(_estimate_cell, xs, n_freq))]
+
+
+def _estimate_cell(xs, n_freq, seed):
+    est = estimate_ecf(xs, n_freq=n_freq)
     return {"header": None, "rows": None, "stats": _estimate_payload(est, xs.size)}
 
 
-_CELL_RUNNERS = {
-    "bandit-regret": _bandit_cell,
-    "bayes-regret": _bandit_cell,
-    "tournament": _tournament_cell,
-    "backtest": _backtest_cell,
-    "execution": _execution_cell,
-    "estimate-stable": _estimate_cell,
-}
-
-
-def _cells_for(cfg):
-    if cfg.kind == "estimate-stable":
-        return [("estimate", cfg.seeds[0])]
-    if cfg.kind == "tournament":
-        return [("round", s) for s in cfg.seeds]
-    return [(lab, s) for s in cfg.seeds for lab in cfg.labels()]
-
-
-def _run_cell(cfg_dict, label, seed):
+def _run_cell(label, seed, job):
     try:
-        cfg = ExperimentConfig.from_dict(cfg_dict)
-        out = _CELL_RUNNERS[cfg.kind](cfg, label, seed)
-        return {"label": label, "seed": seed, "status": "ok", **out}
+        return {"label": label, "seed": seed, "status": "ok", **job(seed)}
     except Exception as exc:    # any cell failure becomes report content
         return {"label": label, "seed": seed, "status": "error",
                 "error": f"{type(exc).__name__}: {exc}"}
@@ -574,18 +562,20 @@ def _ok(results):
     return [r for r in results if r["status"] == "ok"]
 
 
-def _by_label(cfg, results):
-    order = cfg.labels()
-    ok = _ok(results)
-    return {lab: [r for r in ok if r["label"] == lab] for lab in order}
+def _by_label(results):
+    """The ok results of each label that has any, labels in cell order."""
+    by = {r["label"]: [] for r in results}
+    for r in _ok(results):
+        by[r["label"]].append(r)
+    return {lab: rs for lab, rs in by.items() if rs}
 
 
 def _agg_bandit(cfg, h, results, out_dir):
-    by = _by_label(cfg, results)
+    by = _by_label(results)
     curves = {lab: np.mean([[row[3] for row in r["rows"]] for r in rs], axis=0)
-              for lab, rs in by.items() if rs}
+              for lab, rs in by.items()}
     if curves:
-        cols = [lab for lab in cfg.labels() if lab in curves]
+        cols = list(curves)
         horizon = len(curves[cols[0]])
         lines = [f"# config={h} seeds={_seed_tag(cfg)}", ",".join(["t"] + cols)]
         for t in range(horizon):
@@ -594,7 +584,7 @@ def _agg_bandit(cfg, h, results, out_dir):
         _write_lines(os.path.join(out_dir, "regret_mean.csv"), lines)
     return {"total_regret_mean":
             {lab: float(np.mean([r["stats"]["total_regret"] for r in rs]))
-             for lab, rs in by.items() if rs}}
+             for lab, rs in by.items()}}
 
 
 def _agg_tournament(cfg, h, results, out_dir):
@@ -625,13 +615,13 @@ def _cell_metrics(r):
 
 
 def _agg_backtest(cfg, h, results, out_dir):
-    by = {lab: rs for lab, rs in _by_label(cfg, results).items() if rs}
+    by = _by_label(results)
     if not by:
         return {}
     names = list(by)
     per_seed = {lab: [_cell_metrics(r) for r in rs] for lab, rs in by.items()}
     rows = {lab: median_metrics(ms) for lab, ms in per_seed.items()}
-    algo = {lab: _agent_entry(cfg, lab)["algorithm"] for lab in names}
+    algo = {lab: rs[0]["algorithm"] for lab, rs in by.items()}
     res = BacktestResult(names=[algo[lab] for lab in names],
                          rows={algo[lab]: rows[lab] for lab in names},
                          per_seed={algo[lab]: per_seed[lab] for lab in names})
@@ -648,7 +638,7 @@ def _agg_backtest(cfg, h, results, out_dir):
 
 
 def _agg_execution(cfg, h, results, out_dir):
-    by = {lab: rs for lab, rs in _by_label(cfg, results).items() if rs}
+    by = _by_label(results)
     if not by:
         return {}
     lines = [f"# config={h} seeds={_seed_tag(cfg)}",
@@ -673,13 +663,14 @@ def _agg_estimate(cfg, h, results, out_dir):
     return dict(stats)
 
 
-_AGGREGATORS = {
-    "bandit-regret": _agg_bandit,
-    "bayes-regret": _agg_bandit,
-    "tournament": _agg_tournament,
-    "backtest": _agg_backtest,
-    "execution": _agg_execution,
-    "estimate-stable": _agg_estimate,
+# kind -> (parser, aggregator)
+_KINDS = {
+    "bandit-regret": (_parse_bandit, _agg_bandit),
+    "bayes-regret": (_parse_bandit, _agg_bandit),
+    "tournament": (_parse_tournament, _agg_tournament),
+    "backtest": (_parse_backtest, _agg_backtest),
+    "execution": (_parse_execution, _agg_execution),
+    "estimate-stable": (_parse_estimate, _agg_estimate),
 }
 
 
@@ -710,7 +701,8 @@ def _resolve_workers(workers):
 
 
 def run(config, workers=None, force=False):
-    """Execute every cell of the experiment and persist the result bundle.
+    """Execute every cell of a validated experiment and persist the result
+    bundle.
 
     Results land in config.out_dir; a directory already holding another
     config's results is refused unless force is set.  Cells run seed by seed,
@@ -732,22 +724,22 @@ def run(config, workers=None, force=False):
             raise ConfigError(
                 f"{out_dir} holds results for config {prev}, not {h}; "
                 "pass --force to overwrite")
-    cells = _cells_for(config)
-    cfg_dict = config.canonical()
+    # an estimate is one fit, whatever the seeds
+    seeds = config.seeds[:1] if config.kind == "estimate-stable" else config.seeds
+    cells = [(lab, s, job) for s in seeds for lab, job in config.cells]
     # never more worker processes than cores or cells
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_cell, [cfg_dict] * len(cells),
-                                  [c[0] for c in cells], [c[1] for c in cells]))
+            results = list(ex.map(_run_cell, *zip(*cells)))
     else:
-        results = [_run_cell(cfg_dict, lab, s) for lab, s in cells]
+        results = [_run_cell(*c) for c in cells]
 
     _write_json(guard, {"hash": h, "config": config.canonical()})
     for r in results:
         if r["status"] == "ok" and r.get("rows") is not None:
             _write_trace(out_dir, h, r)
-    aggregate = _AGGREGATORS[config.kind](config, h, results, out_dir)
+    aggregate = _KINDS[config.kind][1](config, h, results, out_dir)
     cell_summaries = []
     for r in results:
         entry = {"label": r["label"], "seed": r["seed"], "status": r["status"]}
@@ -1199,10 +1191,10 @@ def _cmd_run(args):
     cfg = load_config(args.config)
     if args.seeds:
         cfg.seeds = _parse_seed_list(args.seeds)
+        cfg.validate()
     out = args.out or os.environ.get("STABLETRADE_OUT")
     if out:
         cfg.out_dir = out
-    cfg.validate()
     report = run(cfg, workers=args.workers, force=args.force)
     n_ok = len(report.cells) - len(report.failures)
     print(f"{n_ok}/{len(report.cells)} cells ok -> {report.out_dir} "

@@ -105,13 +105,6 @@ class ReplayBuffer:
         return Batch(*(None if col is None else col[idx] for col in self._cols))
 
 
-def _check_ints(table, cfg, least_by_key):
-    for key, least in least_by_key:
-        v = getattr(cfg, key)
-        if not _is_int(v, least):
-            raise ConfigError(f"{table}.{key} must be an integer >= {least}, got {v!r}")
-
-
 @dataclass
 class TrainConfig:
     gamma: float = 0.99
@@ -141,9 +134,11 @@ class TrainConfig:
             raise ConfigError("gamma must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError("tau must lie in (0, 1]")
-        _check_ints("train", self, (("batch", 1), ("buffer_capacity", 1),
-                                    ("n_candidates", 0), ("pretrain_steps", 0),
-                                    ("pretrain_episodes", 0), ("warmup_steps", 0)))
+        for key, least in (("batch", 1), ("buffer_capacity", 1), ("n_candidates", 0),
+                           ("pretrain_steps", 0), ("pretrain_episodes", 0),
+                           ("warmup_steps", 0)):
+            v = getattr(self, key)
+            _require(_is_int(v, least), f"train.{key}", v, f"an integer >= {least}")
         if self.buffer_capacity < self.batch:
             raise ConfigError("need buffer capacity >= batch >= 1")
         if not isinstance(self.hidden, (tuple, list)) \
@@ -843,7 +838,9 @@ class BacktestConfig:
         return cfg.validate()
 
     def validate(self):
-        _check_ints("backtest", self, (("episodes", 1), ("window", 1)))
+        for key in ("episodes", "window"):
+            v = getattr(self, key)
+            _require(_is_int(v, 1), f"backtest.{key}", v, "an integer >= 1")
         for key, ok, want in (("split_ratio", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
                               ("initial_cash", lambda v: v > 0.0, "> 0"),
                               ("cost_bps", lambda v: 0.0 <= v < 1e4, "in [0, 10000)"),

@@ -26,6 +26,7 @@ _LN_INV_CF_FLOOR = np.log(1e12)   # |CF| at the integration cutoff is 1e-12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 16384
 _SIGMA_FLOOR = 1e-12
+_ECF_MIN_SAMPLES = 50    # estimate_ecf refuses fewer samples
 # PdfTable.density: point count from which the computed knot index beats
 # np.interp's search, and the index estimate's downward bias in knot widths
 _DIRECT_MIN_POINTS = 600
@@ -313,8 +314,8 @@ def estimate_ecf(samples, n_freq=10):
     if n_freq < 2:
         raise ParamError(f"n_freq must be at least 2, got {n_freq}")
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 50:
-        raise InsufficientDataError(f"need at least 50 samples, got {x.size}")
+    if x.size < _ECF_MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {_ECF_MIN_SAMPLES} samples, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ParamError("samples must be finite")
     if np.ptp(x) == 0.0:

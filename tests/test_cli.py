@@ -16,6 +16,9 @@ from stabletrade.stable_core import StableParams, sample
 
 LINEAR_ENV = {"kind": "linear", "n_arms": 3, "dim": 3, "horizon": 100,
               "mu": [0.0, 0.5, 1.0]}
+MDP_TOY = {"n_states": 2, "n_actions": 2, "horizon": 2,
+           "transitions": [[0, 1], [0, 1]], "rewards": [[0.3, 0.1], [0.0, 1.0]],
+           "start_states": [0]}
 
 
 def small_config(out_dir, **over):
@@ -88,6 +91,19 @@ def test_roster_kinds_reject_unknown_agents():
         ExperimentConfig.from_dict(
             {"kind": "backtest", "agents": ["up", "ppo"],
              "env": {"d": 2, "days": 60}})
+    # each algorithm runs once: a second listing would only repeat its cells
+    with pytest.raises(ConfigError, match="'ql' is listed twice"):
+        ExperimentConfig.from_dict({"kind": "tournament", "agents": ["ql", "dqn", "ql"]})
+    with pytest.raises(ConfigError, match="'up' is listed twice"):
+        ExperimentConfig.from_dict(
+            {"kind": "backtest", "agents": ["up", {"algorithm": "up", "label": "up2"}],
+             "env": {"d": 2, "days": 60}})
+    # tournament cells are rounds and its tables name algorithms: no labels
+    with pytest.raises(ConfigError, match="tournament agents take only algorithm"):
+        ExperimentConfig.from_dict(
+            {"kind": "tournament", "agents": ["ql", {"algorithm": "dqn", "label": "d"}]})
+    with pytest.raises(ConfigError, match="at least two agents"):
+        ExperimentConfig.from_dict({"kind": "tournament", "agents": ["ql"]})
 
 
 def test_tournament_rejects_env_table():
@@ -157,7 +173,7 @@ def test_same_algorithm_twice_with_labels(tmp_path):
     cfg = small_config(tmp_path, agents=[
         {"algorithm": "cts", "label": "cts_tight", "v": 0.1},
         {"algorithm": "cts", "label": "cts_wide", "v": 1.0}])
-    assert cfg.labels() == ["cts_tight", "cts_wide"]
+    assert [label for label, _ in cfg.cells] == ["cts_tight", "cts_wide"]
 
 
 def test_stable_params_from_list_and_dict():
@@ -256,11 +272,33 @@ def test_bandit_run_writes_the_bundle(tmp_path):
     assert len(mean_lines) == 62
 
 
-def test_bandit_rerun_is_byte_identical(tmp_path):
-    cfg1 = small_config(tmp_path / "a")
-    cfg2 = small_config(tmp_path / "b")
-    cli.run(cfg1, workers=1)
+RERUN_KINDS = {
+    "bandit": {},
+    "tournament": {"kind": "tournament", "env": {}, "agents": ["ql", "cb_ts"],
+                   "params": {"days": 30, "episodes": 2}},
+    "backtest": {"kind": "backtest", "agents": ["up", "ad_ts"], "params": {},
+                 "env": {"d": 2, "days": 60, "vol": 0.3, "seed": 3, "max_loss": 0.2}},
+    "execution": {"kind": "execution", "agents": [], "env": {"d": 2, "days": 40},
+                  "params": {"cadences": [1, 5], "floor": 0.8}},
+    "estimate-stable": {"kind": "estimate-stable", "env": {}, "agents": [],
+                        "params": {"file": "x.txt"}},
+    "adversarial_mdp": {"env": {"kind": "adversarial_mdp", "mdp": MDP_TOY,
+                                "noise": [1.8, 0.0, 0.3, 0.0]},
+                        "agents": [{"algorithm": "mdp_acts"}], "params": {"rounds": 30}},
+}
+
+
+@pytest.mark.parametrize("kind", list(RERUN_KINDS))
+def test_bandit_rerun_is_byte_identical(tmp_path, monkeypatch, kind):
+    # worker processes run the parsed cells they unpickle
+    monkeypatch.chdir(tmp_path)
+    xs = np.random.default_rng(0).standard_t(3, size=200)
+    (tmp_path / "x.txt").write_text("\n".join(repr(float(v)) for v in xs) + "\n")
+    cfg1 = small_config(tmp_path / "a", **RERUN_KINDS[kind])
+    cfg2 = small_config(tmp_path / "b", **RERUN_KINDS[kind])
+    assert cli.run(cfg1, workers=1).failures == []
     cli.run(cfg2, workers=2)
+    assert sorted(os.listdir(tmp_path / "a")) == sorted(os.listdir(tmp_path / "b"))
     for name in os.listdir(tmp_path / "a"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
@@ -626,11 +664,6 @@ def test_backtest_params_at_their_lower_limits_are_valid():
                                 "params": {"backtest": {"train": train}}})
 
 
-MDP_TOY = {"n_states": 2, "n_actions": 2, "horizon": 2,
-           "transitions": [[0, 1], [0, 1]], "rewards": [[0.3, 0.1], [0.0, 1.0]],
-           "start_states": [0]}
-
-
 @pytest.mark.parametrize("over, key", [
     ({"env": {"kind": "adversarial_mdp", "mdp": {**MDP_TOY, "n_states": "x"}}},
      "mdp.n_states"),
@@ -671,6 +704,7 @@ def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key)
 BACKTEST_RUN = {"kind": "backtest", "agents": ["up"], "seeds": [0], "params": {}}
 EXECUTION_RUN = {"kind": "execution", "agents": [], "seeds": [0],
                  "env": {"d": 1, "days": 30}}
+ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]}
 
 
 @pytest.mark.parametrize("over, key", [
@@ -704,9 +738,26 @@ EXECUTION_RUN = {"kind": "execution", "agents": [], "seeds": [0],
     ({**EXECUTION_RUN, "params": {"initial_cash": -5}}, "params.initial_cash"),
     ({**EXECUTION_RUN, "params": {"cost_bps": float("nan")}}, "params.cost_bps"),
     ({**EXECUTION_RUN, "params": {"multiplier": -1}}, "params.multiplier"),
+    # met at load, before any cell runs
+    ({**BACKTEST_RUN, "env": {"days": 4}}, "test split too short"),
+    ({**ESTIMATE_RUN, "params": {"file": "no-such-samples.txt"}}, "no-such-samples.txt"),
+    ({**ESTIMATE_RUN, "params": {"file": "."}}, "cannot read samples"),
+    ({**ESTIMATE_RUN, "params": {"file": "binary.txt"}}, "cannot read samples"),
+    ({**ESTIMATE_RUN, "params": {"file": "bad.txt"}}, "line 2"),
+    ({**ESTIMATE_RUN, "params": {"file": "nan.txt"}}, "not a finite number"),
+    ({**ESTIMATE_RUN, "params": {"file": "short.txt"}}, "need at least 50"),
+    ({**ESTIMATE_RUN, "params": {"file": ["x.txt"]}}, "params.file"),
+    ({**BACKTEST_RUN, "env": [1, 2]}, "env must be a table"),
+    ({"agents": [{"algorithm": "cts", "label": 5}]}, "label 5"),
+    ({"agents": 5}, "agents must be a list"),
 ])
 def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
-                                                                 over, key):
+                                                                 monkeypatch, over, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00\x81\n")
+    (tmp_path / "bad.txt").write_text("1.0\noops\n")
+    (tmp_path / "nan.txt").write_text("1.0\nnan\n")
+    (tmp_path / "short.txt").write_text("".join(f"{i}\n" for i in range(10)))
     path = write_config(tmp_path, **over)
     assert cli.main(["run", str(path), "--workers", "1"]) == 2
     err = capsys.readouterr().err

@@ -1,7 +1,7 @@
-"""Dead-surface guard: every public top-level function or class in the package
-is used somewhere in the package outside its own definition, or is a listed
-test oracle, and every public method of a public class is read as an
-attribute somewhere in the package."""
+"""Dead-surface guard: every top-level function or class in the package is
+used somewhere in the package outside its own definition, or is a listed
+public test oracle; every public method of a public class, and every private
+method of any class, is read as an attribute somewhere in the package."""
 
 import ast
 import pathlib
@@ -33,16 +33,15 @@ def _uses(node):
             yield sub.attr
 
 
-def unreferenced_public_names(src=SRC):
-    """(module, name) of each public top-level def or class no other code uses."""
+def unreferenced_names(src=SRC):
+    """(module, name) of each top-level def or class no other code uses."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     defined = []
     used = set()
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined.append((module, node))
+                defined.append((module, node))
                 # uses inside a definition count for every name but its own
                 used.update((n, node.name) for n in _uses(node))
             else:
@@ -51,24 +50,24 @@ def unreferenced_public_names(src=SRC):
             if not any(n == node.name and owner != node.name for n, owner in used)]
 
 
-def unused_public_methods(src=SRC):
-    """(module, class, method) of each public method of a public class whose
-    name no package code reads as an attribute."""
+def unread_methods(src=SRC):
+    """(module, class, method) of each method whose name no package code reads
+    as an attribute; special methods, which the language calls, are left out."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     attrs = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
              if isinstance(sub, ast.Attribute)}
     return [(module, cls.name, fn.name)
             for module, tree in trees.items()
             for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            if isinstance(cls, ast.ClassDef)
             for fn in cls.body
-            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
             and fn.name not in attrs]
 
 
 def test_every_public_name_has_a_caller_or_is_an_oracle():
-    dead = [f"{module}.{name}" for module, name in unreferenced_public_names()
-            if name not in ORACLES]
+    dead = [f"{module}.{name}" for module, name in unreferenced_names()
+            if not name.startswith("_") and name not in ORACLES]
     assert dead == []
 
 
@@ -80,5 +79,14 @@ def test_every_oracle_still_exists():
 
 
 def test_every_public_method_is_read_somewhere():
-    dead = [f"{module}.{cls}.{name}" for module, cls, name in unused_public_methods()]
+    dead = [f"{module}.{cls}.{name}" for module, cls, name in unread_methods()
+            if not cls.startswith("_") and not name.startswith("_")]
+    assert dead == []
+
+
+def test_every_private_name_and_method_is_read_somewhere():
+    dead = ([f"{module}.{name}" for module, name in unreferenced_names()
+             if name.startswith("_")]
+            + [f"{module}.{cls}.{name}" for module, cls, name in unread_methods()
+               if name.startswith("_")])
     assert dead == []
