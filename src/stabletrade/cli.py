@@ -203,10 +203,14 @@ class ExperimentConfig:
     def validate(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if int(self.format_version) != FORMAT_VERSION:
+        _require(_is_int(self.format_version), "format_version", self.format_version,
+                 "an integer")
+        if self.format_version != FORMAT_VERSION:
             raise ConfigError(
                 f"format_version {self.format_version} unsupported, "
                 f"this build writes {FORMAT_VERSION}")
+        _require(isinstance(self.out_dir, (str, os.PathLike)) and self.out_dir != "",
+                 "out_dir", self.out_dir, "a non-empty directory path")
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
         _require(all(_is_int(s, 0) for s in self.seeds), "seeds", self.seeds,
@@ -241,7 +245,7 @@ class ExperimentConfig:
             "kind": self.kind, "name": self.name, "env": self.env,
             "agents": self.agents, "seeds": list(self.seeds),
             "params": self.params,
-            "format_version": int(self.format_version),
+            "format_version": self.format_version,
         }
 
     def hash(self):
@@ -318,15 +322,17 @@ def _parse_bandit(cfg):
     cells = []
     for a in cfg.agents:
         d = {k: v for k, v in a.items() if k != "label"}
+        alg = d["algorithm"]
         agent = None    # the uniform baseline
-        if d["algorithm"] == "uniform":
+        if alg == "uniform":
             if set(d) != {"algorithm"}:
                 raise ConfigError("the uniform baseline takes no settings")
-            if spec.kind == "adversarial_mdp":
-                raise ConfigError("the uniform baseline plays arm rounds, not episodes")
         else:
             agent = AgentConfig.from_dict(d)
-        cells.append((a.get("label", d["algorithm"]),
+        if (alg == "mdp_acts") != (spec.kind == "adversarial_mdp"):
+            raise ConfigError(f"agent {alg!r} does not fit env kind {spec.kind!r}: mdp_acts "
+                              "plays adversarial_mdp episodes, every other agent arm rounds")
+        cells.append((a.get("label", alg),
                       partial(_bandit_cell, spec, agent, rounds, env_seed)))
     return cells
 
@@ -424,6 +430,9 @@ def _parse_execution(cfg):
     if "seed" in cfg.env:
         raise ConfigError("execution draws one market per seed, drop env seed")
     market = _market_settings(cfg.env)
+    if not isinstance(market, dict) and market.n_days < 2:
+        raise ConfigError(f"env.csv {cfg.env['csv']!r} holds {market.n_days} day, "
+                          "an execution run needs at least 2")
     v = {}
     for key, (default, ok, want) in _EXECUTION_REALS.items():
         v[key] = params.get(key, default)
@@ -862,7 +871,8 @@ def check_regret_sublinearity():
 
 
 def check_degeneracy_equivalence():
-    """Coupled variants at zero coupling replay their parents arm for arm."""
+    """The per-user variants with one user at lam = 0 replay their parents
+    arm for arm."""
     t0 = time.perf_counter()
     spec = EnvSpec(kind="linear", n_arms=4, dim=6, horizon=100,
                    mu=np.linspace(0.0, 1.0, 6))

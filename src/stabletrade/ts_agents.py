@@ -16,10 +16,10 @@ per arm, so a run of T rounds costs O(T^2) in total. The likelihood at the
 current locations is cached per reward, so a new reward costs dim points and
 only a refit re-evaluates the whole history.
 
-The semi-contextual variants keep one state slot per user and correct the local
-estimator with an affinity-weighted sum over the other users' slots; at
-lambda = 0 the corrections are exactly zero and each slot replays its parent
-algorithm draw for draw.
+The semi-contextual variants (scts, sacts) keep one independent state slot per
+user: a user's round reads and updates only that user's slot. lam only scales
+each slot's initial precision when there are several users, so with one user
+or at lam = 0 each slot replays its parent algorithm draw for draw.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +37,7 @@ _ALGORITHMS = ("cts", "acts", "scts", "sacts", "mdp_acts", "plain_ats")
 class AgentConfig:
     algorithm: str
     v: float = None              # exploration scale; None picks a lineage default
-    lam: float = 0.3             # cross-user coupling strength
+    lam: float = 0.3             # initial precision scale of each user's slot
     refresh_every: int = 25      # rewards between characteristic-function refits
     mc_probs: int = 200          # resamples behind each pi estimate
     mh_step_scale: float = 0.1   # proposal step as a fraction of the arm scale
@@ -122,20 +122,11 @@ def _weighted_update(b, y, thetas, weights, arm, reward):
     return theta_bar
 
 
-def _coupled_estimate(j, lam, affinity, mu_bars, bs):
-    """User j's center mu_bar_j - B_j^-1 sum_k lam l_jk mu_bar_k and precision
-    B_j + lam^2 sum_k l_jk^2 B_k^-1, both sums over the other users."""
-    coupling = np.zeros(mu_bars[j].shape[0])
-    gamma = bs[j].copy()
-    for k in range(len(bs)):
-        if k == j:
-            continue
-        w = lam * affinity[j, k]
-        if w != 0.0:
-            coupling += w * mu_bars[k]
-            gamma += w * w * np.linalg.inv(bs[k])
-    center = mu_bars[j] - _solve_spd(bs[j], coupling)
-    return center, gamma
+def _initial_b(lam, n_users, dim):
+    """A user slot's starting precision: lam * I when other users exist and
+    lam > 0, the parent algorithm's I otherwise."""
+    scale = lam if n_users > 1 and lam > 0.0 else 1.0
+    return scale * np.eye(dim)
 
 
 class _RewardHistory:
@@ -283,6 +274,19 @@ def tail_weights(beliefs, deltas, cutoff):
 # Gaussian lineage
 
 
+def _cts_round(b, y, mu_bar, thetas, v, n_mc, rng, env, t):
+    """One Gaussian-lineage round on the state (b, y, mu_bar): draw mu, pull
+    the arm it ranks first, estimate pi and update b and y in place. Returns
+    the arm, the reward and the new center."""
+    chol = np.linalg.cholesky(b) if v > 0.0 else None
+    mu_hat = _draw_mu(mu_bar, chol, v, rng)
+    arm = int(np.argmax(thetas @ mu_hat))
+    reward = env.pull(t, arm)
+    pi = _pi_estimate(thetas, mu_bar, chol, v, n_mc, rng)
+    _weighted_update(b, y, thetas, pi, arm, reward)
+    return arm, reward, _solve_spd(b, y)
+
+
 class CtsAgent:
     """Contextual Thompson sampling with resampled pull probabilities."""
 
@@ -290,83 +294,43 @@ class CtsAgent:
 
     def __init__(self, n_arms, dim, config, seed):
         config.validate()
-        self.n_arms, self.dim = n_arms, dim
         self.config = config
         self.v = config.resolved_v()
         self.rng = np.random.default_rng(seed)
         self.B = np.eye(dim)
         self.y = np.zeros(dim)
         self.mu_bar = np.zeros(dim)
-        self.history = []
 
     def step(self, ctx, env):
-        thetas = np.asarray(ctx.contexts, dtype=float)
-        chol = np.linalg.cholesky(self.B) if self.v > 0.0 else None
-        mu_hat = _draw_mu(self.mu_bar, chol, self.v, self.rng)
-        arm = int(np.argmax(thetas @ mu_hat))
-        reward = env.pull(ctx.t, arm)
-        pi = _pi_estimate(thetas, self.mu_bar, chol, self.v, self.config.mc_probs, self.rng)
-        _weighted_update(self.B, self.y, thetas, pi, arm, reward)
-        self.mu_bar = _solve_spd(self.B, self.y)
-        self.history.append(
-            dict(thetas=thetas.copy(), weights=pi.copy(), arm=arm, reward=reward)
-        )
+        arm, reward, self.mu_bar = _cts_round(
+            self.B, self.y, self.mu_bar, np.asarray(ctx.contexts, dtype=float),
+            self.v, self.config.mc_probs, self.rng, env, ctx.t)
         return arm, reward
 
-class SctsAgent:
-    """Per-user contextual sampling with affinity-coupled estimators.
 
-    The active user's center is mu_bar_j - B_j^-1 sum_k lam l_jk mu_bar_k and
-    the sampling precision is B_j + lam^2 sum_k l_jk^2 B_k^-1, both sums over
-    the other users. With lam = 0 every slot runs the parent algorithm
-    unchanged.
-    """
+class SctsAgent:
+    """Per-user contextual sampling: each user keeps an independent
+    (B, y, mu_bar) slot and plays the cts round on it."""
 
     algorithm = "scts"
 
-    def __init__(self, n_arms, dim, config, seed, n_users=1, affinity=None):
+    def __init__(self, n_arms, dim, config, seed, n_users=1):
         config.validate()
-        self.n_arms, self.dim, self.n_users = n_arms, dim, n_users
+        self.n_users = n_users
         self.config = config
         self.v = config.resolved_v()
-        self.lam = float(config.lam)
-        self.affinity = np.eye(n_users) if affinity is None else np.asarray(affinity, dtype=float)
-        if self.affinity.shape != (n_users, n_users):
-            raise ConfigError("affinity matrix shape must be (n_users, n_users)")
         self.rng = np.random.default_rng(seed)
-        self.B = [self._init_b(j) for j in range(n_users)]
+        self.B = [_initial_b(float(config.lam), n_users, dim) for _ in range(n_users)]
         self.y = [np.zeros(dim) for _ in range(n_users)]
         self.mu_bar = [np.zeros(dim) for _ in range(n_users)]
-        self.history = []
-
-    def _init_b(self, j=0):
-        # the coupled-header scale only applies when other users exist;
-        # a lone user degrades to the parent algorithm including its init
-        scale = self.lam * self.affinity[j, j]
-        if self.n_users == 1 or scale <= 0.0:
-            scale = 1.0
-        return scale * np.eye(self.dim)
-
-    def local_estimate(self, j):
-        """Coupled center and precision for user j."""
-        return _coupled_estimate(j, self.lam, self.affinity, self.mu_bar, self.B)
 
     def step(self, ctx, env):
         j = ctx.user
         if not 0 <= j < self.n_users:
             raise ParamError(f"unknown user index {j}")
-        thetas = np.asarray(ctx.contexts, dtype=float)
-        center, gamma = self.local_estimate(j)
-        chol = np.linalg.cholesky(gamma) if self.v > 0.0 else None
-        mu_hat = _draw_mu(center, chol, self.v, self.rng)
-        arm = int(np.argmax(thetas @ mu_hat))
-        reward = env.pull(ctx.t, arm)
-        pi = _pi_estimate(thetas, center, chol, self.v, self.config.mc_probs, self.rng)
-        _weighted_update(self.B[j], self.y[j], thetas, pi, arm, reward)
-        self.mu_bar[j] = _solve_spd(self.B[j], self.y[j])
-        self.history.append(
-            dict(user=j, thetas=thetas.copy(), weights=pi.copy(), arm=arm, reward=reward)
-        )
+        arm, reward, self.mu_bar[j] = _cts_round(
+            self.B[j], self.y[j], self.mu_bar[j], np.asarray(ctx.contexts, dtype=float),
+            self.v, self.config.mc_probs, self.rng, env, ctx.t)
         return arm, reward
 
 
@@ -377,8 +341,8 @@ class SctsAgent:
 class _StableSlot:
     """Per-user bundle of the asymmetric agent's state."""
 
-    def __init__(self, n_arms, dim):
-        self.B = np.eye(dim)
+    def __init__(self, n_arms, dim, b):
+        self.B = b
         self.y = np.zeros(dim)
         self.mu_bar = np.zeros(dim)
         self.theta = np.zeros((n_arms, dim))
@@ -397,19 +361,18 @@ class _StableSlot:
 
 class _StableBase:
     """Warm-up, MH sweeps, tail weighting and refresh cadence shared by the
-    asymmetric agents. Subclasses pick the slot and the estimator."""
+    asymmetric agents, one independent state slot per user. Subclasses pick
+    the arm scores and locations."""
 
-    def __init__(self, n_arms, dim, config, seed, n_users=1, affinity=None):
+    def __init__(self, n_arms, dim, config, seed, n_users=1):
         config.validate()
         self.n_arms, self.dim, self.n_users = n_arms, dim, n_users
         self.config = config
         self.v = config.resolved_v()
-        self.lam = float(config.lam)
-        self.affinity = np.eye(n_users) if affinity is None else np.asarray(affinity, dtype=float)
         self.warmup = config.resolved_warmup(dim)
         self.rng = np.random.default_rng(seed)
-        self.slots = [_StableSlot(n_arms, dim) for _ in range(n_users)]
-        self.history = []
+        self.slots = [_StableSlot(n_arms, dim, _initial_b(float(config.lam), n_users, dim))
+                      for _ in range(n_users)]
 
     # -- warm-up and beliefs
 
@@ -482,10 +445,6 @@ class _StableBase:
 
     # -- one bandit round
 
-    def _estimate(self, slot_index):
-        slot = self.slots[slot_index]
-        return slot.mu_bar, slot.B
-
     def _scores(self, slot, mu_hat):
         return slot.theta @ mu_hat
 
@@ -500,36 +459,23 @@ class _StableBase:
         warm = self._warm_arm(slot)
         if warm is not None:
             reward = env.pull(ctx.t, warm)
-            self._record(j, slot, None, warm, reward)
             self._after_reward(slot, warm, reward)
             return warm, reward
         self._mh_sweep(slot)
-        center, gamma = self._estimate(j)
-        chol = np.linalg.cholesky(gamma) if self.v > 0.0 else None
-        mu_hat = _draw_mu(center, chol, self.v, self.rng)
+        chol = np.linalg.cholesky(slot.B) if self.v > 0.0 else None
+        mu_hat = _draw_mu(slot.mu_bar, chol, self.v, self.rng)
         scores = self._scores(slot, mu_hat)
         arm = int(np.argmax(scores))
         reward = env.pull(ctx.t, arm)
         # tail cutoffs and arm locations both project through the point
         # estimate so the bound and the integrand share reward units
-        locs = self._locations(slot, center)
+        locs = self._locations(slot, slot.mu_bar)
         weights = tail_weights(slot.beliefs, locs, float(locs[arm]))
         _weighted_update(slot.B, slot.y, slot.theta, weights, arm, reward)
         slot.mu_bar = _solve_spd(slot.B, slot.y)
-        self._record(j, slot, weights, arm, reward)
         self._after_reward(slot, arm, reward)
         return arm, reward
 
-    def _record(self, user, slot, weights, arm, reward):
-        self.history.append(
-            dict(
-                user=user,
-                thetas=slot.theta.copy(),
-                weights=None if weights is None else weights.copy(),
-                arm=arm,
-                reward=reward,
-            )
-        )
 
 class ActsAgent(_StableBase):
     """Asymmetric-reward Thompson sampling, single shared state slot."""
@@ -537,26 +483,13 @@ class ActsAgent(_StableBase):
     algorithm = "acts"
 
     def __init__(self, n_arms, dim, config, seed):
-        super().__init__(n_arms, dim, config, seed, n_users=1, affinity=None)
+        super().__init__(n_arms, dim, config, seed)
 
 
 class SactsAgent(_StableBase):
-    """Per-user asymmetric sampling with the affinity-coupled estimator."""
+    """Per-user asymmetric sampling: one independent acts slot per user."""
 
     algorithm = "sacts"
-
-    def __init__(self, n_arms, dim, config, seed, n_users=1, affinity=None):
-        super().__init__(n_arms, dim, config, seed, n_users=n_users, affinity=affinity)
-        if n_users > 1:
-            for j, slot in enumerate(self.slots):
-                scale = self.lam * self.affinity[j, j]
-                if scale > 0:
-                    slot.B = scale * np.eye(dim)
-
-    def _estimate(self, j):
-        return _coupled_estimate(j, self.lam, self.affinity,
-                                 [slot.mu_bar for slot in self.slots],
-                                 [slot.B for slot in self.slots])
 
 
 class PlainAtsAgent(_StableBase):
@@ -566,7 +499,7 @@ class PlainAtsAgent(_StableBase):
     algorithm = "plain_ats"
 
     def __init__(self, n_arms, config, seed):
-        super().__init__(n_arms, 1, config, seed, n_users=1, affinity=None)
+        super().__init__(n_arms, 1, config, seed)
 
     def _scores(self, slot, mu_hat):
         return np.array(
@@ -711,17 +644,17 @@ class MdpActsAgent:
 # factory
 
 
-def make_agent(config, n_arms=2, dim=1, n_users=1, affinity=None, seed=0, mdp=None):
+def make_agent(config, n_arms=2, dim=1, n_users=1, seed=0, mdp=None):
     config.validate()
     alg = config.algorithm
     if alg == "cts":
         return CtsAgent(n_arms, dim, config, seed)
     if alg == "scts":
-        return SctsAgent(n_arms, dim, config, seed, n_users=n_users, affinity=affinity)
+        return SctsAgent(n_arms, dim, config, seed, n_users=n_users)
     if alg == "acts":
         return ActsAgent(n_arms, dim, config, seed)
     if alg == "sacts":
-        return SactsAgent(n_arms, dim, config, seed, n_users=n_users, affinity=affinity)
+        return SactsAgent(n_arms, dim, config, seed, n_users=n_users)
     if alg == "plain_ats":
         return PlainAtsAgent(n_arms, config, seed)
     if alg == "mdp_acts":
@@ -731,15 +664,12 @@ def make_agent(config, n_arms=2, dim=1, n_users=1, affinity=None, seed=0, mdp=No
     raise ConfigError(f"unknown algorithm {alg!r}")
 
 
-def replay_information(history, dim, user=None, b0=None):
-    """Rebuild (B, y) from a recorded step history, the from-scratch oracle for
-    the incremental updates. b0 overrides the identity start."""
+def replay_information(updates, dim, b0=None):
+    """Rebuild (B, y) from recorded (thetas, weights, arm, reward) updates, the
+    from-scratch oracle for the incremental updates. b0 overrides the identity
+    start."""
     b = np.eye(dim) if b0 is None else np.array(b0, dtype=float)
     y = np.zeros(dim)
-    for h in history:
-        if h["weights"] is None:
-            continue
-        if user is not None and h.get("user", 0) != user:
-            continue
-        _weighted_update(b, y, np.asarray(h["thetas"]), np.asarray(h["weights"]), h["arm"], h["reward"])
+    for thetas, weights, arm, reward in updates:
+        _weighted_update(b, y, np.asarray(thetas), np.asarray(weights), arm, reward)
     return b, y

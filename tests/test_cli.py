@@ -366,17 +366,22 @@ def test_overwrite_guard_and_force(tmp_path):
     assert json.loads((out / "config.json").read_text())["hash"] == rep.config_hash
 
 
+# a config that loads but whose ddpg cells fail at run time: a divergence
+# limit this tight stops every critic in its first episodes
+DIVERGING_BACKTEST = {"kind": "backtest", "env": {"d": 1, "days": 30},
+                      "agents": ["up", "ddpg"], "seeds": [0, 1],
+                      "params": {"backtest": {"train": {"divergence_limit": 1e-12}}}}
+
+
 def test_cell_failures_are_recorded_not_raised(tmp_path):
-    # mdp_acts on an armed environment cannot be built; the cell fails alone
-    cfg = small_config(tmp_path / "r", agents=[{"algorithm": "cts"},
-                                               {"algorithm": "mdp_acts"}])
+    cfg = ExperimentConfig.from_dict({**DIVERGING_BACKTEST, "out_dir": str(tmp_path / "r")})
     rep = cli.run(cfg, workers=1)
     assert len(rep.failures) == 2    # one per seed
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
     bad = [c for c in summary["cells"] if c["status"] == "error"]
-    assert {c["label"] for c in bad} == {"mdp_acts"}
-    assert all("error" in c for c in bad)
-    assert set(summary["aggregate"]["total_regret_mean"]) == {"cts"}
+    assert {c["label"] for c in bad} == {"ddpg"}
+    assert all("critic diverged" in c["error"] for c in bad)
+    assert set(summary["aggregate"]["median"]) == {"up"}
 
 
 def test_mdp_bandit_traces_use_episode_rows(tmp_path):
@@ -535,9 +540,11 @@ def test_cli_env_var_out_override(tmp_path, monkeypatch):
 
 
 def test_cli_run_failures_exit_one(tmp_path, capsys):
-    path = write_config(tmp_path, agents=[{"algorithm": "mdp_acts"}])
+    path = write_config(tmp_path, **DIVERGING_BACKTEST)
     assert cli.main(["run", str(path)]) == 1
-    assert "failed cell" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "2/4 cells ok" in captured.out
+    assert "failed cell ddpg/s0" in captured.err
 
 
 def test_cli_run_guard_exit_two(tmp_path, capsys):
@@ -691,6 +698,16 @@ def test_backtest_params_at_their_lower_limits_are_valid():
     ({"env": {**LINEAR_ENV, "horizon": True}}, "env.horizon"),
     ({"env": {**LINEAR_ENV, "n_users": 0}}, "env.n_users"),
     ({"env": {**LINEAR_ENV, "n_users": "2"}}, "env.n_users"),
+    ({"format_version": "x"}, "format_version"),
+    ({"format_version": None}, "format_version"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"out_dir": ""}, "out_dir"),
+    # an algorithm must fit the env kind: episodes for mdp_acts, arms otherwise
+    ({"agents": [{"algorithm": "mdp_acts"}]}, "'mdp_acts' does not fit env kind 'linear'"),
+    ({"env": {"kind": "adversarial_mdp", "mdp": MDP_TOY}, "agents": [{"algorithm": "cts"}]},
+     "'cts' does not fit env kind 'adversarial_mdp'"),
+    ({"env": {"kind": "adversarial_mdp", "mdp": MDP_TOY},
+      "agents": [{"algorithm": "uniform"}]}, "'uniform' does not fit env kind"),
 ])
 def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key):
     path = write_config(tmp_path, **over)
@@ -750,6 +767,8 @@ ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]
     ({**BACKTEST_RUN, "env": [1, 2]}, "env must be a table"),
     ({"agents": [{"algorithm": "cts", "label": 5}]}, "label 5"),
     ({"agents": 5}, "agents must be a list"),
+    ({**EXECUTION_RUN, "env": {"csv": "oneday.csv"}, "params": {}},
+     "env.csv 'oneday.csv' holds 1 day"),
 ])
 def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
                                                                  monkeypatch, over, key):
@@ -758,6 +777,8 @@ def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys
     (tmp_path / "bad.txt").write_text("1.0\noops\n")
     (tmp_path / "nan.txt").write_text("1.0\nnan\n")
     (tmp_path / "short.txt").write_text("".join(f"{i}\n" for i in range(10)))
+    (tmp_path / "oneday.csv").write_text("date,ticker,open,high,low,close,volume\n"
+                                         "2020-01-02,AAA,10,11,9,10,100\n")
     path = write_config(tmp_path, **over)
     assert cli.main(["run", str(path), "--workers", "1"]) == 2
     err = capsys.readouterr().err

@@ -1,9 +1,12 @@
 """Agent-family tests: hand-computed updates, replay oracles, chain
 diagnostics and degeneracy traces."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from stabletrade import ts_agents
 from stabletrade.bandit_envs import (
     EnvSpec,
     MdpTables,
@@ -59,6 +62,26 @@ class ScriptedEnv:
         r = self.rewards[self._i % len(self.rewards)]
         self._i += 1
         return float(r)
+
+
+@contextmanager
+def recorded_updates():
+    """Record every information update the agents make while the block runs,
+    as (b, (thetas, weights, arm, reward)) with the arrays copied; b is the
+    precision matrix updated in place, so `b is slot.B` picks one user's
+    updates. The update function is restored when the block exits."""
+    calls = []
+    update = ts_agents._weighted_update
+
+    def recording(b, y, thetas, weights, arm, reward):
+        calls.append((b, (thetas.copy(), weights.copy(), arm, reward)))
+        return update(b, y, thetas, weights, arm, reward)
+
+    ts_agents._weighted_update = recording
+    try:
+        yield calls
+    finally:
+        ts_agents._weighted_update = update
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +179,10 @@ def test_cts_replay_oracle_matches_incremental_state():
                    mu=np.linspace(-1, 1, 6))
     env = make_env(spec, seed=2)
     agent = CtsAgent(4, 6, AgentConfig(algorithm="cts"), seed=2)
-    play(env, agent, 80)
-    b, y = replay_information(agent.history, 6)
+    with recorded_updates() as calls:
+        play(env, agent, 80)
+    assert len(calls) == 80
+    b, y = replay_information([u for _, u in calls], 6)
     np.testing.assert_allclose(b, agent.B, atol=1e-10)
     np.testing.assert_allclose(y, agent.y, atol=1e-10)
 
@@ -316,8 +341,7 @@ _SWEEP_CASES = {
              lambda cfg: ActsAgent(3, 3, cfg, seed=3)),
     "sacts": (EnvSpec(kind="plain", n_arms=3, horizon=700, arm_means=[0.0, 0.3, 0.5],
                       n_users=2),
-              lambda cfg: SactsAgent(3, 1, cfg, seed=4, n_users=2,
-                                     affinity=np.array([[1.0, 0.5], [0.5, 1.0]]))),
+              lambda cfg: SactsAgent(3, 1, cfg, seed=4, n_users=2)),
     "plain_ats": (EnvSpec(kind="plain", n_arms=3, horizon=700, arm_means=[0.0, 0.2, 0.3]),
                   lambda cfg: PlainAtsAgent(3, cfg, seed=5)),
 }
@@ -336,6 +360,8 @@ def test_cached_sweep_matches_recomputing_sweep_bit_for_bit(algorithm):
         assert cached.step(ctx1, e1) == ref.step(ctx2, e2)
         for a, b in zip(cached.slots, ref.slots):
             np.testing.assert_array_equal(a.theta, b.theta)
+            np.testing.assert_array_equal(a.B, b.B)
+            np.testing.assert_array_equal(a.y, b.y)
             for lp_a, lp_b in zip(a._lp_cache, b._lp_cache):
                 assert (lp_a is None) == (lp_b is None)
                 if lp_a is not None:
@@ -343,11 +369,6 @@ def test_cached_sweep_matches_recomputing_sweep_bit_for_bit(algorithm):
         # a refit (50 rewards on) leaves an arm's term buffer empty until its next sweep
         refits += sum(f == 0 and len(r) >= 50 for s in cached.slots
                       for f, r in zip(s._filled, s.rewards))
-    assert len(cached.history) == len(ref.history) == 700
-    for h1, h2 in zip(cached.history, ref.history):
-        assert h1.keys() == h2.keys()
-        for key in h1:
-            np.testing.assert_array_equal(h1[key], h2[key])
     # the run refits often and grows the term buffers past their first size
     assert refits >= 10
     assert max(buf.shape[1] for s in cached.slots for buf in s._terms) > 64
@@ -374,9 +395,12 @@ def test_acts_replay_oracle_matches_incremental_state():
                    arm_means=[0.0, 0.5, 1.0])
     env = make_env(spec, seed=6)
     agent = ActsAgent(3, 1, AgentConfig(algorithm="acts"), seed=6)
-    play(env, agent, 120)
+    with recorded_updates() as calls:
+        play(env, agent, 120)
+    # the 9 round-robin warm-up pulls make no update
+    assert len(calls) == 120 - 9
     slot = agent.slots[0]
-    b, y = replay_information(agent.history, 1)
+    b, y = replay_information([u for _, u in calls], 1)
     np.testing.assert_allclose(b, slot.B, atol=1e-10)
     np.testing.assert_allclose(y, slot.y, atol=1e-10)
 
@@ -466,17 +490,37 @@ def test_sacts_single_user_replays_acts_at_any_lambda():
 
 
 def test_sacts_multiuser_replay_oracle_matches_slot_state():
-    aff = np.array([[1.0, 0.6], [0.6, 1.0]])
     spec = EnvSpec(kind="plain", n_arms=2, horizon=160,
                    arm_means=[0.0, 1.0], n_users=2)
     env = make_env(spec, seed=10)
     agent = SactsAgent(2, 1, AgentConfig(algorithm="sacts", lam=0.3), seed=10,
-                       n_users=2, affinity=aff)
-    play(env, agent, 160)
-    for j in range(2):
-        b, y = replay_information(agent.history, 1, user=j, b0=0.3 * np.eye(1))
-        np.testing.assert_allclose(b, agent.slots[j].B, atol=1e-8)
-        np.testing.assert_allclose(y, agent.slots[j].y, atol=1e-8)
+                       n_users=2)
+    with recorded_updates() as calls:
+        play(env, agent, 160)
+    for slot in agent.slots:
+        own = [u for b, u in calls if b is slot.B]
+        assert len(own) > 0
+        b, y = replay_information(own, 1, b0=0.3 * np.eye(1))
+        np.testing.assert_allclose(b, slot.B, atol=1e-8)
+        np.testing.assert_allclose(y, slot.y, atol=1e-8)
+
+
+def test_scts_multiuser_replay_oracle_matches_slot_state():
+    # each user's (B, y) is the replay of that user's own updates from lam * I
+    spec = EnvSpec(kind="linear", n_arms=3, dim=4, horizon=150,
+                   mu=np.linspace(-1.0, 1.0, 4), n_users=3)
+    env = make_env(spec, seed=5)
+    agent = SctsAgent(3, 4, AgentConfig(algorithm="scts", lam=0.4), seed=5, n_users=3)
+    with recorded_updates() as calls:
+        tr = play(env, agent, 150)
+    assert len(calls) == 150
+    for j in range(3):
+        own = [u for b, u in calls if b is agent.B[j]]
+        assert len(own) == tr.users.count(j) == 50
+        b, y = replay_information(own, 4, b0=0.4 * np.eye(4))
+        np.testing.assert_allclose(b, agent.B[j], atol=1e-8)
+        np.testing.assert_allclose(y, agent.y[j], atol=1e-8)
+        np.testing.assert_allclose(agent.mu_bar[j], np.linalg.solve(b, y), atol=1e-8)
 
 
 def test_coupled_agents_reject_unknown_users():
@@ -488,42 +532,6 @@ def test_coupled_agents_reject_unknown_users():
         scts.step(ctx, ScriptedEnv([0.0]))
     with pytest.raises(ParamError):
         sacts.step(ctx, ScriptedEnv([0.0]))
-
-
-def _check_coupled_estimate(cls, algorithm, mu_bars, bs, estimate):
-    spec = EnvSpec(kind="linear", n_arms=3, dim=4, horizon=90,
-                   mu=np.linspace(-1.0, 1.0, 4), n_users=3)
-    env = make_env(spec, seed=5)
-    aff = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.0]])
-    agent = cls(3, 4, AgentConfig(algorithm=algorithm, lam=0.4), seed=5,
-                n_users=3, affinity=aff)
-    play(env, agent, 90)
-    lam = 0.4
-    mu_bar, b = mu_bars(agent), bs(agent)
-    for j in range(3):
-        coupling = sum(
-            lam * aff[j, k] * mu_bar[k] for k in range(3) if k != j
-        )
-        center_expect = mu_bar[j] - np.linalg.solve(b[j], coupling)
-        gamma_expect = b[j] + sum(
-            (lam * aff[j, k]) ** 2 * np.linalg.inv(b[k])
-            for k in range(3) if k != j
-        )
-        center, gamma = estimate(agent, j)
-        np.testing.assert_allclose(center, center_expect, atol=1e-10)
-        np.testing.assert_allclose(gamma, gamma_expect, atol=1e-10)
-
-
-def test_scts_coupled_estimate_matches_hand_formula():
-    _check_coupled_estimate(SctsAgent, "scts", lambda a: a.mu_bar, lambda a: a.B,
-                            lambda a, j: a.local_estimate(j))
-
-
-def test_sacts_coupled_estimate_matches_hand_formula():
-    _check_coupled_estimate(SactsAgent, "sacts",
-                            lambda a: [slot.mu_bar for slot in a.slots],
-                            lambda a: [slot.B for slot in a.slots],
-                            lambda a, j: a._estimate(j))
 
 
 def test_sacts_keeps_one_slot_per_user():
