@@ -117,11 +117,15 @@ def _stable_from(raw, key):
         raise ConfigError(f"{key}: stable params must be a 4-list or a dict")
     elif len(raw) != 4:
         raise ConfigError(f"{key}: stable params need [alpha, beta, sigma, delta]")
+    return StableParams(*_floats(raw, key, "stable params"))
+
+
+def _floats(raw, key, what):
+    """raw's items as floats; a ConfigError naming key when one is no number."""
     try:
-        values = [float(v) for v in raw]
+        return [float(v) for v in raw]
     except (TypeError, ValueError):
-        raise ConfigError(f"{key}: stable params must be numbers, got {raw!r}") from None
-    return StableParams(*values)
+        raise ConfigError(f"{key}: {what} must be numbers, got {raw!r}") from None
 
 
 def _env_spec_from(raw):
@@ -138,6 +142,8 @@ def _env_spec_from(raw):
                           for i, v in enumerate(n)]
         else:
             d["noise"] = _stable_from(n, "env.noise")
+    if d.get("arm_means") is not None:
+        d["arm_means"] = _floats(d["arm_means"], "env.arm_means", "arm means")
     if d.get("context_params") is not None:
         d["context_params"] = _stable_from(d["context_params"], "env.context_params")
     if d.get("mu") is not None:
@@ -351,17 +357,22 @@ def _bandit_cell(spec, agent_cfg, rounds, env_seed, seed):
             trace, ep_reg = agent.run_episode(env)
             cum += ep_reg
             rows.append((ep + 1, float(sum(trace.rewards)), float(ep_reg), float(cum)))
-        return {"header": ("episode", "return", "regret", "cum_regret"),
-                "rows": rows,
-                "stats": {"total_regret": float(cum),
-                          "mean_return": float(np.mean([r[1] for r in rows]))}}
-    trace = play(env, agent, rounds)
-    reg = regret(trace)
-    rows = [(t + 1, trace.arms[t], float(trace.rewards[t]), float(reg.prefix[t]))
-            for t in range(rounds)]
-    return {"header": ("t", "arm", "reward", "cum_regret"), "rows": rows,
-            "stats": {"total_regret": float(reg.total),
-                      "mean_reward": float(np.mean(trace.rewards))}}
+        header = ("episode", "return", "regret", "cum_regret")
+        stats = {"total_regret": float(cum),
+                 "mean_return": float(np.mean([r[1] for r in rows]))}
+    else:
+        trace = play(env, agent, rounds)
+        reg = regret(trace)
+        rows = [(t + 1, trace.arms[t], float(trace.rewards[t]), float(reg.prefix[t]))
+                for t in range(rounds)]
+        header = ("t", "arm", "reward", "cum_regret")
+        stats = {"total_regret": float(reg.total),
+                 "mean_reward": float(np.mean(trace.rewards))}
+    # a non-finite regret or mean fails the cell instead of reading as null
+    for key, value in stats.items():
+        if not np.isfinite(value):
+            raise NumericError(f"{key} is {value}, not a finite number")
+    return {"header": header, "rows": rows, "stats": stats}
 
 
 def _roster(cfg, roster, keys):

@@ -8,7 +8,7 @@ clipped so cash stays non-negative including costs; no shorting.
 
 import csv
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,10 +20,15 @@ TRADING_DAYS = 252.0
 
 @dataclass
 class PortfolioState:
+    """Prices p, holdings h, cash b on day t. A state is a value: ``step``
+    builds a new one and nothing writes to one once built, so its total
+    asset b + p'h is computed once, here."""
+
     p: np.ndarray
     h: np.ndarray
     b: float
     t: int = 0
+    total_asset: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
@@ -31,12 +36,9 @@ class PortfolioState:
         self.b = float(self.b)
         if self.b < 0:
             raise ParamError("cash balance must be non-negative")
+        self.total_asset = self.b + float(self.p @ self.h)
         if self.total_asset <= 0:
             raise ParamError("total asset must be positive")
-
-    @property
-    def total_asset(self):
-        return self.b + float(self.p @ self.h)
 
 
 @dataclass
@@ -291,6 +293,7 @@ class TradingEnv:
         self.series = series
         self.initial_cash = float(initial_cash)
         self.cost_bps = float(cost_bps)
+        self.last_day = series.n_days - 1
         self.state = None
 
     def reset(self):
@@ -304,7 +307,7 @@ class TradingEnv:
 
     @property
     def done(self):
-        return self.state.t >= self.series.n_days - 1
+        return self.state.t >= self.last_day
 
     def step(self, action):
         if self.state is None:

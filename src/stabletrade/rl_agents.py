@@ -439,7 +439,7 @@ def actor_loss_grads(agent, states):
     a, cache_a = agent.actor.forward(states)
     q, cache_c = agent.critic.forward(np.hstack([states, a]))
     up = np.full((states.shape[0], 1), -1.0 / states.shape[0])
-    _, gx = agent.critic.backward(cache_c, up)
+    _, gx = agent.critic.backward(cache_c, up, want_gx=True)
     ga = gx[:, agent.state_dim:]
     grads, _ = agent.actor.backward(cache_a, ga)
     return float(-np.mean(q)), grads
@@ -614,11 +614,7 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
     target = net.copy()
     opt = adam_init(net)
     buffer = ReplayBuffer(capacity)
-
-    def onehot(idx):
-        x = np.zeros((len(idx), env.n_states))
-        x[np.arange(len(idx)), idx] = 1.0
-        return x
+    onehot = np.eye(env.n_states)    # row s is state s's input
 
     for ep in range(episodes):
         eps = eps_start + (ep / max(1, episodes - 1)) * (eps_final - eps_start)
@@ -628,16 +624,16 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
             if rng.random() < eps:
                 a = int(rng.integers(env.n_actions))
             else:
-                qv = net.predict(onehot([s])[0])
+                qv = net.predict(onehot[s])
                 a = int(np.argmax(qv))
             s2, r, done = env.step(a)
             buffer.add(s, a, r, s2, done)
             s = s2
             if len(buffer) >= batch:
                 si, ai, ri, s2i, di, _ = buffer.sample(batch, rng)
-                q2 = target.predict(onehot(s2i))
+                q2 = target.predict(onehot[s2i])
                 y = ri + gamma * (1.0 - di) * q2.max(axis=1)
-                qv, cache = net.forward(onehot(si))
+                qv, cache = net.forward(onehot[si])
                 gy = np.zeros_like(qv)
                 rows = np.arange(batch)
                 gy[rows, ai] = 2.0 * (qv[rows, ai] - y) / batch

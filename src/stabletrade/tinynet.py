@@ -7,10 +7,13 @@ losses, callers push the upstream gradient in.
 
 Each network keeps its parameters in one contiguous float64 vector,
 ``Mlp.flat`` (W0, b0, W1, b1, ..., weights row-major), and ``backward``
-returns the parameter gradients as one vector aligned to it. The optimizer
-moments, soft target updates, gradient clipping and copies work on whole
-vectors; only the global norm is summed parameter by parameter, in
-the order above, so that its rounding does not depend on the layout.
+returns the parameter gradients as one vector aligned to it; the input's
+gradient only with ``want_gx=True``, since only the actor's chain rule
+through the critic needs it. The optimizer moments, soft target updates,
+gradient clipping and copies work on whole vectors, and the optimizer keeps
+two scratch vectors for its temporaries; only the global norm is summed
+parameter by parameter, in the order above, so that its rounding does not
+depend on the layout.
 
 ``forward`` returns the output together with the cache of activations that
 ``backward`` needs. ``predict`` returns the same output, bit for bit, with
@@ -117,10 +120,12 @@ class Mlp:
         h = self._layers(x, [buf[:rows] for buf in self._hidden] + [None])[-1]
         return h[0] if squeeze else h
 
-    def backward(self, cache, gy):
-        """Gradients of sum(output * gy) for every parameter plus the input.
+    def backward(self, cache, gy, want_gx=False):
+        """Gradients of sum(output * gy) for every parameter plus, with
+        ``want_gx``, the input.
 
-        Returns (grads, gx): grads is one vector aligned to ``flat``.
+        Returns (grads, gx): grads is one vector aligned to ``flat``; gx is
+        None without ``want_gx``.
         """
         acts = cache["acts"]
         gy = np.asarray(gy, dtype=float)
@@ -137,7 +142,11 @@ class Mlp:
             b0, b1, _ = self.layout[2 * i + 1]
             np.matmul(acts[i].T, g, out=grads[w0:w1].reshape(w_shape))
             np.add.reduce(g, axis=0, out=grads[b0:b1])
-            g = g @ self.weights[i].T
+            if i == 0 and not want_gx:
+                return grads, None
+            w = self.weights[i]
+            # a width-1 layer's product has no sum: the same single multiplies
+            g = g * w[:, 0] if w.shape[1] == 1 else g @ w.T
             if i > 0:
                 g *= acts[i] > 0.0
         gx = g[0] if cache["squeeze"] else g
@@ -154,12 +163,16 @@ class Mlp:
 
 
 def adam_init(net):
-    return {"step": 0, "m": np.zeros_like(net.flat), "v": np.zeros_like(net.flat)}
+    """Moments aligned to ``net.flat``, and two scratch vectors for opt_step."""
+    return {"step": 0, "m": np.zeros_like(net.flat), "v": np.zeros_like(net.flat),
+            "scratch": (np.empty_like(net.flat), np.empty_like(net.flat))}
 
 
 def opt_step(net, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     """One adaptive moment update of ``net.flat``, in place, from a gradient
-    vector aligned to it. Deterministic given state."""
+    vector aligned to it. Deterministic given state. It evaluates
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps) one operation at a time in the
+    state's scratch vectors: no temporaries, the expression's roundings."""
     if getattr(grads, "shape", None) != net.flat.shape:
         raise ParamError("gradient vector shape mismatch")
     state["step"] += 1
@@ -167,11 +180,21 @@ def opt_step(net, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     p, m, v = net.flat, state["m"], state["v"]
+    num, den = state["scratch"]
     m *= beta1
-    m += (1.0 - beta1) * grads
+    np.multiply(grads, 1.0 - beta1, out=num)
+    m += num
     v *= beta2
-    v += (1.0 - beta2) * grads * grads
-    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.multiply(grads, 1.0 - beta2, out=num)
+    num *= grads
+    v += num
+    np.divide(m, c1, out=num)
+    num *= lr
+    np.divide(v, c2, out=den)
+    np.sqrt(den, out=den)
+    den += eps
+    num /= den
+    p -= num
     if not np.all(np.isfinite(p)):
         raise NumericError("non-finite parameters after optimizer step")
     return net
@@ -192,10 +215,12 @@ def clip_global_norm(net, grads, max_norm=10.0):
     pre-clip global norm.
 
     The squares are summed parameter by parameter in ``net.layout`` order and
-    those sums added up, which fixes the rounding of the norm.
+    those sums added up, which fixes the rounding of the norm. Each slice is
+    reduced on its own (pairwise, as ``np.sum`` does); one ``reduceat`` over
+    the vector would sum sequentially and round differently.
     """
-    total = float(np.sqrt(sum(float(np.sum(grads[a:b] * grads[a:b]))
-                              for a, b, _ in net.layout)))
+    sq = grads * grads
+    total = float(np.sqrt(sum(float(np.add.reduce(sq[a:b])) for a, b, _ in net.layout)))
     if total > max_norm and total > 0.0:
         grads *= max_norm / total
     return total
@@ -239,7 +264,7 @@ def gradient_check(net, x, h=1e-5, rng=None):
         out, _ = net.forward(x)
         return float(np.sum(out * proj))
 
-    grads, gx = net.backward(cache, proj)
+    grads, gx = net.backward(cache, proj, want_gx=True)
     worst = 0.0
     # every parameter coordinate, then the input, by the same probe
     for flat_p, flat_g in ((net.flat, grads), (x.ravel(), np.asarray(gx).ravel())):

@@ -30,7 +30,17 @@ from .bandit_envs import MdpTables, mdp_episode
 from .errors import ConfigError, ParamError, _is_int, _is_real, _require
 from .stable_core import PdfTable, estimate_ecf, _tan_half
 
-_ALGORITHMS = ("cts", "acts", "scts", "sacts", "mdp_acts", "plain_ats")
+# the agent keys each algorithm reads; any other key would only change the
+# config's hash, so from_dict rejects it
+_READS = {
+    "cts": {"v", "mc_probs"},
+    "acts": {"v", "refresh_every", "mh_step_scale", "warmup"},
+    "scts": {"v", "lam", "mc_probs"},
+    "sacts": {"v", "lam", "refresh_every", "mh_step_scale", "warmup"},
+    "mdp_acts": {"refresh_every", "mh_step_scale", "warmup"},
+    "plain_ats": {"v", "refresh_every", "mh_step_scale", "warmup"},
+}
+_ALGORITHMS = tuple(_READS)
 
 
 @dataclass
@@ -75,6 +85,11 @@ class AgentConfig:
             raise ConfigError(f"unknown agent config keys: {sorted(extra)}")
         if "algorithm" not in raw:
             raise ConfigError("agent config needs an algorithm name")
+        alg = raw["algorithm"]
+        unread = sorted(set(raw) - _READS[alg] - {"algorithm"}) if alg in _ALGORITHMS else []
+        if unread:
+            raise ConfigError(f"algorithm {alg!r} never reads "
+                              + ", ".join(f"agent.{key}" for key in unread))
         return cls(**raw).validate()
 
 

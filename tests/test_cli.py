@@ -384,6 +384,18 @@ def test_cell_failures_are_recorded_not_raised(tmp_path):
     assert set(summary["aggregate"]["median"]) == {"up"}
 
 
+def test_non_finite_bandit_stats_fail_the_cell(tmp_path, capsys):
+    # mu near the float limit overflows every mean reward: the cell fails
+    # with the stat named instead of reporting a null regret
+    path = write_config(tmp_path, env={**LINEAR_ENV, "mu": [1e308, 1e308, 1e308]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", str(path), "--workers", "1"]) == 1
+    assert "failed cell uniform/s0: NumericError: total_regret" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [c["status"] for c in summary["cells"]] == ["error", "error"]
+    assert all("total_regret is" in c["error"] for c in summary["cells"])
+
+
 def test_mdp_bandit_traces_use_episode_rows(tmp_path):
     toy = {"n_states": 2, "n_actions": 2, "horizon": 2,
            "transitions": [[0, 1], [0, 1]],
@@ -680,6 +692,8 @@ def test_backtest_params_at_their_lower_limits_are_valid():
      "mdp.start_states"),
     ({"env": {**LINEAR_ENV, "noise": ["a", 0, 1, 0]}}, "env.noise"),
     ({"env": {**LINEAR_ENV, "mu": ["a", "b"]}}, "env.mu"),
+    ({"env": {"kind": "plain", "n_arms": 2, "horizon": 30, "arm_means": [0, "a"]}},
+     "env.arm_means"),
     ({"seeds": ["z"]}, "seeds"),
     ({"seeds": [0, 1.5]}, "seeds"),
     ({"seeds": [-1]}, "seeds"),
@@ -744,10 +758,15 @@ ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]
     ({"agents": [{"algorithm": "acts", "refresh_every": "7"}]}, "agent.refresh_every"),
     ({"agents": [{"algorithm": "cts", "v": "big"}]}, "agent.v"),
     ({"agents": [{"algorithm": "cts", "v": -1.0}]}, "agent.v"),
-    ({"agents": [{"algorithm": "acts", "mc_probs": 2.5}]}, "agent.mc_probs"),
+    ({"agents": [{"algorithm": "cts", "mc_probs": 2.5}]}, "agent.mc_probs"),
     ({"agents": [{"algorithm": "scts", "lam": "high"}]}, "agent.lam"),
     ({"agents": [{"algorithm": "acts", "mh_step_scale": 0}]}, "agent.mh_step_scale"),
     ({"agents": [{"algorithm": "acts", "warmup": 0}]}, "agent.warmup"),
+    # a key the algorithm never reads would only change the config hash
+    ({"agents": [{"algorithm": "cts", "lam": 5}]}, "'cts' never reads agent.lam"),
+    ({"agents": [{"algorithm": "acts", "mc_probs": 7}]}, "'acts' never reads agent.mc_probs"),
+    ({"agents": [{"algorithm": "cts", "refresh_every": 3, "warmup": 9}]},
+     "'cts' never reads agent.refresh_every, agent.warmup"),
     ({**BACKTEST_RUN, "env": {"csv": "no-such-prices.csv"}}, "env.csv"),
     ({**EXECUTION_RUN, "params": {"floor": 1.5}}, "params.floor"),
     ({**EXECUTION_RUN, "params": {"floor": 1.0}}, "params.floor"),

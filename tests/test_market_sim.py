@@ -135,6 +135,20 @@ def test_accounting_identity_replay():
         assert abs((s.total_asset - prev_asset) - r) < 1e-8
 
 
+def test_total_asset_is_cash_plus_holdings_value_after_every_step():
+    # computed once at construction, it must equal b + p'h of the state it
+    # describes, bit for bit, on every day of an episode
+    rng = np.random.default_rng(3)
+    series = synth_market(2, 60, vol=0.5, seed=4)
+    env = TradingEnv(series, initial_cash=1000.0)
+    s = env.reset()
+    assert s.total_asset == s.b + float(s.p @ s.h)
+    while not env.done:
+        s, _, _ = env.step(rng.normal(scale=4.0, size=2))
+        assert s.total_asset == s.b + float(s.p @ s.h)
+    assert s.t == env.last_day == series.n_days - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_cash_and_holdings_never_negative(seed):

@@ -263,7 +263,9 @@ class _QuadCritic:
         q = -np.sum((a - self.a_star) ** 2, axis=1, keepdims=True)
         return q, {"a": a}
 
-    def backward(self, cache, gy):
+    def backward(self, cache, gy, want_gx=False):
+        if not want_gx:
+            return [], None
         a = cache["a"]
         ga = gy * (-2.0 * (a - self.a_star))
         gx = np.hstack([np.zeros((a.shape[0], self.state_dim)), ga])
@@ -686,6 +688,31 @@ def test_tabular_rejects_continuous_env():
 def test_dqn_lite_learns_chain():
     res = dqn_lite(ChainEnv(), 150, seed=0)
     assert res.greedy_policy()(0) == 1
+
+
+class _ScatterOneHot:
+    """Stands in for ``np.eye(n)``: indexing it builds the one-hot rows with
+    zeros plus a scatter on every call, as dqn_lite once did."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __getitem__(self, idx):
+        if np.ndim(idx) == 0:
+            return self[[idx]][0]
+        x = np.zeros((len(idx), self.n))
+        x[np.arange(len(idx)), idx] = 1.0
+        return x
+
+
+def test_dqn_lite_one_hot_rows_from_eye_match_zeros_and_scatter(monkeypatch):
+    series = synth_market(1, 40, vol=0.3, seed=5)
+    got = dqn_lite(DiscreteTradingEnv(series), 6, seed=3).net
+    built = []
+    monkeypatch.setattr(np, "eye", lambda n: built.append(n) or _ScatterOneHot(n))
+    ref = dqn_lite(DiscreteTradingEnv(series), 6, seed=3).net
+    assert built == [9]
+    assert np.array_equal(got.flat, ref.flat)
 
 
 def test_up_single_stock_is_buy_and_hold():

@@ -288,10 +288,15 @@ def test_flat_backward_matches_per_layer_gradients(sizes, out_act):
     for rows in (1, 64, 640):
         _, cache = net.forward(rng.normal(size=(rows, sizes[0])))
         gy = rng.normal(size=(rows, sizes[-1]))
-        grads, gx = net.backward(cache, gy)
+        grads, gx = net.backward(cache, gy, want_gx=True)
         ref, ref_gx = _ref_backward(net.params(), out_act, cache, gy)
         assert np.array_equal(grads, _flatten(ref))
         assert np.array_equal(gx, ref_gx)
+        # skipping the input gradient changes no parameter gradient, also
+        # where a width-1 output layer multiplies instead of a matrix product
+        lean, no_gx = net.backward(cache, gy)
+        assert no_gx is None
+        assert np.array_equal(lean, grads)
 
 
 @pytest.mark.parametrize("sizes", _SHAPES)
@@ -310,6 +315,49 @@ def test_flat_opt_step_matches_per_parameter_loop(sizes):
         assert np.array_equal(state["m"], _flatten(ref_state["m"]))
         assert np.array_equal(state["v"], _flatten(ref_state["v"]))
     assert state["step"] == ref_state["step"] == 25
+
+
+def _ref_flat_opt_step(net, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The whole-vector update as one expression per line, allocating its
+    temporaries."""
+    state["step"] += 1
+    t = state["step"]
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    p, m, v = net.flat, state["m"], state["v"]
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads * grads
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def _ref_flat_clip(net, grads, max_norm=10.0):
+    """The global norm with each slice squared on its own."""
+    total = float(np.sqrt(sum(float(np.sum(grads[a:b] * grads[a:b]))
+                              for a, b, _ in net.layout)))
+    if total > max_norm and total > 0.0:
+        grads *= max_norm / total
+    return total
+
+
+@pytest.mark.parametrize("sizes", [[9, 32, 3], [13, 64, 64, 2], [15, 64, 64, 1]])
+def test_scratch_adam_and_clip_match_the_allocating_expressions(sizes):
+    net = Mlp(sizes, seed=21)
+    ref = net.copy()
+    state = adam_init(net)
+    ref_state = {"step": 0, "m": np.zeros_like(ref.flat), "v": np.zeros_like(ref.flat)}
+    rng = np.random.default_rng(22)
+    for k in range(50):
+        g = rng.standard_cauchy(size=net.flat.shape) * 10.0 ** (k % 5 - 2)
+        g_ref = g.copy()
+        assert clip_global_norm(net, g, 10.0) == _ref_flat_clip(ref, g_ref, 10.0)
+        assert np.array_equal(g, g_ref)
+        opt_step(net, g, state, lr=1e-3 * (1 + k % 3))
+        _ref_flat_opt_step(ref, g_ref, ref_state, lr=1e-3 * (1 + k % 3))
+        assert np.array_equal(net.flat, ref.flat)
+        assert np.array_equal(state["m"], ref_state["m"])
+        assert np.array_equal(state["v"], ref_state["v"])
 
 
 def test_opt_step_rejects_a_misaligned_gradient():

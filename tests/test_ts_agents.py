@@ -98,6 +98,39 @@ def test_config_from_dict_rejects_unknown_keys():
         AgentConfig.from_dict({"algorithm": "cts", "explore": 1.0})
 
 
+@pytest.mark.parametrize("algorithm, key", [
+    ("cts", "lam"), ("acts", "lam"), ("plain_ats", "lam"), ("mdp_acts", "lam"),
+    ("acts", "mc_probs"), ("sacts", "mc_probs"), ("plain_ats", "mc_probs"),
+    ("mdp_acts", "mc_probs"),
+    ("cts", "refresh_every"), ("scts", "refresh_every"),
+    ("cts", "warmup"), ("scts", "warmup"),
+    ("cts", "mh_step_scale"), ("scts", "mh_step_scale"),
+    ("mdp_acts", "v"),
+])
+def test_config_from_dict_rejects_keys_the_algorithm_never_reads(algorithm, key):
+    with pytest.raises(ConfigError) as err:
+        AgentConfig.from_dict({"algorithm": algorithm, key: 1})
+    assert f"agent.{key}" in str(err.value) and repr(algorithm) in str(err.value)
+
+
+_READ_VALUES = {"v": 0.5, "lam": 0.7, "refresh_every": 10, "mc_probs": 50,
+                "mh_step_scale": 0.2, "warmup": 4}
+
+
+@pytest.mark.parametrize("algorithm, keys", [
+    ("cts", ("v", "mc_probs")),
+    ("scts", ("v", "lam", "mc_probs")),
+    ("acts", ("v", "refresh_every", "mh_step_scale", "warmup")),
+    ("sacts", ("v", "lam", "refresh_every", "mh_step_scale", "warmup")),
+    ("plain_ats", ("v", "refresh_every", "mh_step_scale", "warmup")),
+    ("mdp_acts", ("refresh_every", "mh_step_scale", "warmup")),
+])
+def test_config_from_dict_takes_every_key_the_algorithm_reads(algorithm, keys):
+    cfg = AgentConfig.from_dict({"algorithm": algorithm,
+                                 **{k: _READ_VALUES[k] for k in keys}})
+    assert all(getattr(cfg, k) == _READ_VALUES[k] for k in keys)
+
+
 def test_config_lineage_defaults():
     assert AgentConfig(algorithm="cts").resolved_v() == 0.25
     assert AgentConfig(algorithm="acts").resolved_v() == 0.0
