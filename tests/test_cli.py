@@ -692,8 +692,6 @@ def test_backtest_params_at_their_lower_limits_are_valid():
      "mdp.start_states"),
     ({"env": {**LINEAR_ENV, "noise": ["a", 0, 1, 0]}}, "env.noise"),
     ({"env": {**LINEAR_ENV, "mu": ["a", "b"]}}, "env.mu"),
-    ({"env": {"kind": "plain", "n_arms": 2, "horizon": 30, "arm_means": [0, "a"]}},
-     "env.arm_means"),
     ({"seeds": ["z"]}, "seeds"),
     ({"seeds": [0, 1.5]}, "seeds"),
     ({"seeds": [-1]}, "seeds"),
@@ -722,6 +720,8 @@ def test_backtest_params_at_their_lower_limits_are_valid():
      "'cts' does not fit env kind 'adversarial_mdp'"),
     ({"env": {"kind": "adversarial_mdp", "mdp": MDP_TOY},
       "agents": [{"algorithm": "uniform"}]}, "'uniform' does not fit env kind"),
+    ({"env": {"kind": "plain", "n_arms": 2, "horizon": 30, "arm_means": [0, "a"]}},
+     "env.arm_means"),
 ])
 def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key):
     path = write_config(tmp_path, **over)
@@ -762,11 +762,6 @@ ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]
     ({"agents": [{"algorithm": "scts", "lam": "high"}]}, "agent.lam"),
     ({"agents": [{"algorithm": "acts", "mh_step_scale": 0}]}, "agent.mh_step_scale"),
     ({"agents": [{"algorithm": "acts", "warmup": 0}]}, "agent.warmup"),
-    # a key the algorithm never reads would only change the config hash
-    ({"agents": [{"algorithm": "cts", "lam": 5}]}, "'cts' never reads agent.lam"),
-    ({"agents": [{"algorithm": "acts", "mc_probs": 7}]}, "'acts' never reads agent.mc_probs"),
-    ({"agents": [{"algorithm": "cts", "refresh_every": 3, "warmup": 9}]},
-     "'cts' never reads agent.refresh_every, agent.warmup"),
     ({**BACKTEST_RUN, "env": {"csv": "no-such-prices.csv"}}, "env.csv"),
     ({**EXECUTION_RUN, "params": {"floor": 1.5}}, "params.floor"),
     ({**EXECUTION_RUN, "params": {"floor": 1.0}}, "params.floor"),
@@ -788,6 +783,11 @@ ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]
     ({"agents": 5}, "agents must be a list"),
     ({**EXECUTION_RUN, "env": {"csv": "oneday.csv"}, "params": {}},
      "env.csv 'oneday.csv' holds 1 day"),
+    # a key the algorithm never reads would only change the config hash
+    ({"agents": [{"algorithm": "cts", "lam": 5}]}, "'cts' never reads agent.lam"),
+    ({"agents": [{"algorithm": "acts", "mc_probs": 7}]}, "'acts' never reads agent.mc_probs"),
+    ({"agents": [{"algorithm": "cts", "refresh_every": 3, "warmup": 9}]},
+     "'cts' never reads agent.refresh_every, agent.warmup"),
 ])
 def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
                                                                  monkeypatch, over, key):
