@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParamError, _is_int, _require
+from .errors import ConfigError, DataError, ParamError, _is_int, _is_real, _require
 from .stable_core import StableParams, sample
 
 DEFAULT_CONTEXT_PARAMS = StableParams(1.8, 0.3, 1.0, 0.0)
@@ -118,21 +118,39 @@ class EnvSpec:
     adversary: str = "round_robin"
 
     def validate(self):
+        """Every check on the spec, so a bad one fails before any env is built."""
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown environment kind {self.kind!r}")
         for key in ("n_arms", "dim", "horizon", "n_users"):
             value = getattr(self, key)
             _require(_is_int(value, 1), f"env.{key}", value, "an integer >= 1")
+        for key in ("v_max", "v_step"):
+            value = getattr(self, key)
+            _require(_is_real(value) and value >= 0.0, f"env.{key}", value,
+                     "a finite number >= 0")
+        _require(isinstance(self.resample_contexts, bool), "env.resample_contexts",
+                 self.resample_contexts, "true or false")
         if self.kind == "plain":
             if self.arm_means is None:
                 raise ConfigError("plain environments need arm_means")
             if self.dim != 1:
                 raise ConfigError("plain environments are dimensionless, set dim=1")
-        if self.kind in ("linear", "semiparam"):
-            if self.mu is not None and len(np.atleast_1d(self.mu)) != self.dim:
-                raise ConfigError(
-                    f"mu has length {len(np.atleast_1d(self.mu))} but dim is {self.dim}"
-                )
+            if len(self.arm_means) != self.n_arms:
+                raise ConfigError(f"env.arm_means has {len(self.arm_means)} entries "
+                                  f"but n_arms is {self.n_arms}")
+            _require(np.all(np.isfinite(self.arm_means)), "env.arm_means", self.arm_means,
+                     "finite numbers")
+        if self.kind in ("linear", "semiparam") and self.mu is not None:
+            mu = np.atleast_1d(self.mu)
+            if len(mu) != self.dim:
+                raise ConfigError(f"env.mu has length {len(mu)} but dim is {self.dim}")
+            _require(np.all(np.isfinite(mu)), "env.mu", self.mu, "finite numbers")
+        if self.noise is not None and not isinstance(self.noise, StableParams):
+            if self.kind == "adversarial_mdp":
+                raise ConfigError("env.noise of an MDP must be a single parameter set")
+            if len(self.noise) != self.n_arms:
+                raise ConfigError(f"env.noise has {len(self.noise)} parameter sets "
+                                  f"but n_arms is {self.n_arms}")
         if self.kind == "adversarial_mdp" and self.mdp is None:
             raise ConfigError("adversarial_mdp environments need mdp tables")
         if self.adversary not in ("round_robin", "greedy"):
@@ -182,8 +200,6 @@ class BanditEnv:
         if spec.kind == "plain":
             self.mu = None
             self.arm_means = np.asarray(spec.arm_means, dtype=float)
-            if len(self.arm_means) != spec.n_arms:
-                raise ConfigError("arm_means length does not match n_arms")
         else:
             if spec.mu is not None:
                 self.mu = np.asarray(spec.mu, dtype=float)
@@ -195,8 +211,6 @@ class BanditEnv:
         noise = spec.noise if spec.noise is not None else DEFAULT_NOISE
         if isinstance(noise, StableParams):
             noise = [noise] * spec.n_arms
-        if len(noise) != spec.n_arms:
-            raise ConfigError("need one noise parameter set per arm")
         self.noise = list(noise)
 
         self._fixed_contexts = None
@@ -259,10 +273,7 @@ class MdpEnv:
         self.tables = spec.mdp.validate()
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x3D9]))
         self._episode = 0
-        noise = spec.noise
-        if noise is not None and not isinstance(noise, StableParams):
-            raise ConfigError("MDP noise must be a single StableParams or None")
-        self.noise = noise
+        self.noise = spec.noise
 
     def start_state(self, values=None):
         """Adversary's pick for the next episode. greedy mode minimizes the

@@ -45,12 +45,12 @@ from .market_sim import (
 )
 from .rl_agents import (
     BacktestConfig,
-    BacktestResult,
     DdpgAgent,
     TournamentResult,
     TrainConfig,
     VectorMarketEnv,
     alternating_series,
+    backtest,
     backtest_curve,
     evaluate,
     format_table2,
@@ -408,10 +408,9 @@ def _parse_tournament(cfg):
 
 
 def _tournament_cell(names, days, episodes, seed):
-    res = tournament(names, rounds=1, seed=seed, days=days, episodes=episodes)
-    rows = [(n, float(res.returns[i, 0])) for i, n in enumerate(res.names)]
-    return {"header": ("agent", "round_return"), "rows": rows,
-            "stats": {"best": res.names[int(np.argmax(res.returns[:, 0]))]}}
+    rets = tournament(names, seed, days, episodes)
+    return {"header": ("agent", "round_return"), "rows": list(zip(names, rets)),
+            "stats": {"best": names[int(np.argmax(rets))]}}
 
 
 def _parse_backtest(cfg):
@@ -639,14 +638,12 @@ def _agg_backtest(cfg, h, results, out_dir):
     if not by:
         return {}
     names = list(by)
-    per_seed = {lab: [_cell_metrics(r) for r in rs] for lab, rs in by.items()}
-    rows = {lab: median_metrics(ms) for lab, ms in per_seed.items()}
+    rows = {lab: median_metrics([_cell_metrics(r) for r in rs]) for lab, rs in by.items()}
     algo = {lab: rs[0]["algorithm"] for lab, rs in by.items()}
-    res = BacktestResult(names=[algo[lab] for lab in names],
-                         rows={algo[lab]: rows[lab] for lab in names},
-                         per_seed={algo[lab]: per_seed[lab] for lab in names})
+    table = format_table3([algo[lab] for lab in names],
+                          {algo[lab]: rows[lab] for lab in names})
     _write_lines(os.path.join(out_dir, "table3.txt"),
-                 [f"# config={h} seeds={_seed_tag(cfg)}", format_table3(res)])
+                 [f"# config={h} seeds={_seed_tag(cfg)}", table])
     lines = [f"# config={h} seeds={_seed_tag(cfg)}",
              "agent,seed,annual_return,sharpe,max_drawdown"]
     for lab in names:
@@ -994,15 +991,9 @@ def check_cppi_floor():
         violations += bool(curve.min() < 80.0 - 1e-9)
 
     series = synth_market(2, 150, vol=0.35, seed=0, alpha=1.8, max_loss=0.25)
-    bt = BacktestConfig(episodes=12)
-    train_series, test_series = bt.split(series)
-    runs = {"ddpg": [], "cppi_ddpg": []}
-    for s in range(20):
-        for name in runs:
-            runs[name].append(metrics(backtest_curve(name, train_series,
-                                                     test_series, s, bt)))
-    med_plain = median_metrics(runs["ddpg"]).max_drawdown
-    med_floor = median_metrics(runs["cppi_ddpg"]).max_drawdown
+    rows = backtest(series, ["ddpg", "cppi_ddpg"], range(20), BacktestConfig(episodes=12))
+    med_plain = rows["ddpg"].max_drawdown
+    med_floor = rows["cppi_ddpg"].max_drawdown
     ok = violations == 0 and med_floor <= med_plain
     return _finish("cppi-floor", t0, ok,
                    f"{violations}/1000 floor breaches (need 0); median MaxD "

@@ -230,12 +230,11 @@ class VectorMarketEnv:
 class DiscreteTradingEnv:
     """Sell/hold/buy per stock over trend-and-position bucket states."""
 
-    def __init__(self, series, initial_cash=100.0, cost_bps=10.0, reward_scale=1.0):
+    def __init__(self, series, initial_cash=100.0, cost_bps=10.0):
         self.tenv = TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
         self.d = series.n_stocks
         self.n_actions = 3 ** self.d
         self.n_states = 9 ** self.d
-        self.reward_scale = float(reward_scale)
         self.curve = None
 
     def reset(self):
@@ -283,12 +282,12 @@ class DiscreteTradingEnv:
                 moves[j] = s.b / len(buyers) / s.p[j]
         state, reward, done = self.tenv.step(moves)
         self.curve.append(state.total_asset)
-        return self._state_id(), reward * self.reward_scale, done
+        return self._state_id(), reward, done
 
 
-def alternating_series(days, lo=10.0, hi=11.0):
-    """Deterministic price path lo, hi, lo, hi, ... as a one-stock series."""
-    close = np.where(np.arange(days) % 2 == 0, lo, hi)[:, None].astype(float)
+def alternating_series(days):
+    """Deterministic price path 10, 11, 10, 11, ... as a one-stock series."""
+    close = np.where(np.arange(days) % 2 == 0, 10.0, 11.0)[:, None].astype(float)
     opens = np.vstack([close[:1], close[:-1]])
     return OhlcvSeries(
         dates=[f"d{t:05d}" for t in range(days)],
@@ -301,15 +300,15 @@ def alternating_series(days, lo=10.0, hi=11.0):
     )
 
 
-def perfect_foresight_curve(series, initial_cash=100.0, cost_bps=0.0):
-    """One-stock lookahead policy: all-in before an up day, all-out otherwise."""
+def perfect_foresight_curve(series):
+    """One-stock lookahead policy: all-in before an up day, all-out otherwise,
+    from 100 in cash and without costs."""
     if series.n_stocks != 1:
         raise ParamError("lookahead oracle handles one stock")
     def policy(state):
         up = series.close[state.t + 1, 0] > series.close[state.t, 0]
         return np.array([state.b / state.p[0] if up else -state.h[0]])
-    return run_policy(TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps),
-                      policy)
+    return run_policy(TradingEnv(series, initial_cash=100.0, cost_bps=0.0), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +377,9 @@ def _candidate_set(agent, states, expert_actions, rng):
     return cands
 
 
-def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None,
-                     want_grads=False):
-    """Margin-ranking loss max_a [Q(s,a) + l(a_E,a)] - Q(s,a_E).
+def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None):
+    """Margin-ranking loss max_a [Q(s,a) + l(a_E,a)] - Q(s,a_E) and its
+    critic gradients, as (value, grads).
 
     Non-negative whenever the expert action sits in the candidate set.
     """
@@ -405,8 +404,6 @@ def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None,
     rows = np.arange(n)
     top = scores[rows, best]
     expert_in = np.hstack([states, expert_actions])
-    if not want_grads:
-        return float(np.mean(top - agent.critic.predict(expert_in)[:, 0]))
     # one cached pass over [best rows; expert rows], split into two caches
     best_in = np.hstack([states, candidates[rows, best]])
     q_pair, cache = agent.critic.forward(np.vstack([best_in, expert_in]))
@@ -426,7 +423,7 @@ def critic_update(agent, batch, expert=False):
     if expert:
         if batch.a_exp is None:
             raise ParamError("expert mode needs expert actions in the minibatch")
-        j_e, mg = cppi_margin_loss(agent, batch.s, batch.a_exp, want_grads=True)
+        j_e, mg = cppi_margin_loss(agent, batch.s, batch.a_exp)
         grads = grads + cfg.lam_e * mg
     clip_global_norm(agent.critic, grads, cfg.grad_clip)
     opt_step(agent.critic, grads, agent.opt_critic, lr=cfg.critic_lr)
@@ -455,7 +452,6 @@ def actor_update(agent, batch):
 
 @dataclass
 class TrainResult:
-    episode_returns: list
     logs: list
     pretrained: int = 0
 
@@ -488,7 +484,7 @@ def train(agent, env, episodes):
     buffer = ReplayBuffer(cfg.buffer_capacity)
     expert_mode = cfg.lam_e > 0.0 and getattr(env, "expert", None) is not None
     pretrained = _pretrain(agent, env, buffer, cfg) if expert_mode and cfg.pretrain_steps else 0
-    returns, logs = [], []
+    logs = []
     for ep in range(episodes):
         frac = ep / max(1, episodes - 1)
         noise = cfg.noise_scale + frac * (cfg.noise_final - cfg.noise_scale)
@@ -513,17 +509,15 @@ def train(agent, env, episodes):
                 ep_la += la
                 ep_je += j_e
                 n_upd += 1
-        ret = env.curve[-1] - env.curve[0]
-        returns.append(ret)
         k = max(1, n_upd)
         logs.append({
             "episode": ep,
-            "return": ret,
+            "return": env.curve[-1] - env.curve[0],
             "loss_critic": ep_td / k,
             "loss_actor": ep_la / k,
             "j_e": ep_je / k,
         })
-    return TrainResult(episode_returns=returns, logs=logs, pretrained=pretrained)
+    return TrainResult(logs=logs, pretrained=pretrained)
 
 
 def evaluate(policy, env):
@@ -540,6 +534,17 @@ def evaluate(policy, env):
 # discrete baselines
 
 
+# fixed settings of the discrete baselines; epsilon falls linearly per episode
+_GAMMA = 0.99
+_EPS_START, _EPS_FINAL = 1.0, 0.05
+_TD_ALPHA = 0.1
+_DQN_HIDDEN = 32
+_DQN_BATCH = 32
+_DQN_CAPACITY = 5000
+_DQN_LR = 1e-3
+_DQN_TAU = 0.05
+
+
 def _check_discrete(env):
     if not hasattr(env, "n_states") or not hasattr(env, "n_actions"):
         raise ConfigError("tabular control needs a discretized environment")
@@ -554,8 +559,7 @@ class TabularResult:
         return lambda s: int(table[s])
 
 
-def _td_control(env, episodes, on_policy, alpha=0.1, gamma=0.99,
-                eps_start=1.0, eps_final=0.05, seed=0):
+def _td_control(env, episodes, on_policy, seed):
     _check_discrete(env)
     rng = np.random.default_rng(seed)
     q = np.zeros((env.n_states, env.n_actions))
@@ -566,7 +570,7 @@ def _td_control(env, episodes, on_policy, alpha=0.1, gamma=0.99,
         return int(np.argmax(q[s]))
 
     for ep in range(episodes):
-        eps = eps_start + (ep / max(1, episodes - 1)) * (eps_final - eps_start)
+        eps = _EPS_START + (ep / max(1, episodes - 1)) * (_EPS_FINAL - _EPS_START)
         s = env.reset()
         a = pick(s, eps)
         done = False
@@ -577,18 +581,18 @@ def _td_control(env, episodes, on_policy, alpha=0.1, gamma=0.99,
                 boot = q[s2, a2]
             else:
                 boot = float(np.max(q[s2]))
-            target = r + gamma * (0.0 if done else boot)
-            q[s, a] += alpha * (target - q[s, a])
+            target = r + _GAMMA * (0.0 if done else boot)
+            q[s, a] += _TD_ALPHA * (target - q[s, a])
             s, a = s2, a2
     return TabularResult(q=q)
 
 
-def tabular_q(env, episodes, **kw):
-    return _td_control(env, episodes, on_policy=False, **kw)
+def tabular_q(env, episodes, seed):
+    return _td_control(env, episodes, False, seed)
 
 
-def sarsa(env, episodes, **kw):
-    return _td_control(env, episodes, on_policy=True, **kw)
+def sarsa(env, episodes, seed):
+    return _td_control(env, episodes, True, seed)
 
 
 @dataclass
@@ -604,20 +608,18 @@ class DqnResult:
         return policy
 
 
-def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
-             capacity=5000, lr=1e-3, tau=0.05, eps_start=1.0, eps_final=0.05):
+def dqn_lite(env, episodes, seed):
     """Small replay-and-target-network Q learner over one-hot states."""
     _check_discrete(env)
     rng = np.random.default_rng(seed)
-    net = Mlp([env.n_states] + list(hidden) + [env.n_actions],
-              seed=int(rng.integers(2**31)))
+    net = Mlp([env.n_states, _DQN_HIDDEN, env.n_actions], seed=int(rng.integers(2**31)))
     target = net.copy()
     opt = adam_init(net)
-    buffer = ReplayBuffer(capacity)
+    buffer = ReplayBuffer(_DQN_CAPACITY)
     onehot = np.eye(env.n_states)    # row s is state s's input
 
     for ep in range(episodes):
-        eps = eps_start + (ep / max(1, episodes - 1)) * (eps_final - eps_start)
+        eps = _EPS_START + (ep / max(1, episodes - 1)) * (_EPS_FINAL - _EPS_START)
         s = env.reset()
         done = False
         while not done:
@@ -629,18 +631,18 @@ def dqn_lite(env, episodes, seed=0, gamma=0.99, hidden=(32,), batch=32,
             s2, r, done = env.step(a)
             buffer.add(s, a, r, s2, done)
             s = s2
-            if len(buffer) >= batch:
-                si, ai, ri, s2i, di, _ = buffer.sample(batch, rng)
+            if len(buffer) >= _DQN_BATCH:
+                si, ai, ri, s2i, di, _ = buffer.sample(_DQN_BATCH, rng)
                 q2 = target.predict(onehot[s2i])
-                y = ri + gamma * (1.0 - di) * q2.max(axis=1)
+                y = ri + _GAMMA * (1.0 - di) * q2.max(axis=1)
                 qv, cache = net.forward(onehot[si])
                 gy = np.zeros_like(qv)
-                rows = np.arange(batch)
-                gy[rows, ai] = 2.0 * (qv[rows, ai] - y) / batch
+                rows = np.arange(_DQN_BATCH)
+                gy[rows, ai] = 2.0 * (qv[rows, ai] - y) / _DQN_BATCH
                 grads, _ = net.backward(cache, gy)
                 clip_global_norm(net, grads)
-                opt_step(net, grads, opt, lr=lr)
-                soft_update(target, net, tau)
+                opt_step(net, grads, opt, lr=_DQN_LR)
+                soft_update(target, net, _DQN_TAU)
     return DqnResult(net=net)
 
 
@@ -660,13 +662,16 @@ def _simplex_grid(d, resolution):
     return np.asarray(out, dtype=float) / resolution
 
 
-def up_run(series, initial_cash=100.0, resolution=10):
+_UP_RESOLUTION = 10     # grid weights are multiples of 1/10
+
+
+def up_run(series, initial_cash=100.0):
     """Performance-weighted average over a constant-rebalanced-portfolio grid.
 
     One stock degenerates to buy-and-hold. Costless by construction.
     """
     rel = series.close[1:] / series.close[:-1]
-    grid = _simplex_grid(series.n_stocks, resolution)
+    grid = _simplex_grid(series.n_stocks, _UP_RESOLUTION)
     wealth = np.ones(grid.shape[0])
     curve = [initial_cash]
     for t in range(rel.shape[0]):
@@ -679,24 +684,25 @@ def up_run(series, initial_cash=100.0, resolution=10):
 # bandit traders
 
 
+_BANDIT_REWARD_SCALE = 0.1     # currency rewards reach the bandit scaled
+
+
 class _ArmPullShim:
     """Adapter exposing a discrete trading env through the bandit pull interface."""
 
-    def __init__(self, env, reward_scale):
+    def __init__(self, env):
         self.env = env
-        self.reward_scale = reward_scale
 
     def pull(self, t, arm):
         _, r, _ = self.env.step(arm)
-        return r * self.reward_scale
+        return r * _BANDIT_REWARD_SCALE
 
 
-def bandit_trade(kind, series, seed, reward_scale=0.1, initial_cash=100.0,
-                 cost_bps=10.0):
+def bandit_trade(kind, series, seed, initial_cash=100.0, cost_bps=10.0):
     """Run a Thompson-sampling trader over sell/hold/buy combination arms."""
     env = DiscreteTradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
     env.reset()
-    shim = _ArmPullShim(env, reward_scale)
+    shim = _ArmPullShim(env)
     n = env.n_actions
     if kind == "cb_ts":
         agent = CtsAgent(n, n, AgentConfig(algorithm="cts"), seed=seed)
@@ -727,7 +733,6 @@ class TournamentResult:
     names: list
     wins: np.ndarray
     avg_wins: np.ndarray
-    returns: np.ndarray
 
     @classmethod
     def from_returns(cls, names, returns):
@@ -745,14 +750,14 @@ class TournamentResult:
                 wins[i, j] = 100.0 * won / rounds
         avg = np.array([np.mean([wins[i, j] for j in range(n) if j != i])
                         for i in range(n)])
-        return cls(names=list(names), wins=wins, avg_wins=avg, returns=rets)
+        return cls(names=list(names), wins=wins, avg_wins=avg)
 
 
 def _episode_return(curve):
     return curve[-1] / curve[0] - 1.0
 
 
-def run_trader(name, series, seed, episodes=40):
+def run_trader(name, series, seed, episodes):
     """Train the named agent on a series; return its evaluation equity curve."""
     if name in ("cb_ts", "ac_ts"):
         return bandit_trade(name, series, seed)
@@ -762,23 +767,17 @@ def run_trader(name, series, seed, episodes=40):
     if name == "dqn":
         res = dqn_lite(env, episodes, seed=seed)
     else:
-        res = (tabular_q if name == "ql" else sarsa)(env, episodes, seed=seed)
+        res = (tabular_q if name == "ql" else sarsa)(env, episodes, seed)
     return evaluate(res.greedy_policy(), env)
 
 
-def tournament(names=None, rounds=10, seed=0, days=120, episodes=40):
-    """Matched-seed pairwise win counts; ties split 50:50 by convention."""
-    names = list(names) if names is not None else list(TOURNAMENT_AGENTS)
-    if len(names) < 2:
-        raise ParamError("a tournament needs at least two agents")
-    rets = np.zeros((len(names), rounds))
-    for r in range(rounds):
-        series = synth_market(1, days, drift=0.05, vol=0.35, seed=seed * 7919 + r,
-                              alpha=1.7)
-        for i, name in enumerate(names):
-            curve = run_trader(name, series, seed=seed * 104729 + r, episodes=episodes)
-            rets[i, r] = _episode_return(curve)
-    return TournamentResult.from_returns(names, rets)
+def tournament(names, seed, days, episodes):
+    """One round: every named agent trains and trades on one seeded one-stock
+    market under one trader seed; returns the round returns in roster order,
+    which TournamentResult.from_returns folds into the win matrix."""
+    series = synth_market(1, days, drift=0.05, vol=0.35, seed=seed * 7919, alpha=1.7)
+    return [float(_episode_return(run_trader(name, series, seed * 104729, episodes)))
+            for name in names]
 
 
 def format_table2(result):
@@ -899,32 +898,23 @@ def backtest_curve(name, train_series, test_series, seed, cfg):
     raise ConfigError(f"unknown backtest agent {name!r}")
 
 
-@dataclass
-class BacktestResult:
-    names: list
-    rows: dict
-    per_seed: dict
-
-
-def backtest(series, agents=None, seeds=(0,), cfg=None):
-    """Train on the chronological head, score AR/SR/MaxD on the tail."""
-    names = list(agents) if agents is not None else list(BACKTEST_AGENTS)
-    cfg = cfg or BacktestConfig()
+def backtest(series, names, seeds, cfg):
+    """Train on the chronological head, score AR/SR/MaxD on the tail; returns
+    each named agent's median Metrics over the seeds."""
     train_series, test_series = cfg.split(series)
-    per_seed = {name: [metrics(backtest_curve(name, train_series, test_series,
-                                              int(seed), cfg))
-                       for seed in seeds]
-                for name in names}
-    rows = {name: median_metrics(ms) for name, ms in per_seed.items()}
-    return BacktestResult(names=names, rows=rows, per_seed=per_seed)
+    return {name: median_metrics([metrics(backtest_curve(name, train_series, test_series,
+                                                         int(seed), cfg))
+                                  for seed in seeds])
+            for name in names}
 
 
-def format_table3(result):
-    """AR / SR / MaxD table, one row per strategy."""
-    width = max(11, max(len(_T3_LABELS.get(n, n.upper())) for n in result.names) + 2)
+def format_table3(names, rows):
+    """AR / SR / MaxD table, one row per strategy; rows maps each name to its
+    Metrics."""
+    width = max(11, max(len(_T3_LABELS.get(n, n.upper())) for n in names) + 2)
     lines = ["".ljust(width) + "AR".ljust(10) + "SR".ljust(10) + "MaxD"]
-    for name in result.names:
-        m = result.rows[name]
+    for name in names:
+        m = rows[name]
         lab = _T3_LABELS.get(name, name.upper())
         sr = "n/a" if np.isnan(m.sharpe) else f"{m.sharpe * 100:.1f}%"
         lines.append(lab.ljust(width)

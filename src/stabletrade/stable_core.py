@@ -261,8 +261,8 @@ class PdfTable:
         out += self._knot_p.take(k)
         return out
 
-    def density(self, x, mean_loc=0.0):
-        z = np.asarray(x, dtype=float) - mean_loc
+    def density(self, x):
+        z = np.asarray(x, dtype=float)
         if z.size < _DIRECT_MIN_POINTS:
             # below the crossover np.interp's per-call cost is lower
             out = np.interp(z, self._knot_x, self._knot_p)
@@ -278,8 +278,8 @@ class PdfTable:
             out[far] = edge_p * (np.abs(zf) / self.edge) ** -(self.alpha + 1.0)
         return out
 
-    def logpdf(self, x, mean_loc=0.0):
-        d = self.density(x, mean_loc)
+    def logpdf(self, x):
+        d = self.density(x)
         if d.ndim == 0:             # a numpy scalar or a 0-d array
             return np.log(np.maximum(d, 1e-300))
         np.maximum(d, 1e-300, out=d)

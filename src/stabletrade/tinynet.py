@@ -168,7 +168,11 @@ def adam_init(net):
             "scratch": (np.empty_like(net.flat), np.empty_like(net.flat))}
 
 
-def opt_step(net, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+# Adam's moment decay rates and its denominator guard
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def opt_step(net, grads, state, lr=1e-3):
     """One adaptive moment update of ``net.flat``, in place, from a gradient
     vector aligned to it. Deterministic given state. It evaluates
     p -= lr * (m / c1) / (sqrt(v / c2) + eps) one operation at a time in the
@@ -177,22 +181,22 @@ def opt_step(net, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         raise ParamError("gradient vector shape mismatch")
     state["step"] += 1
     t = state["step"]
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     p, m, v = net.flat, state["m"], state["v"]
     num, den = state["scratch"]
-    m *= beta1
-    np.multiply(grads, 1.0 - beta1, out=num)
+    m *= _BETA1
+    np.multiply(grads, 1.0 - _BETA1, out=num)
     m += num
-    v *= beta2
-    np.multiply(grads, 1.0 - beta2, out=num)
+    v *= _BETA2
+    np.multiply(grads, 1.0 - _BETA2, out=num)
     num *= grads
     v += num
     np.divide(m, c1, out=num)
     num *= lr
     np.divide(v, c2, out=den)
     np.sqrt(den, out=den)
-    den += eps
+    den += _ADAM_EPS
     num /= den
     p -= num
     if not np.all(np.isfinite(p)):

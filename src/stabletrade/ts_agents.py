@@ -192,9 +192,11 @@ class ArmBelief:
     def mean_given_delta(self, delta):
         return delta - self.beta * self.sigma * _tan_half(self.alpha)
 
-    def refit(self, alpha, beta, sigma):
-        self.alpha, self.beta, self.sigma = alpha, beta, sigma
-        self.table = PdfTable(alpha, beta, sigma)
+    def refit(self, rewards):
+        """Re-estimate (alpha, beta, sigma) from the rewards and rebuild the
+        table; the location prior stays."""
+        self.alpha, self.beta, self.sigma, _ = _ecf_fit(rewards)
+        self.table = PdfTable(self.alpha, self.beta, self.sigma)
 
     def log_terms(self, rewards, deltas):
         """Per-reward log densities in one density pass, delta-major: row d
@@ -216,6 +218,12 @@ class ArmBelief:
         evaluated at each candidate delta."""
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
         return self.posterior_from_terms(self.log_terms(rewards, deltas), deltas)
+
+
+def _ecf_fit(rewards):
+    """The rewards' ECF fit as (alpha, beta, sigma, delta), sigma floored at 1e-6."""
+    p = estimate_ecf(np.asarray(rewards)).params
+    return p.alpha, p.beta, max(p.sigma, 1e-6), p.delta
 
 
 def _moment_beliefs(rewards):
@@ -240,11 +248,8 @@ def belief_from_history(rewards):
     n = len(rewards)
     widen = max(1.0, 8.0 / n)
     if n >= 50:
-        est = estimate_ecf(np.asarray(rewards))
-        p = est.params
-        sigma = max(p.sigma, 1e-6)
-        return ArmBelief(p.alpha, p.beta, sigma, prior_mu=p.delta,
-                         prior_var=widen * sigma ** 2)
+        alpha, beta, sigma, delta = _ecf_fit(rewards)
+        return ArmBelief(alpha, beta, sigma, prior_mu=delta, prior_var=widen * sigma ** 2)
     b = _moment_beliefs(rewards)
     b.prior_var *= widen
     return b
@@ -417,9 +422,7 @@ class _StableBase:
             and slot.pulls[arm] >= 50
             and slot.pulls[arm] % self.config.refresh_every == 0
         ):
-            est = estimate_ecf(slot.rewards[arm].values)
-            p = est.params
-            slot.beliefs[arm].refit(p.alpha, p.beta, max(p.sigma, 1e-6))
+            slot.beliefs[arm].refit(slot.rewards[arm].values)
             slot._filled[arm] = 0
 
     # -- Metropolis-Hastings
@@ -633,8 +636,7 @@ class MdpActsAgent:
             self.beliefs[s][a] = belief_from_history(hist)
             self.theta[s, a] = self.beliefs[s][a].prior_mu
         elif len(hist) >= 50 and len(hist) % self.config.refresh_every == 0:
-            p = estimate_ecf(hist).params
-            self.beliefs[s][a].refit(p.alpha, p.beta, max(p.sigma, 1e-6))
+            self.beliefs[s][a].refit(hist)
         elif len(hist) < 50 and len(hist) % 5 == 0:
             self.beliefs[s][a] = belief_from_history(hist)
 

@@ -464,10 +464,11 @@ def test_backtest_harness_medians_equal_library_rows(tmp_path):
     assert cli.run(cfg, workers=1).failures == []
     summary = json.loads((tmp_path / "b" / "summary.json").read_text())
     series = synth_market(2, 200, vol=0.3, seed=3, max_loss=0.2)
-    lib = backtest(series, ["up", "ad_ts"], seeds=(0, 1), cfg=BacktestConfig())
-    assert lib.per_seed["ad_ts"][0] != lib.per_seed["ad_ts"][1]
+    lib = backtest(series, ["up", "ad_ts"], (0, 1), BacktestConfig())
+    per_seed = [backtest(series, ["ad_ts"], (s,), BacktestConfig())["ad_ts"] for s in (0, 1)]
+    assert per_seed[0] != per_seed[1]
     for name in ("up", "ad_ts"):
-        m = lib.rows[name]
+        m = lib[name]
         assert summary["aggregate"]["median"][name] == {
             "annual_return": m.annual_return, "sharpe": m.sharpe,
             "max_drawdown": m.max_drawdown}
@@ -722,6 +723,16 @@ def test_backtest_params_at_their_lower_limits_are_valid():
       "agents": [{"algorithm": "uniform"}]}, "'uniform' does not fit env kind"),
     ({"env": {"kind": "plain", "n_arms": 2, "horizon": 30, "arm_means": [0, "a"]}},
      "env.arm_means"),
+    # non-finite or mis-sized env values stop at load, not in every cell
+    ({"env": {"kind": "plain", "n_arms": 2, "horizon": 30, "arm_means": [float("nan"), 1]}},
+     "env.arm_means"),
+    ({"env": {**LINEAR_ENV, "mu": [float("inf"), 1, 0]}}, "env.mu"),
+    ({"env": {"kind": "plain", "n_arms": 3, "horizon": 30, "arm_means": [0, 1]}},
+     "env.arm_means"),
+    ({"env": {**LINEAR_ENV, "kind": "semiparam", "v_step": "x"}}, "env.v_step"),
+    ({"env": {**LINEAR_ENV, "kind": "semiparam", "v_max": -1}}, "env.v_max"),
+    ({"env": {**LINEAR_ENV, "resample_contexts": "yes"}}, "env.resample_contexts"),
+    ({"env": {**LINEAR_ENV, "noise": [[1.8, 0, 1, 0]]}}, "env.noise"),
 ])
 def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key):
     path = write_config(tmp_path, **over)

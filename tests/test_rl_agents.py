@@ -9,6 +9,7 @@ from stabletrade.rl_agents import (
     Batch,
     DiscreteTradingEnv,
     ReplayBuffer,
+    TOURNAMENT_AGENTS,
     TournamentResult,
     TrainConfig,
     VectorMarketEnv,
@@ -312,7 +313,8 @@ def test_margin_loss_identity_candidates():
     s = np.array([[0.3]])
     ae = np.array([[0.2, -0.1]])
     cands = ae[:, None, :]
-    assert cppi_margin_loss(agent, s, ae, candidates=cands) == pytest.approx(0.0, abs=1e-12)
+    value, _ = cppi_margin_loss(agent, s, ae, candidates=cands)
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_margin_loss_saturates_for_constant_critic():
@@ -323,7 +325,8 @@ def test_margin_loss_saturates_for_constant_critic():
     ae = np.array([[0.0, 0.0]])
     far = np.array([[1.0, 1.0]])
     cands = np.stack([ae, far], axis=1)
-    assert cppi_margin_loss(agent, s, ae, candidates=cands) == pytest.approx(1.0, abs=1e-12)
+    value, _ = cppi_margin_loss(agent, s, ae, candidates=cands)
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_margin_loss_hand_arithmetic():
@@ -342,7 +345,7 @@ def test_margin_loss_hand_arithmetic():
               q([0.5, 0.5]) + min(1.0, np.hypot(0.3, 0.4)),
               q([-1.0, 0.3]) + min(1.0, np.hypot(1.2, 0.2))]
     expect = max(scores) - q(ae[0])
-    got = cppi_margin_loss(agent, s, ae, candidates=cands)
+    got, _ = cppi_margin_loss(agent, s, ae, candidates=cands)
     assert got == pytest.approx(expect, abs=1e-8)
 
 
@@ -352,7 +355,8 @@ def test_margin_loss_nonnegative_with_random_candidates():
     s = rng.normal(size=(8, 2))
     ae = np.clip(rng.normal(size=(8, 2)), -1, 1)
     for _ in range(10):
-        assert cppi_margin_loss(agent, s, ae, rng=rng) >= -1e-12
+        value, _ = cppi_margin_loss(agent, s, ae, rng=rng)
+        assert value >= -1e-12
 
 
 # The references below are the candidate loop and the three-pass margin loss
@@ -415,17 +419,16 @@ def test_margin_loss_matches_three_pass_reference(seed):
     agent, s, ae = _margin_batch(seed)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        value, grads = cppi_margin_loss(agent, s, ae, rng=rng, want_grads=True)
+        value, grads = cppi_margin_loss(agent, s, ae, rng=rng)
         ref_value, ref_grads = _ref_margin_loss(agent, s, ae, rng=ref_rng)
         assert value == ref_value
         assert np.array_equal(grads, ref_grads)
     assert rng.random() == ref_rng.random()     # the streams stayed in step
-    # explicit candidates without the expert action, and the value-only path
+    # explicit candidates without the expert action
     cands = np.random.default_rng(seed + 7).uniform(-1.0, 1.0, size=(64, 5, 2))
-    value, grads = cppi_margin_loss(agent, s, ae, candidates=cands, want_grads=True)
+    value, grads = cppi_margin_loss(agent, s, ae, candidates=cands)
     ref_value, ref_grads = _ref_margin_loss(agent, s, ae, candidates=cands)
     assert value == ref_value and np.array_equal(grads, ref_grads)
-    assert cppi_margin_loss(agent, s, ae, candidates=cands) == ref_value
 
 
 def test_margin_loss_makes_one_cached_and_one_cache_free_critic_pass(monkeypatch):
@@ -437,7 +440,7 @@ def test_margin_loss_makes_one_cached_and_one_cache_free_critic_pass(monkeypatch
                 calls.append((_name, np.shape(x)[0]))
             return _orig(net, x)
         monkeypatch.setattr(Mlp, name, counted)
-    cppi_margin_loss(agent, s, ae, want_grads=True)
+    cppi_margin_loss(agent, s, ae)
     assert sorted(calls) == [("forward", 128), ("predict", 640)]
 
 
@@ -494,13 +497,13 @@ def test_discrete_env_action_bounds():
 
 
 def test_alternating_series_shape():
-    s = alternating_series(6, 10.0, 11.0)
+    s = alternating_series(6)
     assert list(s.close[:, 0]) == [10.0, 11.0, 10.0, 11.0, 10.0, 11.0]
 
 
 def test_perfect_foresight_hand_curve():
-    s = alternating_series(5, 10.0, 11.0)
-    curve = perfect_foresight_curve(s, initial_cash=100.0)
+    s = alternating_series(5)
+    curve = perfect_foresight_curve(s)
     assert np.allclose(curve, [100.0, 110.0, 110.0, 121.0, 121.0])
 
 
@@ -517,8 +520,8 @@ def test_train_same_seed_same_curves():
                           config=TrainConfig(warmup_steps=32, lam_e=0.0),
                           seed=11)
         res = train(agent, env, 8)
-        return res.episode_returns, evaluate(agent.act,
-                                             VectorMarketEnv(series, reward_scale=0.1))
+        return ([log["return"] for log in res.logs],
+                evaluate(agent.act, VectorMarketEnv(series, reward_scale=0.1)))
 
     r1, c1 = run()
     r2, c2 = run()
@@ -682,7 +685,7 @@ def test_q_learning_takes_higher_mean_arm():
 def test_tabular_rejects_continuous_env():
     env = VectorMarketEnv(synth_market(1, 10, seed=0))
     with pytest.raises(ConfigError):
-        tabular_q(env, 10)
+        tabular_q(env, 10, seed=0)
 
 
 def test_dqn_lite_learns_chain():
@@ -726,9 +729,10 @@ def test_up_two_stocks_grid_average():
     close = np.array([[10.0, 10.0], [11.0, 9.0], [9.9, 9.9]])
     series = synth_market(2, 3, seed=0)
     series.close[:] = close
-    curve = up_run(series, initial_cash=1.0, resolution=2)
+    curve = up_run(series, initial_cash=1.0)
     rel = close[1:] / close[:-1]
-    grid = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+    # the 11 two-stock mixes in steps of 1/10
+    grid = np.array([[k / 10.0, 1.0 - k / 10.0] for k in range(11)])
     wealth = np.prod(grid @ rel.T, axis=1)
     assert curve[-1] == pytest.approx(float(np.mean(wealth)))
 
@@ -747,9 +751,14 @@ def test_bandit_trader_curves():
         bandit_trade("mystery", series, seed=0)
 
 
+def _rounds(names, seeds, days, episodes):
+    """The win matrix over one tournament round per seed."""
+    return TournamentResult.from_returns(
+        names, np.column_stack([tournament(names, s, days, episodes) for s in seeds]))
+
+
 def test_tournament_matrix_properties():
-    res = tournament(names=["ql", "ac_ts", "cb_ts"], rounds=4, seed=1,
-                     days=50, episodes=10)
+    res = _rounds(["ql", "ac_ts", "cb_ts"], range(1, 5), days=50, episodes=10)
     assert res.wins.shape == (3, 3)
     assert np.allclose(np.diag(res.wins), 50.0)
     for i in range(3):
@@ -770,21 +779,15 @@ def test_win_matrix_fold_on_hand_made_returns():
     assert np.array_equal(res.wins + res.wins.T, np.full((3, 3), 100.0))
     # the diagonal's 50 stays out of the average
     assert np.array_equal(res.avg_wins, [62.5, 25.0, 62.5])
-    assert np.array_equal(res.returns, rets)
 
 
 def test_tournament_self_play_ties():
-    res = tournament(names=["ql", "ql"], rounds=3, seed=0, days=40, episodes=8)
+    res = _rounds(["ql", "ql"], range(3), days=40, episodes=8)
     assert res.wins[0, 1] == pytest.approx(50.0)
 
 
-def test_tournament_needs_two():
-    with pytest.raises(ParamError):
-        tournament(names=["ql"], rounds=2)
-
-
 def test_format_table2_layout():
-    res = tournament(rounds=2, seed=0, days=40, episodes=6)
+    res = _rounds(list(TOURNAMENT_AGENTS), range(2), days=40, episodes=6)
     text = format_table2(res)
     lines = text.splitlines()
     assert lines[0].split() == ["QL", "DQL", "SARSA", "CB-TS", "AC-TS", "Avg", "Wins"]
@@ -795,14 +798,14 @@ def test_format_table2_layout():
 
 def test_run_trader_unknown():
     with pytest.raises(ConfigError):
-        run_trader("mystery", synth_market(1, 30, seed=0), seed=0)
+        run_trader("mystery", synth_market(1, 30, seed=0), seed=0, episodes=1)
 
 
 def test_backtest_table_format():
     series = synth_market(1, 120, drift=0.05, vol=0.3, seed=7)
     cfg = BacktestConfig(episodes=6)
-    res = backtest(series, agents=["up", "ad_ts"], seeds=(0,), cfg=cfg)
-    text = format_table3(res)
+    names = ["up", "ad_ts"]
+    text = format_table3(names, backtest(series, names, (0,), cfg))
     lines = text.splitlines()
     assert lines[0].split() == ["AR", "SR", "MaxD"]
     assert lines[1].startswith("UP")
@@ -829,5 +832,4 @@ def test_partial_train_table_keeps_the_backtest_training_defaults():
 def test_backtest_needs_scorable_test_split():
     series = synth_market(1, 10, seed=0)
     with pytest.warns(UserWarning), pytest.raises(ConfigError):
-        backtest(series, agents=["up"], seeds=(0,),
-                 cfg=BacktestConfig(split_ratio=0.99))
+        backtest(series, ["up"], (0,), BacktestConfig(split_ratio=0.99))

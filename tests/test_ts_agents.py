@@ -326,7 +326,8 @@ def _per_delta_log_posterior(belief, rewards, deltas):
     out = np.empty(deltas.shape[0])
     shift = belief.beta * belief.sigma * _tan_half(belief.alpha)
     for i, d in enumerate(deltas):
-        out[i] = float(np.sum(belief.table.logpdf(rewards, d - shift)))
+        out[i] = float(np.sum(belief.table.logpdf(np.asarray(rewards, dtype=float)
+                                                  - (d - shift))))
     out -= 0.5 * (deltas - belief.prior_mu) ** 2 / belief.prior_var
     return out
 
