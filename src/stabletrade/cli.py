@@ -41,6 +41,7 @@ from .market_sim import (
     median_metrics,
     metrics,
     run_policy,
+    split,
     synth_market,
 )
 from .rl_agents import (
@@ -52,7 +53,6 @@ from .rl_agents import (
     alternating_series,
     backtest,
     backtest_curve,
-    evaluate,
     format_table2,
     format_table3,
     perfect_foresight_curve,
@@ -418,7 +418,7 @@ def _parse_backtest(cfg):
     series = _market_from(cfg.env)
     bt = BacktestConfig.from_dict(cfg.params.get("backtest", {}))
     agents = _roster(cfg, rl_agents.BACKTEST_AGENTS, {"algorithm", "label"})
-    train_series, test_series = bt.split(series)
+    train_series, test_series = split(series, bt.split_ratio)
     return [(a.get("label", a["algorithm"]),
              partial(_backtest_cell, a["algorithm"], train_series, test_series, bt))
             for a in agents]
@@ -437,9 +437,9 @@ def _parse_execution(cfg):
     _check_param_keys(cfg.kind, params, _EXECUTION_PARAM_KEYS)
     if cfg.agents:
         raise ConfigError("execution runs trade the built-in floor policy, drop agents")
+    market = _market_settings(cfg.env)
     if "seed" in cfg.env:
         raise ConfigError("execution draws one market per seed, drop env seed")
-    market = _market_settings(cfg.env)
     if not isinstance(market, dict) and market.n_days < 2:
         raise ConfigError(f"env.csv {cfg.env['csv']!r} holds {market.n_days} day, "
                           "an execution run needs at least 2")
@@ -968,8 +968,8 @@ def check_ddpg_learnability():
         cfg = TrainConfig(lam_e=0.0, warmup_steps=64, noise_scale=0.3)
         agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=s)
         train(agent, env, 300)
-        curve = evaluate(agent.act, VectorMarketEnv(series, cost_bps=0.0,
-                                                    reward_scale=0.05))
+        curve = run_policy(VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05),
+                           agent.act)
         ratio = (curve[-1] - curve[0]) / (omn[-1] - omn[0])
         ratios.append(float(ratio))
         wins += ratio >= 0.9

@@ -7,7 +7,6 @@ clipped so cash stays non-negative including costs; no shorting.
 """
 
 import csv
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -190,13 +189,11 @@ def load_ohlcv(path):
 
 
 def split(series, ratio=0.7):
-    """Chronological split: the first ceil(ratio * days) days train."""
-    if not 0.0 < ratio <= 1.0:
-        raise ConfigError("split ratio must lie in (0, 1]")
+    """Chronological split: the first ceil(ratio * days) days train, and the
+    rest, which needs two days to score, tests."""
     n = int(np.ceil(ratio * series.n_days))
-    if n >= series.n_days:
-        warnings.warn("split leaves an empty test set")
-        n = series.n_days
+    if series.n_days - n < 2:
+        raise ConfigError("test split too short to score")
     return series.window(0, n), series.window(n, series.n_days)
 
 
@@ -285,7 +282,8 @@ def synth_market(d, days, drift=0.05, vol=0.2, corr=0.3, seed=0,
 
 
 class TradingEnv:
-    """Steps a portfolio through a price series day by day."""
+    """Steps a portfolio through a price series day by day and records the
+    daily equity curve: the total asset of every state the episode reached."""
 
     def __init__(self, series, initial_cash=10000.0, cost_bps=10.0):
         if series.n_days < 2:
@@ -295,6 +293,7 @@ class TradingEnv:
         self.cost_bps = float(cost_bps)
         self.last_day = series.n_days - 1
         self.state = None
+        self.curve = None
 
     def reset(self):
         self.state = PortfolioState(
@@ -303,6 +302,7 @@ class TradingEnv:
             b=self.initial_cash,
             t=0,
         )
+        self.curve = [self.state.total_asset]
         return self.state
 
     @property
@@ -316,14 +316,14 @@ class TradingEnv:
             raise ParamError("episode finished")
         nxt = self.series.close[self.state.t + 1]
         self.state, reward = step(self.state, action, nxt, cost_bps=self.cost_bps)
+        self.curve.append(self.state.total_asset)
         return self.state, reward, self.done
 
 
 def run_policy(env, policy):
-    """Full episode; returns the daily equity curve (n_days values)."""
-    state = env.reset()
-    curve = [state.total_asset]
+    """One episode of policy(observation) -> action on a TradingEnv or a
+    learner env built on one; returns the daily equity curve (n_days values)."""
+    obs = env.reset()
     while not env.done:
-        state, _, _ = env.step(policy(state))
-        curve.append(state.total_asset)
-    return np.asarray(curve)
+        obs, _, _ = env.step(policy(obs))
+    return np.asarray(env.curve)

@@ -170,7 +170,7 @@ class TrainConfig:
 # environments
 
 
-class VectorMarketEnv:
+class VectorMarketEnv(TradingEnv):
     """Box actions in [-1, 1]^d traded as asset fractions over a price series.
 
     State: per-stock window of recent log returns (scaled x10), portfolio
@@ -180,27 +180,21 @@ class VectorMarketEnv:
 
     def __init__(self, series, window=3, initial_cash=100.0, cost_bps=10.0,
                  reward_scale=1.0, expert=None):
-        self.tenv = TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
+        super().__init__(series, initial_cash=initial_cash, cost_bps=cost_bps)
         self.window = int(window)
         self.d = series.n_stocks
         self.reward_scale = float(reward_scale)
         self.expert = expert
         self.state_dim = self.d * self.window + self.d + 1
         self.action_dim = self.d
-        self.curve = None
 
     def reset(self):
-        state = self.tenv.reset()
-        self.curve = [state.total_asset]
+        super().reset()
         return self._features()
 
-    @property
-    def done(self):
-        return self.tenv.done
-
     def _features(self):
-        s = self.tenv.state
-        close = self.tenv.series.close
+        s = self.state
+        close = self.series.close
         rets = np.zeros((self.window, self.d))
         for k in range(1, self.window + 1):
             if s.t - k >= 0:
@@ -213,42 +207,35 @@ class VectorMarketEnv:
         """Floor strategy's trade mapped into policy units."""
         if self.expert is None:
             raise ConfigError("no expert attached to this environment")
-        s = self.tenv.state
+        s = self.state
         shares = cppi_expert_action(s, self.expert)
         a = shares * s.p / s.total_asset
         return np.clip(a, -1.0, 1.0)
 
     def step(self, action):
         action = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-        s = self.tenv.state
+        s = self.state
         shares = action * s.total_asset / s.p
-        state, reward, done = self.tenv.step(shares)
-        self.curve.append(state.total_asset)
+        _, reward, done = super().step(shares)
         return self._features(), reward * self.reward_scale, done
 
 
-class DiscreteTradingEnv:
+class DiscreteTradingEnv(TradingEnv):
     """Sell/hold/buy per stock over trend-and-position bucket states."""
 
     def __init__(self, series, initial_cash=100.0, cost_bps=10.0):
-        self.tenv = TradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
+        super().__init__(series, initial_cash=initial_cash, cost_bps=cost_bps)
         self.d = series.n_stocks
         self.n_actions = 3 ** self.d
         self.n_states = 9 ** self.d
-        self.curve = None
 
     def reset(self):
-        state = self.tenv.reset()
-        self.curve = [state.total_asset]
+        super().reset()
         return self._state_id()
 
-    @property
-    def done(self):
-        return self.tenv.done
-
     def _state_id(self):
-        s = self.tenv.state
-        close = self.tenv.series.close
+        s = self.state
+        close = self.series.close
         a = s.total_asset
         sid = 0
         for j in range(self.d):
@@ -266,7 +253,7 @@ class DiscreteTradingEnv:
         action = int(action)
         if not 0 <= action < self.n_actions:
             raise ParamError(f"action {action} out of range")
-        s = self.tenv.state
+        s = self.state
         moves = np.zeros(self.d)
         codes = []
         a = action
@@ -280,8 +267,7 @@ class DiscreteTradingEnv:
                 moves[j] = -s.h[j]
             elif c == 2:
                 moves[j] = s.b / len(buyers) / s.p[j]
-        state, reward, done = self.tenv.step(moves)
-        self.curve.append(state.total_asset)
+        _, reward, done = super().step(moves)
         return self._state_id(), reward, done
 
 
@@ -518,16 +504,6 @@ def train(agent, env, episodes):
             "j_e": ep_je / k,
         })
     return TrainResult(logs=logs, pretrained=pretrained)
-
-
-def evaluate(policy, env):
-    """One rollout of policy(state) -> action on a learner-facing env
-    (VectorMarketEnv, DiscreteTradingEnv); returns the currency equity curve."""
-    s = env.reset()
-    done = False
-    while not done:
-        s, _, done = env.step(policy(s))
-    return np.asarray(env.curve)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +744,7 @@ def run_trader(name, series, seed, episodes):
         res = dqn_lite(env, episodes, seed=seed)
     else:
         res = (tabular_q if name == "ql" else sarsa)(env, episodes, seed)
-    return evaluate(res.greedy_policy(), env)
+    return run_policy(env, res.greedy_policy())
 
 
 def tournament(names, seed, days, episodes):
@@ -853,14 +829,6 @@ class BacktestConfig:
         return CppiConfig(floor=self.floor_frac * self.initial_cash,
                           multiplier=self.multiplier).validate(self.initial_cash)
 
-    def split(self, series):
-        """Chronological (train, test) split; the test part needs two days
-        to score."""
-        train_series, test_series = split(series, ratio=self.split_ratio)
-        if test_series.n_days < 2:
-            raise ConfigError("test split too short to score")
-        return train_series, test_series
-
 
 def _ddpg_curve(train_series, test_series, seed, cfg, supervised):
     expert = cfg.floor_rule() if supervised else None
@@ -874,7 +842,7 @@ def _ddpg_curve(train_series, test_series, seed, cfg, supervised):
     tc = cfg.train if supervised else replace(cfg.train, lam_e=0.0)
     agent = DdpgAgent(env.state_dim, env.action_dim, config=tc, seed=seed)
     train(agent, env, cfg.episodes)
-    return evaluate(agent.act, make_env(test_series))
+    return run_policy(make_env(test_series), agent.act)
 
 
 def backtest_curve(name, train_series, test_series, seed, cfg):
@@ -885,9 +853,9 @@ def backtest_curve(name, train_series, test_series, seed, cfg):
         env = DiscreteTradingEnv(train_series, initial_cash=cfg.initial_cash,
                                  cost_bps=cfg.cost_bps)
         res = dqn_lite(env, cfg.episodes, seed=seed)
-        return evaluate(res.greedy_policy(),
-                        DiscreteTradingEnv(test_series, initial_cash=cfg.initial_cash,
-                                           cost_bps=cfg.cost_bps))
+        return run_policy(DiscreteTradingEnv(test_series, initial_cash=cfg.initial_cash,
+                                             cost_bps=cfg.cost_bps),
+                          res.greedy_policy())
     if name == "ddpg":
         return _ddpg_curve(train_series, test_series, seed, cfg, supervised=False)
     if name == "cppi_ddpg":
@@ -901,7 +869,7 @@ def backtest_curve(name, train_series, test_series, seed, cfg):
 def backtest(series, names, seeds, cfg):
     """Train on the chronological head, score AR/SR/MaxD on the tail; returns
     each named agent's median Metrics over the seeds."""
-    train_series, test_series = cfg.split(series)
+    train_series, test_series = split(series, cfg.split_ratio)
     return {name: median_metrics([metrics(backtest_curve(name, train_series, test_series,
                                                          int(seed), cfg))
                                   for seed in seeds])

@@ -1,14 +1,18 @@
 """Thompson-sampling agents over the bandit environment family.
 
-Two lineages share one linear update rule:
+The bandit agents' two lineages share one linear (B, y) update rule:
 
   * Gaussian lineage (cts, scts): arm parameters are the observed contexts, the
     shared weight mu is resampled from N(center, v^2 Gamma^-1), and the update
     weights are Monte-Carlo pull probabilities pi.
-  * Stable lineage (acts, sacts, plain_ats, mdp_acts): per-arm location draws
-    theta evolve by Metropolis-Hastings on a numeric stable likelihood, and the
+  * Stable lineage (acts, sacts, plain_ats): per-arm location draws theta
+    evolve by Metropolis-Hastings on a numeric stable likelihood, and the
     update weights are normalized upper-tail probabilities beyond the chosen
     arm's score.
+
+The episodic mdp_acts keeps no (B, y) state: each episode moves every visited
+(state, action) location by one MH step on the same stable likelihood and
+plans on the Q those locations give.
 
 Every round after warm-up runs one MH sweep. Each sweep evaluates every arm's
 proposals over that arm's whole reward history: O(pulls x dim) density points
@@ -557,8 +561,6 @@ class MdpActsAgent:
         self.theta = np.full((n_states, n_actions), _PRIOR_MU)
         self.known_next = np.full((n_states, n_actions), -1, dtype=int)
         self.visits = np.zeros((n_states, n_actions), dtype=int)
-        self.b_mat = [np.eye(n_actions) for _ in range(n_states)]
-        self.y_vec = [np.zeros(n_actions) for _ in range(n_states)]
         self.point_q = np.zeros((horizon, n_states, n_actions))
 
     def _backward(self, means, trans):
@@ -621,8 +623,6 @@ class MdpActsAgent:
         for h, (s, a, r) in enumerate(zip(trace.states, trace.actions, trace.rewards)):
             nxt = trace.states[h + 1] if h + 1 < len(trace.states) else trace.final_state
             self._observe(s, a, r, nxt)
-        for s in set(trace.states):
-            self._slot_update(s, trace)
         self.point_q = self._backward(self._empirical_means(), self.known_next)
         return trace, reg
 
@@ -639,19 +639,6 @@ class MdpActsAgent:
             self.beliefs[s][a].refit(hist)
         elif len(hist) < 50 and len(hist) % 5 == 0:
             self.beliefs[s][a] = belief_from_history(hist)
-
-    def _slot_update(self, s, trace):
-        """Tail-weighted information update over the state's action draws."""
-        beliefs = self.beliefs[s]
-        if any(b is None for b in beliefs):
-            return
-        acted = [a for st, a in zip(trace.states, trace.actions) if st == s]
-        rewards = [r for st, r in zip(trace.states, trace.rewards) if st == s]
-        thetas = self.theta[s][:, None] * np.eye(self.n_actions)  # diag embedding
-        for a, r in zip(acted, rewards):
-            cutoff = float(self.theta[s, a])
-            w = tail_weights(beliefs, self.theta[s], cutoff)
-            _weighted_update(self.b_mat[s], self.y_vec[s], thetas, w, a, r)
 
     def greedy_policy(self):
         return self.point_q.argmax(axis=2)

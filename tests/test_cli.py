@@ -799,6 +799,8 @@ ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]
     ({"agents": [{"algorithm": "acts", "mc_probs": 7}]}, "'acts' never reads agent.mc_probs"),
     ({"agents": [{"algorithm": "cts", "refresh_every": 3, "warmup": 9}]},
      "'cts' never reads agent.refresh_every, agent.warmup"),
+    ({**EXECUTION_RUN, "env": None, "params": {}}, "env must be a table"),
+    ({**EXECUTION_RUN, "env": 5, "params": {}}, "env must be a table"),
 ])
 def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
                                                                  monkeypatch, over, key):

@@ -277,12 +277,12 @@ def test_split_ceil():
     assert train.dates + test.dates == series.dates
 
 
-def test_split_full_train_warns():
+def test_split_refuses_a_test_part_under_two_days():
     series = synth_market(1, 10, seed=0)
-    with pytest.warns(UserWarning):
-        train, test = split(series, ratio=1.0)
-    assert train.n_days == 10
-    assert test.n_days == 0
+    assert split(series, ratio=0.8)[1].n_days == 2
+    for ratio in (0.85, 1.0):
+        with pytest.raises(ConfigError, match="test split too short"):
+            split(series, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stabletrade.errors import ConfigError, NumericError, ParamError
-from stabletrade.market_sim import CppiConfig, synth_market
+from stabletrade.market_sim import CppiConfig, TradingEnv, run_policy, synth_market
 from stabletrade.rl_agents import (
     BacktestConfig,
     DdpgAgent,
@@ -23,7 +23,6 @@ from stabletrade.rl_agents import (
     critic_loss,
     critic_update,
     dqn_lite,
-    evaluate,
     format_table2,
     format_table3,
     perfect_foresight_curve,
@@ -481,12 +480,40 @@ def test_discrete_env_buy_sell_cycle():
     sid = env.reset()
     assert sid == 1 * 3 + 0          # flat trend, all-cash bucket
     sid, _, _ = env.step(2)          # all-in
-    st = env.tenv.state
+    st = env.state
     assert st.b == pytest.approx(0.0, abs=1e-9)
     assert st.h[0] > 0.0
     assert sid % 3 == 2              # full-position bucket
     sid, _, _ = env.step(0)          # sell all
-    assert env.tenv.state.h[0] == 0.0
+    assert env.state.h[0] == 0.0
+
+
+@pytest.mark.parametrize("make, policy", [
+    (lambda s: TradingEnv(s, initial_cash=100.0),
+     lambda st: np.array([0.4, -0.3]) * (1.0 if st.t % 3 else -1.0)),
+    (lambda s: VectorMarketEnv(s, reward_scale=0.1), lambda f: np.tanh(f[:2] + 0.3)),
+    (lambda s: DiscreteTradingEnv(s), lambda sid: sid % 9),
+], ids=["TradingEnv", "VectorMarketEnv", "DiscreteTradingEnv"])
+def test_run_policy_curve_is_each_reached_total_asset(make, policy):
+    series = synth_market(2, 15, vol=0.3, seed=4)
+    env = make(series)
+    reached = []
+    env_step = env.step
+
+    def recording(action):
+        out = env_step(action)
+        reached.append(env.state.total_asset)
+        return out
+
+    env.step = recording
+    curve = run_policy(env, policy)
+    assert curve.shape == (series.n_days,)
+    assert curve[0] == env.initial_cash
+    assert list(curve[1:]) == reached
+    # a second episode starts a fresh curve; train reads its return from it
+    env.reset()
+    assert env.curve == [env.initial_cash]
+    assert np.array_equal(run_policy(env, policy), curve)
 
 
 def test_discrete_env_action_bounds():
@@ -521,7 +548,7 @@ def test_train_same_seed_same_curves():
                           seed=11)
         res = train(agent, env, 8)
         return ([log["return"] for log in res.logs],
-                evaluate(agent.act, VectorMarketEnv(series, reward_scale=0.1)))
+                run_policy(VectorMarketEnv(series, reward_scale=0.1), agent.act))
 
     r1, c1 = run()
     r2, c2 = run()
@@ -558,7 +585,7 @@ def test_ddpg_learns_alternating_toy():
     cfg = TrainConfig(lam_e=0.0, warmup_steps=64, noise_scale=0.3)
     agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=0)
     train(agent, env, 300)
-    curve = evaluate(agent.act, VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05))
+    curve = run_policy(VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05), agent.act)
     ratio = (curve[-1] - curve[0]) / (omn[-1] - omn[0])
     assert ratio >= 0.9
 
@@ -575,7 +602,7 @@ def test_ddpg_learns_not_to_trade_flat_market():
     notional = []
     while not env.done:
         a = agent.act(s)
-        notional.append(abs(float(a[0])) * env.tenv.state.total_asset)
+        notional.append(abs(float(a[0])) * env.state.total_asset)
         s, _, _ = env.step(a)
     assert np.mean(notional) < 5.0
 
@@ -591,7 +618,7 @@ def test_supervised_ddpg_stays_near_floor_strategy():
     agent = DdpgAgent(make_env().state_dim, 2, config=cfg, seed=0)
     res = train(agent, make_env(), 10)
     assert res.pretrained == 200
-    curve = evaluate(agent.act, make_env())
+    curve = run_policy(make_env(), agent.act)
     assert curve.min() >= 85.0 * 0.95
 
 
@@ -831,5 +858,5 @@ def test_partial_train_table_keeps_the_backtest_training_defaults():
 
 def test_backtest_needs_scorable_test_split():
     series = synth_market(1, 10, seed=0)
-    with pytest.warns(UserWarning), pytest.raises(ConfigError):
+    with pytest.raises(ConfigError):
         backtest(series, ["up"], (0,), BacktestConfig(split_ratio=0.99))
