@@ -419,6 +419,11 @@ def _parse_backtest(cfg):
     bt = BacktestConfig.from_dict(cfg.params.get("backtest", {}))
     agents = _roster(cfg, rl_agents.BACKTEST_AGENTS, {"algorithm", "label"})
     train_series, test_series = split(series, bt.split_ratio)
+    learners = [a["algorithm"] for a in agents if a["algorithm"] in rl_agents.BACKTEST_LEARNERS]
+    if learners and train_series.n_days < 2:
+        raise ConfigError(
+            f"params.backtest.split_ratio {bt.split_ratio} leaves {train_series.n_days} of "
+            f"{series.n_days} days to train on; {', '.join(learners)} need at least 2")
     return [(a.get("label", a["algorithm"]),
              partial(_backtest_cell, a["algorithm"], train_series, test_series, bt))
             for a in agents]

@@ -328,6 +328,18 @@ class DdpgAgent:
         soft_update(self.t_critic, self.critic, self.config.tau)
 
 
+def _median(x):
+    """np.median of a 1-D array, bit for bit, from one partition: the middle
+    entry, or the mean of the middle two, and NaN when any entry is NaN
+    (the partition puts NaN last)."""
+    n = x.size
+    k = n // 2
+    part = np.partition(x, (k, n - 1) if n % 2 else (k - 1, k, n - 1))
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(part[k] if n % 2 else (part[k - 1] + part[k]) / 2.0)
+
+
 def critic_loss(agent, batch):
     """Mean squared TD error against the target networks, plus critic
     gradients; terminal rows drop the bootstrap."""
@@ -337,7 +349,7 @@ def critic_loss(agent, batch):
     q2 = agent.t_critic.predict(np.hstack([s2, a2]))
     y = r + cfg.gamma * (1.0 - done) * q2[:, 0]
     q, cache = agent.critic.forward(np.hstack([s, a]))
-    med = float(np.median(np.abs(q)))
+    med = _median(np.abs(q[:, 0]))
     if med > cfg.divergence_limit:
         raise NumericError(
             f"critic diverged: median |Q| {med:.3g} exceeds {cfg.divergence_limit:.0e}"
@@ -349,13 +361,13 @@ def critic_loss(agent, batch):
     return loss, grads
 
 
-def _candidate_set(agent, states, expert_actions, rng):
-    """(n, k + 2, d): the actor's action, the expert's, then k clipped
+def _candidate_set(agent, pi, expert_actions, rng):
+    """(n, k + 2, d): the actor's actions pi, the expert's, then k clipped
     Gaussian perturbations of the expert's, drawn perturbation-major."""
     k = agent.config.n_candidates
     n, d = expert_actions.shape
     cands = np.empty((n, k + 2, d))
-    cands[:, 0] = agent.actor.predict(states)
+    cands[:, 0] = pi
     cands[:, 1] = expert_actions
     noise = rng.standard_normal((k, n, d)).transpose(1, 0, 2)
     np.clip(expert_actions[:, None, :] + 0.5 * agent.config.margin_rho * noise,
@@ -363,37 +375,48 @@ def _candidate_set(agent, states, expert_actions, rng):
     return cands
 
 
-def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None):
+def cppi_margin_loss(agent, states, expert_actions, pi=None, candidates=None, rng=None):
     """Margin-ranking loss max_a [Q(s,a) + l(a_E,a)] - Q(s,a_E) and its
     critic gradients, as (value, grads).
 
-    Non-negative whenever the expert action sits in the candidate set.
+    The candidates are ``_candidate_set``'s by default, built from pi (the
+    actor's actions on the states, computed here when None) and rng (the
+    agent's when None); their column 1 is the expert's action. Candidates
+    given as (n, c, d) are ranked as they are, and the expert's action takes
+    one more column. One critic pass covers every column, and the best and
+    expert rows' activations come from it. Non-negative whenever the expert
+    action sits in the candidate set.
     """
     cfg = agent.config
     states = np.atleast_2d(np.asarray(states, dtype=float))
     expert_actions = np.atleast_2d(np.asarray(expert_actions, dtype=float))
-    n = states.shape[0]
+    n, sd = states.shape
     if candidates is None:
-        candidates = _candidate_set(agent, states, expert_actions,
+        if pi is None:
+            pi = agent.actor.predict(states)
+        candidates = _candidate_set(agent, pi, expert_actions,
                                     rng if rng is not None else agent.rng)
+        n_cand = width = candidates.shape[1]
+        e_col = 1
     else:
         candidates = np.asarray(candidates, dtype=float)
-    n_cand = candidates.shape[1]
-    flat_s = np.repeat(states, n_cand, axis=0)
-    flat_a = candidates.reshape(n * n_cand, -1)
-    q_flat = agent.critic.predict(np.hstack([flat_s, flat_a]))
-    q = q_flat[:, 0].reshape(n, n_cand)
+        n_cand = e_col = candidates.shape[1]
+        width = n_cand + 1
+    # each state beside each of its candidates (and the extra expert column)
+    x = np.empty((n, width, sd + expert_actions.shape[1]))
+    x[:, :, :sd] = states[:, None, :]
+    x[:, :n_cand, sd:] = candidates
+    x[:, n_cand:, sd:] = expert_actions[:, None, :]
+    q = agent.critic.predict(x.reshape(n * width, -1))[:, 0].reshape(n, width)
     dist = np.linalg.norm(candidates - expert_actions[:, None, :], axis=2)
     pen = cfg.margin_m * np.minimum(1.0, dist / cfg.margin_rho)
-    scores = q + pen
+    scores = q[:, :n_cand] + pen
     best = np.argmax(scores, axis=1)
     rows = np.arange(n)
-    top = scores[rows, best]
-    expert_in = np.hstack([states, expert_actions])
-    # one cached pass over [best rows; expert rows], split into two caches
-    best_in = np.hstack([states, candidates[rows, best]])
-    q_pair, cache = agent.critic.forward(np.vstack([best_in, expert_in]))
-    value = float(np.mean(top - q_pair[n:, 0]))
+    value = float(np.mean(scores[rows, best] - q[rows, e_col]))
+    # the pass's [best rows; expert rows], split into two caches
+    cache = agent.critic.cache_rows(np.concatenate([rows * width + best,
+                                                    rows * width + e_col]))
     cache_b = {"acts": [h[:n] for h in cache["acts"]], "squeeze": False}
     cache_e = {"acts": [h[n:] for h in cache["acts"]], "squeeze": False}
     up = np.full((n, 1), 1.0 / n)
@@ -402,24 +425,28 @@ def cppi_margin_loss(agent, states, expert_actions, candidates=None, rng=None):
     return value, g_best + g_exp
 
 
-def critic_update(agent, batch, expert=False):
+def critic_update(agent, batch, pi=None):
+    """One clipped optimizer step of the critic on the TD loss and, given the
+    actor's actions pi on batch.s (expert mode), lam_e times the margin loss
+    over the candidate set built from them."""
     cfg = agent.config
     td, grads = critic_loss(agent, batch)
     j_e = 0.0
-    if expert:
+    if pi is not None:
         if batch.a_exp is None:
             raise ParamError("expert mode needs expert actions in the minibatch")
-        j_e, mg = cppi_margin_loss(agent, batch.s, batch.a_exp)
+        j_e, mg = cppi_margin_loss(agent, batch.s, batch.a_exp, pi=pi)
         grads = grads + cfg.lam_e * mg
     clip_global_norm(agent.critic, grads, cfg.grad_clip)
     opt_step(agent.critic, grads, agent.opt_critic, lr=cfg.critic_lr)
     return td, j_e
 
 
-def actor_loss_grads(agent, states):
-    """Loss -mean Q(s, pi(s)) and its actor gradients via the critic's input."""
+def actor_loss_grads(agent, states, actor_pass=None):
+    """Loss -mean Q(s, pi(s)) and its actor gradients via the critic's input;
+    actor_pass is actor.forward(states) when the caller has made it."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    a, cache_a = agent.actor.forward(states)
+    a, cache_a = agent.actor.forward(states) if actor_pass is None else actor_pass
     q, cache_c = agent.critic.forward(np.hstack([states, a]))
     up = np.full((states.shape[0], 1), -1.0 / states.shape[0])
     _, gx = agent.critic.backward(cache_c, up, want_gx=True)
@@ -428,12 +455,27 @@ def actor_loss_grads(agent, states):
     return float(-np.mean(q)), grads
 
 
-def actor_update(agent, batch):
+def actor_update(agent, batch, actor_pass=None):
     """Chain-rule ascent on Q(s, pi(s)); the critic stays frozen."""
-    loss, grads = actor_loss_grads(agent, batch.s)
+    loss, grads = actor_loss_grads(agent, batch.s, actor_pass)
     clip_global_norm(agent.actor, grads, agent.config.grad_clip)
     opt_step(agent.actor, grads, agent.opt_actor, lr=agent.config.actor_lr)
     return loss
+
+
+def ddpg_update(agent, batch, expert):
+    """One DDPG step on a minibatch: the critic's (with the margin term in
+    expert mode), the actor's against the updated critic, then the soft
+    target updates; returns (TD loss, margin loss, actor loss).
+
+    One actor pass over batch.s serves both the candidate set and the actor
+    loss: only the critic changes between them.
+    """
+    actor_pass = agent.actor.forward(batch.s)
+    td, j_e = critic_update(agent, batch, actor_pass[0] if expert else None)
+    la = actor_update(agent, batch, actor_pass)
+    agent.soft_updates()
+    return td, j_e, la
 
 
 @dataclass
@@ -456,10 +498,7 @@ def _pretrain(agent, env, buffer, cfg):
     for _ in range(cfg.pretrain_steps):
         if len(buffer) < cfg.batch:
             break
-        batch = buffer.sample(cfg.batch, agent.rng)
-        critic_update(agent, batch, expert=True)
-        actor_update(agent, batch)
-        agent.soft_updates()
+        ddpg_update(agent, buffer.sample(cfg.batch, agent.rng), expert=True)
         steps += 1
     return steps
 
@@ -486,11 +525,9 @@ def train(agent, env, episodes):
             if len(buffer) >= max(cfg.batch, cfg.warmup_steps):
                 batch = buffer.sample(cfg.batch, agent.rng)
                 try:
-                    td, j_e = critic_update(agent, batch, expert=expert_mode)
+                    td, j_e, la = ddpg_update(agent, batch, expert_mode)
                 except NumericError as err:
                     raise NumericError(f"episode {ep}: {err}") from None
-                la = actor_update(agent, batch)
-                agent.soft_updates()
                 ep_td += td
                 ep_la += la
                 ep_je += j_e
@@ -776,6 +813,8 @@ def format_table2(result):
 
 
 BACKTEST_AGENTS = ("up", "dqn", "ddpg", "cppi_ddpg", "ad_ts")
+# the backtest agents that trade the train part before the test part
+BACKTEST_LEARNERS = ("dqn", "ddpg", "cppi_ddpg")
 _T3_LABELS = {"up": "UP", "dqn": "DQN", "ddpg": "DDPG",
               "cppi_ddpg": "CPPI-DDPG", "ad_ts": "AD-TS"}
 

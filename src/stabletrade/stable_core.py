@@ -27,6 +27,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 16384
 _SIGMA_FLOOR = 1e-12
 _ECF_MIN_SAMPLES = 50    # estimate_ecf refuses fewer samples
+# exp(-x) rounds to exactly 0 from x = 745.2 on; PdfTable leaves the CF
+# entries with (sigma u)^alpha past this at zero instead of computing them
+_CF_UNDERFLOW = 746.0
 # PdfTable.density: point count from which the computed knot index beats
 # np.interp's search, and the index estimate's downward bias in knot widths
 _DIRECT_MIN_POINTS = 600
@@ -199,7 +202,10 @@ class PdfTable:
         du = 2.0 * np.pi / (n * dx)
         u = np.arange(n // 2 + 1) * du
         x0 = -half_width
-        phi = np.conj(_sampling_cf(ref, u)) * np.exp(1j * u * (x0 + shift))
+        # past the underflow the CF and so every entry is zero: skip them
+        u = u[:np.searchsorted(u, _CF_UNDERFLOW ** (1.0 / alpha) / sigma)]
+        phi = np.zeros(n // 2 + 1, dtype=complex)
+        phi[:u.size] = np.conj(_sampling_cf(ref, u)) * np.exp(1j * u * (x0 + shift))
         dens = np.fft.irfft(phi, n=n).real / dx
         del u, phi
         self._x0, self._dx, self._n = x0, dx, n

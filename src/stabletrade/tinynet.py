@@ -21,7 +21,11 @@ no cache: it writes the hidden layers into one buffer per layer that the
 network keeps, grown to the largest row count seen, so that the large
 passes nothing backpropagates (acting, target values, the candidates of a
 margin loss) do not allocate fresh memory on every call. Its output is a
-fresh array. Both run the same layer loop.
+fresh array. Both run the same layer loop. ``cache_rows`` turns selected
+rows of the last ``predict`` into the cache that ``forward`` gives for those
+rows (bit for bit at row counts that are multiples of 4; see the method), so
+a caller that backpropagates through a few rows of a large pass needs no
+second pass over them.
 """
 
 import numpy as np
@@ -64,6 +68,7 @@ class Mlp:
         self.weights = self._params[0::2]
         self.biases = self._params[1::2]
         self._hidden, self._hidden_rows = [], 0    # predict's layer buffers
+        self._last = None                          # predict's last (input, output)
         rng = np.random.default_rng(seed)
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
@@ -118,7 +123,27 @@ class Mlp:
             self._hidden = [np.empty((rows, n)) for n in self.sizes[1:-1]]
             self._hidden_rows = rows
         h = self._layers(x, [buf[:rows] for buf in self._hidden] + [None])[-1]
+        self._last = (x, h)
         return h[0] if squeeze else h
+
+    def cache_rows(self, rows):
+        """``forward``'s cache for the given rows of the last ``predict``'s
+        input, taken from that pass instead of a new one.
+
+        It equals ``forward(x[rows])``'s cache bit for bit wherever the BLAS
+        rounds each row of a matrix product alike at both row counts.
+        OpenBLAS rounds the trailing (rows mod 4) rows of a narrow product
+        its own way, so keep both counts multiples of 4, as the margin loss's
+        640-row pass and 128 selected rows are. The rows are copied out, so
+        the cache outlives the next ``predict``; the caller must not have
+        written to that pass's input or output.
+        """
+        if self._last is None:
+            raise ParamError("cache_rows needs an earlier predict")
+        x, y = self._last
+        n = x.shape[0]
+        acts = [x[rows]] + [buf[:n][rows] for buf in self._hidden] + [y[rows]]
+        return {"acts": acts, "squeeze": False}
 
     def backward(self, cache, gy, want_gx=False):
         """Gradients of sum(output * gy) for every parameter plus, with

@@ -747,6 +747,8 @@ BACKTEST_RUN = {"kind": "backtest", "agents": ["up"], "seeds": [0], "params": {}
 EXECUTION_RUN = {"kind": "execution", "agents": [], "seeds": [0],
                  "env": {"d": 1, "days": 30}}
 ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]}
+ONE_DAY_TRAIN_RUN = {**BACKTEST_RUN, "env": {"d": 1, "days": 50},
+                     "params": {"backtest": {"split_ratio": 0.01}}}
 
 
 @pytest.mark.parametrize("over, key", [
@@ -801,6 +803,8 @@ ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]
      "'cts' never reads agent.refresh_every, agent.warmup"),
     ({**EXECUTION_RUN, "env": None, "params": {}}, "env must be a table"),
     ({**EXECUTION_RUN, "env": 5, "params": {}}, "env must be a table"),
+    # a one-day train part stops a roster with a learner at load
+    ({**ONE_DAY_TRAIN_RUN, "agents": ["up", "dqn"]}, "params.backtest.split_ratio"),
 ])
 def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
                                                                  monkeypatch, over, key):
@@ -816,6 +820,13 @@ def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not (tmp_path / "out").exists()
+
+
+def test_one_day_train_part_still_runs_agents_that_only_trade_the_test_part(tmp_path):
+    path = write_config(tmp_path, **{**ONE_DAY_TRAIN_RUN, "agents": ["up", "ad_ts"]})
+    assert cli.main(["run", str(path), "--workers", "1"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert set(summary["aggregate"]["median"]) == {"up", "ad_ts"}
 
 
 def test_cli_too_few_samples_exit_two_without_traceback(tmp_path, capsys):

@@ -14,6 +14,7 @@ from stabletrade.rl_agents import (
     TrainConfig,
     VectorMarketEnv,
     _candidate_set,
+    _median,
     actor_loss_grads,
     actor_update,
     alternating_series,
@@ -22,6 +23,7 @@ from stabletrade.rl_agents import (
     cppi_margin_loss,
     critic_loss,
     critic_update,
+    ddpg_update,
     dqn_lite,
     format_table2,
     format_table3,
@@ -33,7 +35,7 @@ from stabletrade.rl_agents import (
     train,
     up_run,
 )
-from stabletrade.tinynet import Mlp
+from stabletrade.tinynet import Mlp, clip_global_norm, opt_step
 
 
 def _zero(net):
@@ -407,7 +409,7 @@ def _margin_batch(seed, n=64, state_dim=13, action_dim=2):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_candidate_set_matches_per_draw_loop(seed):
     agent, s, ae = _margin_batch(seed)
-    got = _candidate_set(agent, s, ae, np.random.default_rng(seed))
+    got = _candidate_set(agent, agent.actor.predict(s), ae, np.random.default_rng(seed))
     ref = _ref_candidate_set(agent, s, ae, np.random.default_rng(seed))
     assert got.shape == ref.shape == (64, agent.config.n_candidates + 2, 2)
     assert np.array_equal(got, ref)
@@ -430,7 +432,9 @@ def test_margin_loss_matches_three_pass_reference(seed):
     assert value == ref_value and np.array_equal(grads, ref_grads)
 
 
-def test_margin_loss_makes_one_cached_and_one_cache_free_critic_pass(monkeypatch):
+def test_margin_loss_makes_one_cache_free_critic_pass(monkeypatch):
+    # the best and expert rows' activations come from the candidate pass;
+    # candidates without the expert's action get one more column for it
     agent, s, ae = _margin_batch(0)
     calls = []
     for name in ("forward", "predict"):
@@ -440,7 +444,67 @@ def test_margin_loss_makes_one_cached_and_one_cache_free_critic_pass(monkeypatch
             return _orig(net, x)
         monkeypatch.setattr(Mlp, name, counted)
     cppi_margin_loss(agent, s, ae)
-    assert sorted(calls) == [("forward", 128), ("predict", 640)]
+    cands = np.random.default_rng(7).uniform(-1.0, 1.0, size=(64, 5, 2))
+    cppi_margin_loss(agent, s, ae, candidates=cands)
+    assert calls == [("predict", 640), ("predict", 384)]
+
+
+# The reference below is the update sequence that ddpg_update replaced:
+# critic_update (with the margin loss's own actor and critic passes), then
+# actor_update, then soft_updates. The new update must match it bit for bit.
+
+
+def _ref_update(agent, batch, expert):
+    cfg = agent.config
+    td, grads = critic_loss(agent, batch)
+    j_e = 0.0
+    if expert:
+        j_e, mg = _ref_margin_loss(agent, batch.s, batch.a_exp, rng=agent.rng)
+        grads = grads + cfg.lam_e * mg
+    clip_global_norm(agent.critic, grads, cfg.grad_clip)
+    opt_step(agent.critic, grads, agent.opt_critic, lr=cfg.critic_lr)
+    la = actor_update(agent, batch)
+    agent.soft_updates()
+    return td, j_e, la
+
+
+def _agent_state(agent):
+    nets = (agent.actor, agent.critic, agent.t_actor, agent.t_critic)
+    return ([net.flat for net in nets]
+            + [opt[key] for opt in (agent.opt_actor, agent.opt_critic)
+               for key in ("m", "v")])
+
+
+@pytest.mark.parametrize("expert", [True, False], ids=["expert", "plain"])
+def test_ddpg_update_matches_three_step_reference(expert):
+    rng = np.random.default_rng(11)
+    buffer = ReplayBuffer(500)
+    for _ in range(300):
+        buffer.add(rng.normal(size=13), np.clip(rng.normal(size=2), -1.0, 1.0),
+                   rng.normal(), rng.normal(size=13), rng.random() < 0.05,
+                   a_exp=np.clip(rng.normal(scale=0.6, size=2), -1.0, 1.0))
+    agent, ref = DdpgAgent(13, 2, seed=4), DdpgAgent(13, 2, seed=4)
+    for _ in range(50):
+        got = ddpg_update(agent, buffer.sample(64, agent.rng), expert)
+        want = _ref_update(ref, buffer.sample(64, ref.rng), expert)
+        assert got == want
+    for mine, theirs in zip(_agent_state(agent), _agent_state(ref)):
+        assert np.array_equal(mine, theirs)
+    assert agent.opt_actor["step"] == ref.opt_actor["step"] == 50
+    assert agent.opt_critic["step"] == ref.opt_critic["step"] == 50
+    assert agent.rng.random() == ref.rng.random()     # the streams stayed in step
+
+
+def test_critic_median_matches_numpy_median():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 64, 65):
+        for _ in range(20):
+            x = np.abs(rng.standard_cauchy(size=n))
+            assert _median(x) == float(np.median(x))
+        x[rng.integers(n)] = np.nan
+        assert np.isnan(_median(x)) and np.isnan(np.median(x))
+    x = np.array([1.0, np.inf, np.inf, 2.0])
+    assert _median(x) == float(np.median(x))
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,31 @@ def test_pdf_table_density_matches_two_pass_tails_bit_for_bit(alpha, beta, sigma
         assert new == old
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_RANDOM_TABLES = [pytest.param(*v, id=f"random-{i}") for i, v in enumerate(
+    np.random.default_rng(3).uniform([1.01, -1.0, 0.05], [2.0, 1.0, 5.0], size=(8, 3)))]
+
+
+@pytest.mark.parametrize("alpha, beta, sigma", [
+    (1.05, 0.7, 1.0), (1.3, -0.4, 0.2), (1.8, 0.9, 3.0), (2.0, 0.0, 1.0)] + _RANDOM_TABLES)
+def test_pdf_table_skipping_underflowed_cf_changes_no_bit(monkeypatch, alpha, beta, sigma):
+    """The build computes the CF only below its underflow; every table array
+    must equal the one from the CF computed at every frequency, zero signs
+    included."""
+    t = PdfTable(alpha, beta, sigma)
+    monkeypatch.setattr(stable_core, "_CF_UNDERFLOW", np.inf)
+    full = PdfTable(alpha, beta, sigma)
+    assert vars(t).keys() == vars(full).keys()
+    for key, value in vars(full).items():
+        assert _same_bits(getattr(t, key), value), key
+    assert _same_bits(t.grid_x, full.grid_x)
+
+
 @pytest.mark.parametrize("alpha, beta, sigma, grid", [
     (1.5, 0.6, 1.0, {}), (1.8, -0.9, 0.3, {}), (2.0, 0.0, 2.0, {}),
     (1.5, 0.0, 1.0, {"span": 40.0, "n": 2 ** 12})])

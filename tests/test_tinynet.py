@@ -484,3 +484,48 @@ def test_copy_gets_its_own_predict_buffers():
     assert np.array_equal(twin.predict(x), y)
     for mine in net._hidden:
         assert not any(np.shares_memory(mine, theirs) for theirs in twin._hidden)
+
+
+# ---------------------------------------------------------------------------
+# cache_rows: forward's cache for rows of the last predict
+
+
+@pytest.mark.parametrize("out_act", ["linear", "tanh"])
+@pytest.mark.parametrize("sizes", _SHAPES)
+def test_cache_rows_equals_forward_cache_of_those_rows(sizes, out_act):
+    # row counts that are multiples of 4, as in the margin loss: 640-row
+    # candidate passes, 128 [best; expert] rows (see the method's docstring)
+    net = Mlp(sizes, out_act=out_act, seed=5)
+    rng = np.random.default_rng(6)
+    for n in (640, 64, 8):      # the buffers outgrow the later passes
+        x = rng.normal(size=(n, sizes[0]))
+        net.predict(x)
+        for rows in (np.arange(n), rng.integers(n, size=128),
+                     np.array([n - 1, 0, n - 1, 1])):
+            cache = net.cache_rows(rows)
+            _, ref = net.forward(x[rows])
+            assert cache["squeeze"] is False
+            assert len(cache["acts"]) == len(ref["acts"])
+            for got, want in zip(cache["acts"], ref["acts"]):
+                assert got.shape == want.shape and np.array_equal(got, want)
+            gy = rng.normal(size=(len(rows), sizes[-1]))
+            got_g, got_gx = net.backward(cache, gy, want_gx=True)
+            want_g, want_gx = net.backward(ref, gy, want_gx=True)
+            assert np.array_equal(got_g, want_g) and np.array_equal(got_gx, want_gx)
+
+
+def test_cache_rows_outlives_the_next_predict():
+    net = Mlp([15, 64, 64, 1], seed=2)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(640, 15))
+    net.predict(x)
+    cache = net.cache_rows(np.array([3, 7]))
+    keep = [h.copy() for h in cache["acts"]]
+    net.predict(rng.normal(size=(640, 15)))
+    assert all(np.array_equal(h, k) for h, k in zip(cache["acts"], keep))
+    # rows past the last pass are not read from the larger buffers
+    net.predict(x[:4])
+    with pytest.raises(IndexError):
+        net.cache_rows(np.array([5]))
+    with pytest.raises(ParamError, match="earlier predict"):
+        Mlp([3, 2], seed=0).cache_rows(np.array([0]))
