@@ -90,14 +90,20 @@ class MdpTables:
         return self
 
 
+def _backward_q(means, transitions, horizon):
+    """Backward-induction Q of deterministic successors, shape (H, S, A): a
+    negative transition is an unknown successor, continuation 0, and the
+    value beyond the horizon is 0."""
+    known, succ = transitions >= 0, np.maximum(transitions, 0)
+    q = np.zeros((horizon + 1,) + means.shape)
+    for h in range(horizon - 1, -1, -1):
+        q[h] = means + np.where(known, q[h + 1].max(axis=1)[succ], 0.0)
+    return q[:horizon]
+
+
 def true_q(tables):
-    """Backward-induction optimal Q, shape (H, S, A); the value beyond the horizon is 0."""
-    h_, s_, a_ = tables.horizon, tables.n_states, tables.n_actions
-    q = np.zeros((h_ + 1, s_, a_))
-    for h in range(h_ - 1, -1, -1):
-        nxt = q[h + 1].max(axis=1)[tables.transitions]      # (S, A) continuation value
-        q[h] = tables.reward_means + (nxt if h + 1 < h_ else 0.0)
-    return q[:h_]
+    """Optimal Q of the true tables, shape (H, S, A)."""
+    return _backward_q(tables.reward_means, tables.transitions, tables.horizon)
 
 
 @dataclass

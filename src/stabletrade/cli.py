@@ -51,7 +51,6 @@ from .rl_agents import (
     TrainConfig,
     VectorMarketEnv,
     alternating_series,
-    backtest,
     backtest_curve,
     format_table2,
     format_table3,
@@ -854,25 +853,37 @@ def check_posterior_oracle():
                    f"total variation {tv:.3f} on a 101-point grid, tol 0.1")
 
 
+def _check_run(tmp, name, raw):
+    """One check's experiment, run by the harness with one worker into
+    tmp/name: its report and its summary's aggregate."""
+    rep = run(ExperimentConfig.from_dict(
+        {**raw, "name": name, "out_dir": os.path.join(tmp, name)}), workers=1)
+    with open(os.path.join(rep.out_dir, "summary.json")) as fh:
+        return rep, json.load(fh)["aggregate"]
+
+
+def _failed(name, t0, failures):
+    return _finish(name, t0, False, f"failed cells: {'; '.join(failures)}")
+
+
 def check_regret_sublinearity():
     """Contextual agents flatten and clearly beat the uniform reference."""
     t0 = time.perf_counter()
-    spec = EnvSpec(kind="linear", n_arms=5, dim=10, horizon=2000)
-    # the gaussian agent needs its posterior scale matched to the heavy-tail
-    # noise dispersion here; the tighter lineage default locks in early
-    configs = {"cts": AgentConfig(algorithm="cts", v=1.0),
-               "acts": AgentConfig(algorithm="acts")}
-    curves = {}
-    for algo in ("cts", "acts", "uniform"):
-        acc = np.zeros(2000)
-        for s in range(20):
-            env = make_env(spec, seed=s)    # mu redrawn per seed, shared across algos
-            if algo == "uniform":
-                agent = UniformAgent(5, seed=s)
-            else:
-                agent = make_agent(configs[algo], n_arms=5, dim=10, seed=s)
-            acc += regret(play(env, agent, 2000)).prefix
-        curves[algo] = acc / 20
+    with tempfile.TemporaryDirectory() as tmp:
+        # mu is redrawn per seed and shared across agents; the gaussian agent
+        # needs its posterior scale matched to the heavy-tail noise
+        # dispersion here, the tighter lineage default locks in early
+        rep, _ = _check_run(tmp, "regret", {
+            "kind": "bayes-regret",
+            "env": {"kind": "linear", "n_arms": 5, "dim": 10, "horizon": 2000},
+            "agents": [{"algorithm": "cts", "v": 1.0}, {"algorithm": "acts"},
+                       {"algorithm": "uniform"}],
+            "seeds": list(range(20))})
+        if rep.failures:
+            return _failed("regret-sublinearity", t0, rep.failures)
+        with open(os.path.join(rep.out_dir, "regret_mean.csv")) as fh:
+            head, *rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    curves = dict(zip(head, np.array(rows, dtype=float).T))    # t, then each agent's mean
     ratios = {a: curves[a][-1] / curves[a][999] for a in ("cts", "acts")}
     edge = {a: 1.0 - curves[a][-1] / curves["uniform"][-1] for a in ("cts", "acts")}
     ok = (all(r < 1.8 for r in ratios.values())
@@ -902,8 +913,8 @@ def check_degeneracy_equivalence():
     a2 = SactsAgent(3, 1, AgentConfig(algorithm="sacts", lam=0.0), seed=2,
                     n_users=1)
     pln = play(e1, a1, 100).arms == play(e2, a2, 100).arms
-    detail = (f"100-round arm traces: coupled-linear match {lin}, "
-              f"coupled-plain match {pln}")
+    detail = (f"100-round arm traces: one-user scts matches cts {lin}, "
+              f"one-user sacts matches acts {pln}")
     return _finish("degeneracy", t0, lin and pln, detail)
 
 
@@ -987,18 +998,26 @@ def check_cppi_floor():
     """The floor policy never breaches on bounded-loss markets, and its
     supervised trader draws down no more than the unsupervised one."""
     t0 = time.perf_counter()
-    violations = 0
-    for s in range(1000):
-        series = synth_market(2, 60, drift=0.0, vol=0.45, seed=s, max_loss=0.3)
-        rule = CppiConfig(floor=80.0, multiplier=2.0)    # k * max_loss = 0.6 <= 1
-        env = TradingEnv(series, initial_cash=100.0, cost_bps=0.0)
-        curve = run_policy(env, lambda st: cppi_expert_action(st, rule))
-        violations += bool(curve.min() < 80.0 - 1e-9)
-
-    series = synth_market(2, 150, vol=0.35, seed=0, alpha=1.8, max_loss=0.25)
-    rows = backtest(series, ["ddpg", "cppi_ddpg"], range(20), BacktestConfig(episodes=12))
-    med_plain = rows["ddpg"].max_drawdown
-    med_floor = rows["cppi_ddpg"].max_drawdown
+    with tempfile.TemporaryDirectory() as tmp:
+        # a floor of 0.8 * 100.0 = 80.0 exactly; k * max_loss = 0.6 <= 1
+        floor, by_cadence = _check_run(tmp, "floor", {
+            "kind": "execution",
+            "env": {"d": 2, "days": 60, "drift": 0.0, "vol": 0.45, "max_loss": 0.3},
+            "seeds": list(range(1000)),
+            "params": {"initial_cash": 100.0, "cost_bps": 0.0, "floor": 0.8,
+                       "multiplier": 2.0, "cadences": [1]}})
+        drawdown, medians = _check_run(tmp, "drawdown", {
+            "kind": "backtest",
+            "env": {"d": 2, "days": 150, "vol": 0.35, "seed": 0, "alpha": 1.8,
+                    "max_loss": 0.25},
+            "agents": ["ddpg", "cppi_ddpg"],
+            "seeds": list(range(20)),
+            "params": {"backtest": {"episodes": 12}}})
+        if floor.failures or drawdown.failures:
+            return _failed("cppi-floor", t0, floor.failures + drawdown.failures)
+    violations = by_cadence["c1"]["floor_breaches"]
+    med_plain = medians["median"]["ddpg"]["max_drawdown"]
+    med_floor = medians["median"]["cppi_ddpg"]["max_drawdown"]
     ok = violations == 0 and med_floor <= med_plain
     return _finish("cppi-floor", t0, ok,
                    f"{violations}/1000 floor breaches (need 0); median MaxD "
@@ -1110,23 +1129,19 @@ def check_artifact_formats():
     t0 = time.perf_counter()
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
-        t2 = ExperimentConfig.from_dict({
-            "kind": "tournament", "name": "fmt-t2", "seeds": [0, 1],
-            "params": {"days": 60, "episodes": 6},
-            "out_dir": os.path.join(tmp, "t2")})
-        rep = run(t2, workers=1)
+        rep, _ = _check_run(tmp, "fmt-t2", {
+            "kind": "tournament", "seeds": [0, 1],
+            "params": {"days": 60, "episodes": 6}})
         if rep.failures:
             problems.append(f"tournament cells failed: {rep.failures}")
         else:
             with open(os.path.join(rep.out_dir, "table2.txt")) as fh:
                 _check_table2_text(fh.read(), problems)
 
-        t3 = ExperimentConfig.from_dict({
-            "kind": "backtest", "name": "fmt-t3", "seeds": [0, 1],
+        rep, _ = _check_run(tmp, "fmt-t3", {
+            "kind": "backtest", "seeds": [0, 1],
             "env": {"d": 2, "days": 120, "vol": 0.3, "seed": 3, "max_loss": 0.2},
-            "params": {"backtest": {"episodes": 4}},
-            "out_dir": os.path.join(tmp, "t3")})
-        rep = run(t3, workers=1)
+            "params": {"backtest": {"episodes": 4}}})
         if rep.failures:
             problems.append(f"backtest cells failed: {rep.failures}")
         else:

@@ -20,10 +20,7 @@ from .market_sim import (
     OhlcvSeries,
     TradingEnv,
     cppi_expert_action,
-    median_metrics,
-    metrics,
     run_policy,
-    split,
     synth_market,
 )
 from .tinynet import Mlp, adam_init, clip_global_norm, opt_step, soft_update
@@ -350,7 +347,7 @@ def critic_loss(agent, batch):
     y = r + cfg.gamma * (1.0 - done) * q2[:, 0]
     q, cache = agent.critic.forward(np.hstack([s, a]))
     med = _median(np.abs(q[:, 0]))
-    if med > cfg.divergence_limit:
+    if not med <= cfg.divergence_limit:    # a NaN median counts as diverged
         raise NumericError(
             f"critic diverged: median |Q| {med:.3g} exceeds {cfg.divergence_limit:.0e}"
         )
@@ -494,13 +491,14 @@ def _pretrain(agent, env, buffer, cfg):
             s2, r, done = env.step(a)
             buffer.add(s, a, r, s2, done, a_exp=ae)
             s = s2
-    steps = 0
-    for _ in range(cfg.pretrain_steps):
-        if len(buffer) < cfg.batch:
-            break
-        ddpg_update(agent, buffer.sample(cfg.batch, agent.rng), expert=True)
-        steps += 1
-    return steps
+    if len(buffer) < cfg.batch:
+        return 0
+    for step in range(cfg.pretrain_steps):
+        try:
+            ddpg_update(agent, buffer.sample(cfg.batch, agent.rng), expert=True)
+        except NumericError as err:
+            raise NumericError(f"pre-training step {step}: {err}") from None
+    return cfg.pretrain_steps
 
 
 def train(agent, env, episodes):
@@ -903,16 +901,6 @@ def backtest_curve(name, train_series, test_series, seed, cfg):
         return bandit_trade("ac_ts", test_series, seed,
                             initial_cash=cfg.initial_cash, cost_bps=cfg.cost_bps)
     raise ConfigError(f"unknown backtest agent {name!r}")
-
-
-def backtest(series, names, seeds, cfg):
-    """Train on the chronological head, score AR/SR/MaxD on the tail; returns
-    each named agent's median Metrics over the seeds."""
-    train_series, test_series = split(series, cfg.split_ratio)
-    return {name: median_metrics([metrics(backtest_curve(name, train_series, test_series,
-                                                         int(seed), cfg))
-                                  for seed in seeds])
-            for name in names}
 
 
 def format_table3(names, rows):

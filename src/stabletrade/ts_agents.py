@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit_envs import MdpTables, mdp_episode
+from .bandit_envs import _backward_q, mdp_episode
 from .errors import ConfigError, ParamError, _is_int, _is_real, _require
 from .stable_core import PdfTable, estimate_ecf, _tan_half
 
@@ -563,17 +563,6 @@ class MdpActsAgent:
         self.visits = np.zeros((n_states, n_actions), dtype=int)
         self.point_q = np.zeros((horizon, n_states, n_actions))
 
-    def _backward(self, means, trans):
-        q = np.zeros((self.horizon + 1, self.n_states, self.n_actions))
-        for h in range(self.horizon - 1, -1, -1):
-            if h + 1 < self.horizon:
-                nxt_val = q[h + 1].max(axis=1)
-                cont = np.where(trans >= 0, nxt_val[np.maximum(trans, 0)], 0.0)
-            else:
-                cont = 0.0
-            q[h] = means + cont
-        return q[: self.horizon]
-
     def _sampled_means(self):
         m = np.empty((self.n_states, self.n_actions))
         for s in range(self.n_states):
@@ -611,7 +600,7 @@ class MdpActsAgent:
             self.known_next,
             self.rng.integers(self.n_states, size=(self.n_states, self.n_actions)),
         )
-        sampled_q = self._backward(self._sampled_means(), trans)
+        sampled_q = _backward_q(self._sampled_means(), trans, self.horizon)
 
         def policy(h, s):
             # sweep under-visited actions first so every pair earns a belief
@@ -623,7 +612,7 @@ class MdpActsAgent:
         for h, (s, a, r) in enumerate(zip(trace.states, trace.actions, trace.rewards)):
             nxt = trace.states[h + 1] if h + 1 < len(trace.states) else trace.final_state
             self._observe(s, a, r, nxt)
-        self.point_q = self._backward(self._empirical_means(), self.known_next)
+        self.point_q = _backward_q(self._empirical_means(), self.known_next, self.horizon)
         return trace, reg
 
     def _observe(self, s, a, r, nxt):

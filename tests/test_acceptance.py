@@ -40,7 +40,7 @@ def test_criterion_04_contextual_regret_sublinear_and_beats_uniform():
 
 
 def test_criterion_05_zero_coupling_replays_parents_exactly():
-    _gate(5, "coupled agents at zero coupling replay their parents",
+    _gate(5, "one-user scts and sacts replay cts and acts",
           cli.check_degeneracy_equivalence)
 
 

@@ -9,9 +9,8 @@ import pytest
 
 from stabletrade import cli
 from stabletrade.cli import ExperimentConfig, UniformAgent
-from stabletrade.errors import ConfigError, DataError
-from stabletrade.market_sim import synth_market
-from stabletrade.rl_agents import BacktestConfig, backtest
+from stabletrade.errors import ConfigError, DataError, NumericError
+from stabletrade.rl_agents import BacktestConfig
 from stabletrade.stable_core import StableParams, sample
 
 LINEAR_ENV = {"kind": "linear", "n_arms": 3, "dim": 3, "horizon": 100,
@@ -384,6 +383,18 @@ def test_cell_failures_are_recorded_not_raised(tmp_path):
     assert set(summary["aggregate"]["median"]) == {"up"}
 
 
+def test_pretraining_failure_names_its_step(tmp_path):
+    # 70 train days fill the expert buffer past one batch, so the critic
+    # diverges in pre-training, before the first episode
+    cfg = ExperimentConfig.from_dict({
+        **DIVERGING_BACKTEST, "env": {"d": 1, "days": 100}, "agents": ["cppi_ddpg"],
+        "seeds": [0], "out_dir": str(tmp_path / "r")})
+    rep = cli.run(cfg, workers=1)
+    assert len(rep.failures) == 1
+    assert rep.failures[0].startswith(
+        "cppi_ddpg/s0: NumericError: pre-training step 0: critic diverged")
+
+
 def test_non_finite_bandit_stats_fail_the_cell(tmp_path, capsys):
     # mu near the float limit overflows every mean reward: the cell fails
     # with the stat named instead of reporting a null regret
@@ -453,25 +464,6 @@ def test_backtest_run_with_cheap_agents(tmp_path):
     assert len(lines) == 6
     summary = json.loads((tmp_path / "b" / "summary.json").read_text())
     assert set(summary["aggregate"]["median"]) == {"up", "ad_ts"}
-
-
-def test_backtest_harness_medians_equal_library_rows(tmp_path):
-    # a 60-day test split, long enough for the two ad_ts seeds to differ
-    env = {"d": 2, "days": 200, "vol": 0.3, "seed": 3, "max_loss": 0.2}
-    cfg = ExperimentConfig.from_dict({
-        "kind": "backtest", "env": env, "agents": ["up", "ad_ts"],
-        "seeds": [0, 1], "out_dir": str(tmp_path / "b")})
-    assert cli.run(cfg, workers=1).failures == []
-    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
-    series = synth_market(2, 200, vol=0.3, seed=3, max_loss=0.2)
-    lib = backtest(series, ["up", "ad_ts"], (0, 1), BacktestConfig())
-    per_seed = [backtest(series, ["ad_ts"], (s,), BacktestConfig())["ad_ts"] for s in (0, 1)]
-    assert per_seed[0] != per_seed[1]
-    for name in ("up", "ad_ts"):
-        m = lib[name]
-        assert summary["aggregate"]["median"][name] == {
-            "annual_return": m.annual_return, "sharpe": m.sharpe,
-            "max_drawdown": m.max_drawdown}
 
 
 def test_estimate_run_writes_json(tmp_path):
@@ -863,6 +855,19 @@ def test_verify_reports_crashed_checks(monkeypatch):
     rep = cli.verify("degeneracy")
     assert not rep.passed
     assert "probe blew up" in rep.checks[0].detail
+
+
+def test_harness_checks_fail_on_failed_cells_and_name_them(monkeypatch):
+    def boom(*args):
+        raise NumericError("cell blew up")
+
+    for cell in ("_bandit_cell", "_execution_cell", "_backtest_cell"):
+        monkeypatch.setattr(cli, cell, boom)
+    for check, first in ((cli.check_regret_sublinearity, "cts/s0"),
+                         (cli.check_cppi_floor, "c1/s0")):
+        res = check()
+        assert not res.passed
+        assert res.detail.startswith(f"failed cells: {first}: NumericError: cell blew up; ")
 
 
 def test_suites_cover_every_criterion():

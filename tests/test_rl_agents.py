@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stabletrade.errors import ConfigError, NumericError, ParamError
-from stabletrade.market_sim import CppiConfig, TradingEnv, run_policy, synth_market
+from stabletrade.market_sim import (CppiConfig, TradingEnv, metrics, run_policy, split,
+                                    synth_market)
 from stabletrade.rl_agents import (
     BacktestConfig,
     DdpgAgent,
@@ -18,7 +19,7 @@ from stabletrade.rl_agents import (
     actor_loss_grads,
     actor_update,
     alternating_series,
-    backtest,
+    backtest_curve,
     bandit_trade,
     cppi_margin_loss,
     critic_loss,
@@ -235,6 +236,14 @@ def test_critic_divergence_guard():
     agent.config.divergence_limit = 1e-12
     agent.critic.biases[-1][0] = 1.0
     with pytest.raises(NumericError, match="diverged"):
+        critic_loss(agent, _batch(_exp(0.0, 0.0, 0.0, 0.0)))
+
+
+def test_nan_critic_counts_as_diverged():
+    # a NaN median |Q| fails the guard here, not one step later in opt_step
+    agent = _tiny_agent()
+    agent.critic.biases[-1][0] = np.nan
+    with pytest.raises(NumericError, match="critic diverged: median [|]Q[|] nan"):
         critic_loss(agent, _batch(_exp(0.0, 0.0, 0.0, 0.0)))
 
 
@@ -893,10 +902,12 @@ def test_run_trader_unknown():
 
 
 def test_backtest_table_format():
-    series = synth_market(1, 120, drift=0.05, vol=0.3, seed=7)
+    train_series, test_series = split(synth_market(1, 120, drift=0.05, vol=0.3, seed=7), 0.7)
     cfg = BacktestConfig(episodes=6)
     names = ["up", "ad_ts"]
-    text = format_table3(names, backtest(series, names, (0,), cfg))
+    rows = {name: metrics(backtest_curve(name, train_series, test_series, 0, cfg))
+            for name in names}
+    text = format_table3(names, rows)
     lines = text.splitlines()
     assert lines[0].split() == ["AR", "SR", "MaxD"]
     assert lines[1].startswith("UP")
@@ -918,9 +929,3 @@ def test_partial_train_table_keeps_the_backtest_training_defaults():
     assert (t.pretrain_steps, t.pretrain_episodes) == (300, 3)
     assert t.hidden == (8,)
     assert BacktestConfig().train.hidden == (64, 64)      # the default is untouched
-
-
-def test_backtest_needs_scorable_test_split():
-    series = synth_market(1, 10, seed=0)
-    with pytest.raises(ConfigError):
-        backtest(series, ["up"], (0,), BacktestConfig(split_ratio=0.99))
