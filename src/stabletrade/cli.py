@@ -830,7 +830,8 @@ def check_ecf_accuracy():
 
 
 def check_posterior_oracle():
-    """Location chain vs a 101-point grid posterior on a frozen history."""
+    """The agents' location step, run as a 60,000-step chain on a frozen
+    history, vs a 101-point grid posterior."""
     t0 = time.perf_counter()
     rewards = sample(StableParams(1.5, 0.3, 1.0, 0.8), 200,
                      np.random.default_rng(7))

@@ -372,48 +372,34 @@ def _candidate_set(agent, pi, expert_actions, rng):
     return cands
 
 
-def cppi_margin_loss(agent, states, expert_actions, pi=None, candidates=None, rng=None):
+def cppi_margin_loss(agent, states, expert_actions, pi):
     """Margin-ranking loss max_a [Q(s,a) + l(a_E,a)] - Q(s,a_E) and its
     critic gradients, as (value, grads).
 
-    The candidates are ``_candidate_set``'s by default, built from pi (the
-    actor's actions on the states, computed here when None) and rng (the
-    agent's when None); their column 1 is the expert's action. Candidates
-    given as (n, c, d) are ranked as they are, and the expert's action takes
-    one more column. One critic pass covers every column, and the best and
-    expert rows' activations come from it. Non-negative whenever the expert
-    action sits in the candidate set.
+    The candidates are ``_candidate_set``'s, built from pi (the actor's
+    actions on the states) and the agent's rng; their column 1 is the
+    expert's action, so the loss is non-negative. One critic pass covers
+    every column, and the best and expert rows' activations come from it.
     """
     cfg = agent.config
     states = np.atleast_2d(np.asarray(states, dtype=float))
     expert_actions = np.atleast_2d(np.asarray(expert_actions, dtype=float))
     n, sd = states.shape
-    if candidates is None:
-        if pi is None:
-            pi = agent.actor.predict(states)
-        candidates = _candidate_set(agent, pi, expert_actions,
-                                    rng if rng is not None else agent.rng)
-        n_cand = width = candidates.shape[1]
-        e_col = 1
-    else:
-        candidates = np.asarray(candidates, dtype=float)
-        n_cand = e_col = candidates.shape[1]
-        width = n_cand + 1
-    # each state beside each of its candidates (and the extra expert column)
+    candidates = _candidate_set(agent, pi, expert_actions, agent.rng)
+    width = candidates.shape[1]
+    # each state beside each of its candidates
     x = np.empty((n, width, sd + expert_actions.shape[1]))
     x[:, :, :sd] = states[:, None, :]
-    x[:, :n_cand, sd:] = candidates
-    x[:, n_cand:, sd:] = expert_actions[:, None, :]
+    x[:, :, sd:] = candidates
     q = agent.critic.predict(x.reshape(n * width, -1))[:, 0].reshape(n, width)
     dist = np.linalg.norm(candidates - expert_actions[:, None, :], axis=2)
     pen = cfg.margin_m * np.minimum(1.0, dist / cfg.margin_rho)
-    scores = q[:, :n_cand] + pen
+    scores = q + pen
     best = np.argmax(scores, axis=1)
     rows = np.arange(n)
-    value = float(np.mean(scores[rows, best] - q[rows, e_col]))
+    value = float(np.mean(scores[rows, best] - q[rows, 1]))
     # the pass's [best rows; expert rows], split into two caches
-    cache = agent.critic.cache_rows(np.concatenate([rows * width + best,
-                                                    rows * width + e_col]))
+    cache = agent.critic.cache_rows(np.concatenate([rows * width + best, rows * width + 1]))
     cache_b = {"acts": [h[:n] for h in cache["acts"]], "squeeze": False}
     cache_e = {"acts": [h[n:] for h in cache["acts"]], "squeeze": False}
     up = np.full((n, 1), 1.0 / n)
@@ -432,7 +418,7 @@ def critic_update(agent, batch, pi=None):
     if pi is not None:
         if batch.a_exp is None:
             raise ParamError("expert mode needs expert actions in the minibatch")
-        j_e, mg = cppi_margin_loss(agent, batch.s, batch.a_exp, pi=pi)
+        j_e, mg = cppi_margin_loss(agent, batch.s, batch.a_exp, pi)
         grads = grads + cfg.lam_e * mg
     clip_global_norm(agent.critic, grads, cfg.grad_clip)
     opt_step(agent.critic, grads, agent.opt_critic, lr=cfg.critic_lr)

@@ -169,17 +169,12 @@ def pdf(params, x, tol=1e-9):
     return np.array([_invert(params, float(v), "pdf", tol) for v in xs.ravel()]).reshape(xs.shape)
 
 
-def cdf(params, x, tol=1e-9):
+def cdf(params, x):
     """Distribution function by Gil-Pelaez inversion."""
     xs = np.asarray(x, dtype=float)
     if xs.ndim == 0:
-        return _invert(params, float(xs), "cdf", tol)
-    return np.array([_invert(params, float(v), "cdf", tol) for v in xs.ravel()]).reshape(xs.shape)
-
-
-def tail_prob(params, c, tol=1e-9):
-    """P(X > c) for X distributed per params."""
-    return 1.0 - cdf(params, c, tol=tol)
+        return _invert(params, float(xs), "cdf", 1e-9)
+    return np.array([_invert(params, float(v), "cdf", 1e-9) for v in xs.ravel()]).reshape(xs.shape)
 
 
 class PdfTable:

@@ -14,11 +14,12 @@ The episodic mdp_acts keeps no (B, y) state: each episode moves every visited
 (state, action) location by one MH step on the same stable likelihood and
 plans on the Q those locations give.
 
-Every round after warm-up runs one MH sweep. Each sweep evaluates every arm's
-proposals over that arm's whole reward history: O(pulls x dim) density points
-per arm, so a run of T rounds costs O(T^2) in total. The likelihood at the
+Each arm of the stable lineage and each mdp_acts pair is one location chain
+(_Location), and all of them move by the same MH step. A step evaluates the
+proposals over the chain's whole reward history: O(pulls x dim) density
+points, so a run of T rounds costs O(T^2) in total. The likelihood at the
 current locations is cached per reward, so a new reward costs dim points and
-only a refit re-evaluates the whole history.
+only a new belief re-evaluates the whole history.
 
 The semi-contextual variants (scts, sacts) keep one independent state slot per
 user: a user's round reads and updates only that user's slot. lam only scales
@@ -148,31 +149,6 @@ def _initial_b(lam, n_users, dim):
     return scale * np.eye(dim)
 
 
-class _RewardHistory:
-    """Append-only float64 reward log: a buffer that doubles when full plus a
-    count, so the likelihood reads the rewards without copying them."""
-
-    def __init__(self):
-        self._buf = np.empty(64)
-        self._n = 0
-
-    def append(self, reward):
-        if self._n == self._buf.size:
-            grown = np.empty(2 * self._buf.size)
-            grown[: self._n] = self._buf
-            self._buf = grown
-        self._buf[self._n] = reward
-        self._n += 1
-
-    def __len__(self):
-        return self._n
-
-    @property
-    def values(self):
-        """The rewards so far, as a view into the buffer."""
-        return self._buf[: self._n]
-
-
 # ---------------------------------------------------------------------------
 # stable beliefs
 
@@ -259,23 +235,84 @@ def belief_from_history(rewards):
     return b
 
 
-def mh_location_kernel(belief, rewards, theta0, n_iter, step, rng):
-    """Random-walk chain over the location parameter; returns the visited path.
+class _Location:
+    """One Metropolis-Hastings chain over the location of a reward history.
 
-    The same accept rule the agents apply once per round, run long for
-    diagnostics: proposals are symmetric normal steps, acceptance compares the
-    stable log likelihood plus the normal prior.
+    theta is a view into the owner's array, one location per coordinate, and
+    every coordinate scores the same rewards under one point belief. The log
+    density of every reward at theta is cached in a (coordinates, capacity)
+    buffer that grows with the reward buffer, so a step after a new reward
+    evaluates that reward alone and a step after a new belief the whole
+    history.
     """
-    rewards = np.asarray(rewards, dtype=float)
-    theta = float(theta0)
-    cur = float(belief.log_posterior(rewards, [theta])[0])
+
+    def __init__(self, theta):
+        self.theta = theta
+        self.belief = None
+        self._rewards = np.empty(64)
+        self._terms = np.empty((theta.size, 64))
+        self._n = 0
+        self._filled = 0     # leading rewards whose terms at theta are cached
+        self._lp = None      # log posterior at theta, None once a reward arrives
+
+    def __len__(self):
+        return self._n
+
+    @property
+    def rewards(self):
+        """The rewards so far, as a view into the buffer."""
+        return self._rewards[: self._n]
+
+    def append(self, reward):
+        if self._n == self._rewards.size:
+            rewards, terms = np.empty(2 * self._n), np.empty((self.theta.size, 2 * self._n))
+            rewards[: self._n] = self._rewards
+            terms[:, : self._filled] = self._terms[:, : self._filled]
+            self._rewards, self._terms = rewards, terms
+        self._rewards[self._n] = reward
+        self._n += 1
+        self._lp = None
+
+    def adopt(self, belief):
+        """Score the rewards under belief from now on; no cached term survives."""
+        self.belief = belief
+        self._filled = 0
+        self._lp = None
+
+    def refit(self):
+        """Refit the belief's (alpha, beta, sigma) to the rewards."""
+        self.belief.refit(self.rewards)
+        self.adopt(self.belief)
+
+    def step(self, scale, rng):
+        """One accept/reject per coordinate on a normal proposal with standard
+        deviation scale; two rng draws per coordinate whatever the outcome."""
+        belief, cur, rewards = self.belief, self.theta, self.rewards
+        props = cur + scale * rng.normal(size=cur.size)
+        if self._lp is None:
+            done = self._filled
+            self._terms[:, done : self._n] = belief.log_terms(rewards[done:], cur)
+            self._filled = self._n
+            self._lp = belief.posterior_from_terms(self._terms[:, : self._n], cur)
+        terms = belief.log_terms(rewards, props)
+        lp_prop = belief.posterior_from_terms(terms, props)
+        accept = np.log(rng.uniform(size=cur.size)) < lp_prop - self._lp
+        np.copyto(cur, props, where=accept)
+        self._lp = np.where(accept, lp_prop, self._lp)
+        np.copyto(self._terms[:, : self._n], terms, where=accept[:, None])
+
+
+def mh_location_kernel(belief, rewards, theta0, n_iter, step, rng):
+    """The agents' location step, run n_iter times from theta0 on a frozen
+    history with a fixed proposal step; returns the visited path."""
+    loc = _Location(np.array([float(theta0)]))
+    for r in np.asarray(rewards, dtype=float):
+        loc.append(r)
+    loc.adopt(belief)
     path = np.empty(n_iter)
     for i in range(n_iter):
-        prop = theta + step * rng.normal()
-        cand = float(belief.log_posterior(rewards, [prop])[0])
-        if np.log(rng.uniform()) < cand - cur:
-            theta, cur = prop, cand
-        path[i] = theta
+        loc.step(step, rng)
+        path[i] = loc.theta[0]
     return path
 
 
@@ -363,24 +400,18 @@ class SctsAgent:
 
 
 class _StableSlot:
-    """Per-user bundle of the asymmetric agent's state."""
+    """Per-user bundle of the asymmetric agent's state: the (B, y) update and
+    one location chain per arm over that arm's row of theta."""
 
     def __init__(self, n_arms, dim, b):
         self.B = b
         self.y = np.zeros(dim)
         self.mu_bar = np.zeros(dim)
         self.theta = np.zeros((n_arms, dim))
-        self.beliefs = [None] * n_arms
-        self.rewards = [_RewardHistory() for _ in range(n_arms)]
+        self.arms = [_Location(row) for row in self.theta]
         self.pulls = np.zeros(n_arms, dtype=int)
         self.visits = 0
         self.ready = False
-        # per arm: the log posterior at theta (None once a reward arrives),
-        # and the per-reward terms behind it, a (dim, capacity) buffer whose
-        # first _filled columns hold logpdf(r_i - loc(theta_d))
-        self._lp_cache = [None] * n_arms
-        self._terms = [np.empty((dim, 64)) for _ in range(n_arms)]
-        self._filled = [0] * n_arms
 
 
 class _StableBase:
@@ -409,61 +440,29 @@ class _StableBase:
         return None
 
     def _init_slot(self, slot):
-        for n in range(self.n_arms):
-            slot.beliefs[n] = belief_from_history(slot.rewards[n].values)
-            slot.theta[n, :] = slot.beliefs[n].prior_mu
-        slot._lp_cache = [None] * self.n_arms
-        slot._filled = [0] * self.n_arms
+        for loc in slot.arms:
+            belief = belief_from_history(loc.rewards)
+            loc.theta[:] = belief.prior_mu
+            loc.adopt(belief)
         slot.ready = True
 
     def _after_reward(self, slot, arm, reward):
-        slot.rewards[arm].append(reward)
+        slot.arms[arm].append(reward)
         slot.pulls[arm] += 1
         slot.visits += 1
-        slot._lp_cache[arm] = None
         if (
             slot.ready
             and slot.pulls[arm] >= 50
             and slot.pulls[arm] % self.config.refresh_every == 0
         ):
-            slot.beliefs[arm].refit(slot.rewards[arm].values)
-            slot._filled[arm] = 0
+            slot.arms[arm].refit()
 
     # -- Metropolis-Hastings
 
     def _mh_sweep(self, slot):
-        """One accept/reject pass per arm per dimension; two rng consumptions
-        per coordinate regardless of the outcome."""
-        for n in range(self.n_arms):
-            belief = slot.beliefs[n]
-            rewards = slot.rewards[n].values
-            cur = slot.theta[n]
-            props = cur + self.config.mh_step_scale * belief.sigma * self.rng.normal(size=self.dim)
-            if slot._lp_cache[n] is None:
-                slot._lp_cache[n] = self._current_posterior(slot, n)
-            lp_cur = slot._lp_cache[n]
-            terms = belief.log_terms(rewards, props)
-            lp_prop = belief.posterior_from_terms(terms, props)
-            accept = np.log(self.rng.uniform(size=self.dim)) < lp_prop - lp_cur
-            slot.theta[n] = np.where(accept, props, cur)
-            slot._lp_cache[n] = np.where(accept, lp_prop, lp_cur)
-            np.copyto(slot._terms[n][:, : rewards.size], terms, where=accept[:, None])
-
-    def _current_posterior(self, slot, n):
-        """Arm n's log posterior at theta from the cached per-reward terms,
-        evaluating only the rewards not yet cached: the newest one after a
-        pull, the whole history after a refit."""
-        rewards = slot.rewards[n].values
-        m, done = rewards.size, slot._filled[n]
-        buf = slot._terms[n]
-        if buf.shape[1] < m:
-            grown = np.empty((self.dim, max(2 * buf.shape[1], m)))
-            grown[:, :done] = buf[:, :done]
-            slot._terms[n] = buf = grown
-        belief, cur = slot.beliefs[n], slot.theta[n]
-        buf[:, done:m] = belief.log_terms(rewards[done:], cur)
-        slot._filled[n] = m
-        return belief.posterior_from_terms(buf[:, :m], cur)
+        """One location step per arm, arms in order."""
+        for loc in slot.arms:
+            loc.step(self.config.mh_step_scale * loc.belief.sigma, self.rng)
 
     # -- one bandit round
 
@@ -492,7 +491,7 @@ class _StableBase:
         # tail cutoffs and arm locations both project through the point
         # estimate so the bound and the integrand share reward units
         locs = self._locations(slot, slot.mu_bar)
-        weights = tail_weights(slot.beliefs, locs, float(locs[arm]))
+        weights = tail_weights([loc.belief for loc in slot.arms], locs, float(locs[arm]))
         _weighted_update(slot.B, slot.y, slot.theta, weights, arm, reward)
         slot.mu_bar = _solve_spd(slot.B, slot.y)
         self._after_reward(slot, arm, reward)
@@ -503,9 +502,6 @@ class ActsAgent(_StableBase):
     """Asymmetric-reward Thompson sampling, single shared state slot."""
 
     algorithm = "acts"
-
-    def __init__(self, n_arms, dim, config, seed):
-        super().__init__(n_arms, dim, config, seed)
 
 
 class SactsAgent(_StableBase):
@@ -524,9 +520,7 @@ class PlainAtsAgent(_StableBase):
         super().__init__(n_arms, 1, config, seed)
 
     def _scores(self, slot, mu_hat):
-        return np.array(
-            [b.mean_given_delta(t) for b, t in zip(slot.beliefs, slot.theta[:, 0])]
-        )
+        return np.array([loc.belief.mean_given_delta(loc.theta[0]) for loc in slot.arms])
 
     def _locations(self, slot, center):
         return self._scores(slot, None)
@@ -556,38 +550,33 @@ class MdpActsAgent:
         # per-pair coverage floor; empirical means over heavy tails need depth
         self.warmup = config.warmup if config.warmup is not None else 25
         self.rng = np.random.default_rng(seed)
-        self.rewards = [[_RewardHistory() for _ in range(n_actions)] for _ in range(n_states)]
-        self.beliefs = [[None] * n_actions for _ in range(n_states)]
         self.theta = np.full((n_states, n_actions), _PRIOR_MU)
+        self.pairs = [[_Location(self.theta[s, a:a + 1]) for a in range(n_actions)]
+                      for s in range(n_states)]
         self.known_next = np.full((n_states, n_actions), -1, dtype=int)
         self.visits = np.zeros((n_states, n_actions), dtype=int)
         self.point_q = np.zeros((horizon, n_states, n_actions))
 
     def _sampled_means(self):
         m = np.empty((self.n_states, self.n_actions))
-        for s in range(self.n_states):
-            for a in range(self.n_actions):
-                hist = self.rewards[s][a]
-                if not hist:
+        for s, row in enumerate(self.pairs):
+            for a, loc in enumerate(row):
+                if loc.belief is None:
                     # nothing observed: fresh prior draw drives the exploration
                     draw = _PRIOR_MU + _PRIOR_SD * self.rng.normal()
                     self.theta[s, a] = draw
                     m[s, a] = draw
                 else:
-                    belief = self.beliefs[s][a]
-                    prop = self.theta[s, a] + self.config.mh_step_scale * belief.sigma * self.rng.normal()
-                    lp = belief.log_posterior(hist.values, [self.theta[s, a], prop])
-                    if np.log(self.rng.uniform()) < lp[1] - lp[0]:
-                        self.theta[s, a] = prop
-                    m[s, a] = belief.mean_given_delta(self.theta[s, a])
+                    loc.step(self.config.mh_step_scale * loc.belief.sigma, self.rng)
+                    m[s, a] = loc.belief.mean_given_delta(self.theta[s, a])
         return m
 
     def _empirical_means(self):
         m = np.zeros((self.n_states, self.n_actions))
-        for s in range(self.n_states):
-            for a in range(self.n_actions):
-                if self.rewards[s][a]:
-                    m[s, a] = float(np.mean(self.rewards[s][a].values))
+        for s, row in enumerate(self.pairs):
+            for a, loc in enumerate(row):
+                if len(loc):
+                    m[s, a] = float(np.mean(loc.rewards))
         return m
 
     def state_value(self, s):
@@ -616,18 +605,20 @@ class MdpActsAgent:
         return trace, reg
 
     def _observe(self, s, a, r, nxt):
-        self.rewards[s][a].append(float(r))
+        loc = self.pairs[s][a]
+        loc.append(float(r))
         self.visits[s, a] += 1
         if nxt is not None:
             self.known_next[s, a] = nxt
-        hist = self.rewards[s][a].values
-        if self.beliefs[s][a] is None:
-            self.beliefs[s][a] = belief_from_history(hist)
-            self.theta[s, a] = self.beliefs[s][a].prior_mu
-        elif len(hist) >= 50 and len(hist) % self.config.refresh_every == 0:
-            self.beliefs[s][a].refit(hist)
-        elif len(hist) < 50 and len(hist) % 5 == 0:
-            self.beliefs[s][a] = belief_from_history(hist)
+        n = len(loc)
+        if loc.belief is None:
+            belief = belief_from_history(loc.rewards)
+            self.theta[s, a] = belief.prior_mu
+            loc.adopt(belief)
+        elif n >= 50 and n % self.config.refresh_every == 0:
+            loc.refit()
+        elif n < 50 and n % 5 == 0:
+            loc.adopt(belief_from_history(loc.rewards))
 
     def greedy_policy(self):
         return self.point_q.argmax(axis=2)

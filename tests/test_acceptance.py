@@ -30,7 +30,7 @@ def test_criterion_02_ecf_parameter_recovery():
 
 
 def test_criterion_03_mh_chain_matches_grid_posterior():
-    _gate(3, "location chain vs 101-point grid posterior",
+    _gate(3, "agents' location step vs 101-point grid posterior",
           cli.check_posterior_oracle, budget=60)
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -318,45 +320,47 @@ def test_actor_gradient_matches_finite_differences():
 # margin loss
 
 
+def _pi_expert_agent(hidden):
+    """A one-state, two-action agent with no perturbed candidates: the margin
+    loss ranks exactly [pi, expert]."""
+    return DdpgAgent(1, 2, config=TrainConfig(hidden=hidden, n_candidates=0), seed=0)
+
+
 def test_margin_loss_identity_candidates():
-    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=(4,)), seed=0)
+    agent = _pi_expert_agent((4,))
     s = np.array([[0.3]])
     ae = np.array([[0.2, -0.1]])
-    cands = ae[:, None, :]
-    value, _ = cppi_margin_loss(agent, s, ae, candidates=cands)
+    value, _ = cppi_margin_loss(agent, s, ae, ae)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_margin_loss_saturates_for_constant_critic():
-    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=()), seed=0)
+    agent = _pi_expert_agent(())
     _zero(agent.critic)
     agent.critic.biases[-1][0] = 3.0
     s = np.array([[0.3]])
     ae = np.array([[0.0, 0.0]])
     far = np.array([[1.0, 1.0]])
-    cands = np.stack([ae, far], axis=1)
-    value, _ = cppi_margin_loss(agent, s, ae, candidates=cands)
+    value, _ = cppi_margin_loss(agent, s, ae, far)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_margin_loss_hand_arithmetic():
-    agent = DdpgAgent(1, 2, config=TrainConfig(hidden=()), seed=0)
+    agent = _pi_expert_agent(())
     _zero(agent.critic)
     agent.critic.weights[0][:, 0] = [1.0, 2.0, -1.0]
     agent.critic.biases[0][0] = 0.5
     s = np.array([[1.0]])
     ae = np.array([[0.2, 0.1]])
-    cands = np.stack([ae, np.array([[0.5, 0.5]]), np.array([[-1.0, 0.3]])], axis=1)
 
     def q(a):
         return 1.0 + 2.0 * a[0] - a[1] + 0.5
 
-    scores = [q(ae[0]) + 0.0,
-              q([0.5, 0.5]) + min(1.0, np.hypot(0.3, 0.4)),
-              q([-1.0, 0.3]) + min(1.0, np.hypot(1.2, 0.2))]
-    expect = max(scores) - q(ae[0])
-    got, _ = cppi_margin_loss(agent, s, ae, candidates=cands)
-    assert got == pytest.approx(expect, abs=1e-8)
+    # one case per actor action, each ranked against the expert's
+    for pi, dist in [([0.5, 0.5], np.hypot(0.3, 0.4)), ([-1.0, 0.3], np.hypot(1.2, 0.2))]:
+        expect = max(q(pi) + min(1.0, dist), q(ae[0]) + 0.0) - q(ae[0])
+        got, _ = cppi_margin_loss(agent, s, ae, np.array([pi]))
+        assert got == pytest.approx(expect, abs=1e-8)
 
 
 def test_margin_loss_nonnegative_with_random_candidates():
@@ -365,7 +369,8 @@ def test_margin_loss_nonnegative_with_random_candidates():
     s = rng.normal(size=(8, 2))
     ae = np.clip(rng.normal(size=(8, 2)), -1, 1)
     for _ in range(10):
-        value, _ = cppi_margin_loss(agent, s, ae, rng=rng)
+        pi = np.clip(rng.normal(size=(8, 2)), -1, 1)
+        value, _ = cppi_margin_loss(agent, s, ae, pi)
         assert value >= -1e-12
 
 
@@ -384,11 +389,10 @@ def _ref_candidate_set(agent, states, expert_actions, rng):
     return np.stack(cands, axis=1)
 
 
-def _ref_margin_loss(agent, states, expert_actions, candidates=None, rng=None):
+def _ref_margin_loss(agent, states, expert_actions, rng):
     cfg = agent.config
     n = states.shape[0]
-    if candidates is None:
-        candidates = _ref_candidate_set(agent, states, expert_actions, rng)
+    candidates = _ref_candidate_set(agent, states, expert_actions, rng)
     n_cand = candidates.shape[1]
     flat_s = np.repeat(states, n_cand, axis=0)
     flat_a = candidates.reshape(n * n_cand, -1)
@@ -427,24 +431,19 @@ def test_candidate_set_matches_per_draw_loop(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_margin_loss_matches_three_pass_reference(seed):
     agent, s, ae = _margin_batch(seed)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_rng = copy.deepcopy(agent.rng)
     for _ in range(3):
-        value, grads = cppi_margin_loss(agent, s, ae, rng=rng)
-        ref_value, ref_grads = _ref_margin_loss(agent, s, ae, rng=ref_rng)
+        value, grads = cppi_margin_loss(agent, s, ae, agent.actor.predict(s))
+        ref_value, ref_grads = _ref_margin_loss(agent, s, ae, ref_rng)
         assert value == ref_value
         assert np.array_equal(grads, ref_grads)
-    assert rng.random() == ref_rng.random()     # the streams stayed in step
-    # explicit candidates without the expert action
-    cands = np.random.default_rng(seed + 7).uniform(-1.0, 1.0, size=(64, 5, 2))
-    value, grads = cppi_margin_loss(agent, s, ae, candidates=cands)
-    ref_value, ref_grads = _ref_margin_loss(agent, s, ae, candidates=cands)
-    assert value == ref_value and np.array_equal(grads, ref_grads)
+    assert agent.rng.random() == ref_rng.random()     # the streams stayed in step
 
 
 def test_margin_loss_makes_one_cache_free_critic_pass(monkeypatch):
-    # the best and expert rows' activations come from the candidate pass;
-    # candidates without the expert's action get one more column for it
+    # the best and expert rows' activations come from the candidate pass
     agent, s, ae = _margin_batch(0)
+    pi = agent.actor.predict(s)
     calls = []
     for name in ("forward", "predict"):
         def counted(net, x, _name=name, _orig=getattr(Mlp, name)):
@@ -452,10 +451,8 @@ def test_margin_loss_makes_one_cache_free_critic_pass(monkeypatch):
                 calls.append((_name, np.shape(x)[0]))
             return _orig(net, x)
         monkeypatch.setattr(Mlp, name, counted)
-    cppi_margin_loss(agent, s, ae)
-    cands = np.random.default_rng(7).uniform(-1.0, 1.0, size=(64, 5, 2))
-    cppi_margin_loss(agent, s, ae, candidates=cands)
-    assert calls == [("predict", 640), ("predict", 384)]
+    cppi_margin_loss(agent, s, ae, pi)
+    assert calls == [("predict", 640)]
 
 
 # The reference below is the update sequence that ddpg_update replaced:

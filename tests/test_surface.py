@@ -14,7 +14,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stabletrade"
 ORACLES = (
     "pdf",
     "cdf",
-    "tail_prob",
     "mh_location_kernel",
     "replay_information",
     "gradient_check",
@@ -23,15 +22,12 @@ ORACLES = (
 )
 
 # keyword parameters that only tests set, as function.parameter (a class for
-# its __init__): the margin loss's candidate set and rng, the oracles'
-# tolerances and probes, the density table's grid, and the command line
+# its __init__): the oracles' tolerances and probes, the density table's
+# grid, and the command line
 SEAMS = (
-    "cppi_margin_loss.candidates",
-    "cppi_margin_loss.rng",
     "gradient_check.h",
     "gradient_check.rng",
     "pdf.tol",
-    "tail_prob.tol",
     "tail_order_check.top_frac",
     "tail_order_check.band",
     "replay_information.b0",

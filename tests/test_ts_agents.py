@@ -1,6 +1,8 @@
 """Agent-family tests: hand-computed updates, replay oracles, chain
 diagnostics and degeneracy traces."""
 
+import ast
+import inspect
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,7 +19,7 @@ from stabletrade.bandit_envs import (
     true_q,
 )
 from stabletrade.errors import ConfigError
-from stabletrade.stable_core import PdfTable, StableParams, _tan_half, sample, tail_prob
+from stabletrade.stable_core import PdfTable, StableParams, _tan_half, cdf, sample
 from stabletrade.ts_agents import (
     ActsAgent,
     AgentConfig,
@@ -27,9 +29,9 @@ from stabletrade.ts_agents import (
     PlainAtsAgent,
     SactsAgent,
     SctsAgent,
+    _Location,
     _moment_beliefs,
     _pi_estimate,
-    _RewardHistory,
     _weighted_update,
     belief_from_history,
     make_agent,
@@ -273,7 +275,7 @@ def test_tail_weights_match_quadrature():
     raw = []
     for b, d in zip(beliefs, deltas):
         params = StableParams(b.alpha, b.beta, b.sigma, d)
-        raw.append(tail_prob(params, cutoff))
+        raw.append(1.0 - cdf(params, cutoff))
     expect = np.array(raw) / np.sum(raw)
     np.testing.assert_allclose(w, expect, atol=2e-4)
     assert abs(w.sum() - 1.0) < 1e-12
@@ -356,18 +358,16 @@ def _recomputing_sweep(agent, slot):
     """The MH sweep without the per-reward cache: the current location's log
     posterior is recomputed over the whole history whenever a pull or a refit
     has invalidated it. The reference the cached sweep must match bit for bit."""
-    for n in range(agent.n_arms):
-        belief = slot.beliefs[n]
-        rewards = slot.rewards[n].values
-        cur = slot.theta[n]
+    for loc in slot.arms:
+        belief, cur = loc.belief, loc.theta
         props = cur + agent.config.mh_step_scale * belief.sigma * agent.rng.normal(size=agent.dim)
-        if slot._lp_cache[n] is None:
-            slot._lp_cache[n] = belief.log_posterior(rewards, cur)
-        lp_cur = slot._lp_cache[n]
-        lp_prop = belief.log_posterior(rewards, props)
+        if loc._lp is None:
+            loc._lp = belief.log_posterior(loc.rewards, cur)
+        lp_cur = loc._lp
+        lp_prop = belief.log_posterior(loc.rewards, props)
         accept = np.log(agent.rng.uniform(size=agent.dim)) < lp_prop - lp_cur
-        slot.theta[n] = np.where(accept, props, cur)
-        slot._lp_cache[n] = np.where(accept, lp_prop, lp_cur)
+        loc.theta[:] = np.where(accept, props, cur)
+        loc._lp = np.where(accept, lp_prop, lp_cur)
 
 
 _SWEEP_CASES = {
@@ -396,16 +396,102 @@ def test_cached_sweep_matches_recomputing_sweep_bit_for_bit(algorithm):
             np.testing.assert_array_equal(a.theta, b.theta)
             np.testing.assert_array_equal(a.B, b.B)
             np.testing.assert_array_equal(a.y, b.y)
-            for lp_a, lp_b in zip(a._lp_cache, b._lp_cache):
-                assert (lp_a is None) == (lp_b is None)
-                if lp_a is not None:
-                    np.testing.assert_array_equal(lp_a, lp_b)
+            for loc_a, loc_b in zip(a.arms, b.arms):
+                assert (loc_a._lp is None) == (loc_b._lp is None)
+                if loc_a._lp is not None:
+                    np.testing.assert_array_equal(loc_a._lp, loc_b._lp)
         # a refit (50 rewards on) leaves an arm's term buffer empty until its next sweep
-        refits += sum(f == 0 and len(r) >= 50 for s in cached.slots
-                      for f, r in zip(s._filled, s.rewards))
+        refits += sum(loc._filled == 0 and len(loc) >= 50 for s in cached.slots
+                      for loc in s.arms)
     # the run refits often and grows the term buffers past their first size
     assert refits >= 10
-    assert max(buf.shape[1] for s in cached.slots for buf in s._terms) > 64
+    assert max(loc._terms.shape[1] for s in cached.slots for loc in s.arms) > 64
+
+
+def _recomputing_sampled_means(agent):
+    """mdp_acts' sampled means with one uncached MH step per visited pair:
+    the log posterior at the current location and at the proposal from one
+    density pass over the whole history. The reference the cached pairs must
+    match bit for bit."""
+    m = np.empty((agent.n_states, agent.n_actions))
+    for s, row in enumerate(agent.pairs):
+        for a, loc in enumerate(row):
+            if loc.belief is None:
+                draw = ts_agents._PRIOR_MU + ts_agents._PRIOR_SD * agent.rng.normal()
+                agent.theta[s, a] = draw
+                m[s, a] = draw
+            else:
+                belief = loc.belief
+                prop = agent.theta[s, a] + agent.config.mh_step_scale * belief.sigma * agent.rng.normal()
+                lp = belief.log_posterior(loc.rewards, [agent.theta[s, a], prop])
+                if np.log(agent.rng.uniform()) < lp[1] - lp[0]:
+                    agent.theta[s, a] = prop
+                m[s, a] = belief.mean_given_delta(agent.theta[s, a])
+    return m
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cached_mdp_pairs_match_recomputing_pairs_bit_for_bit(seed):
+    spec = EnvSpec(kind="adversarial_mdp", mdp=TOY, noise=NOISE, adversary="greedy")
+    cfg = AgentConfig(algorithm="mdp_acts", refresh_every=5)
+    cached = MdpActsAgent(2, 2, 2, cfg, seed=seed)
+    ref = MdpActsAgent(2, 2, 2, cfg, seed=seed)
+    ref._sampled_means = lambda: _recomputing_sampled_means(ref)
+    e1, e2 = make_env(spec, seed), make_env(spec, seed)
+    for _ in range(300):
+        (t1, reg1), (t2, reg2) = cached.run_episode(e1), ref.run_episode(e2)
+        assert t1.actions == t2.actions
+        assert reg1 == reg2
+        np.testing.assert_array_equal(cached.theta, ref.theta)
+        np.testing.assert_array_equal(cached.point_q, ref.point_q)
+    # the pairs crossed the every-5 rebuilds, the refits from 50 rewards on
+    # and a term buffer's first growth
+    assert max(len(loc) for row in cached.pairs for loc in row) > 64
+
+
+def _scalar_kernel(belief, rewards, theta0, n_iter, step, rng):
+    """The location chain as one scalar log_posterior call per proposal: the
+    reference the agents' cached step must match bit for bit."""
+    rewards = np.asarray(rewards, dtype=float)
+    theta = float(theta0)
+    cur = float(belief.log_posterior(rewards, [theta])[0])
+    path = np.empty(n_iter)
+    for i in range(n_iter):
+        prop = theta + step * rng.normal()
+        cand = float(belief.log_posterior(rewards, [prop])[0])
+        if np.log(rng.uniform()) < cand - cur:
+            theta, cur = prop, cand
+        path[i] = theta
+    return path
+
+
+def test_location_kernel_matches_scalar_kernel_bit_for_bit():
+    rewards = sample(StableParams(1.5, 0.3, 1.0, 0.8), 200, np.random.default_rng(7))
+    belief = belief_from_history(rewards)
+    args = (belief, rewards, belief.prior_mu, 5000, 0.1)
+    path = mh_location_kernel(*args, np.random.default_rng(8))
+    np.testing.assert_array_equal(path, _scalar_kernel(*args, np.random.default_rng(8)))
+    assert 0.0 < np.mean(path[1:] != path[:-1]) < 1.0
+
+
+def test_only_the_location_step_draws_an_acceptance_uniform():
+    # the MH accept rule lives in one place; a second copy would call
+    # rng.uniform somewhere else in the module
+    tree = ast.parse(inspect.getsource(ts_agents))
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "uniform"):
+                callers.append(owner)
+            visit(child, name)
+
+    visit(tree, "")
+    assert callers == ["_Location.step"]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +507,7 @@ def test_acts_warmup_is_round_robin():
     assert tr.arms[:9] == [0, 1, 2] * 3
     slot = agent.slots[0]
     assert slot.ready
-    assert all(b is not None for b in slot.beliefs)
+    assert all(loc.belief is not None for loc in slot.arms)
 
 
 def test_acts_replay_oracle_matches_incremental_state():
@@ -465,7 +551,7 @@ def test_acts_refreshes_beliefs_from_the_ecf():
     favorite = int(np.argmax(slot.pulls))
     assert slot.pulls[favorite] >= 50
     # the moment fallback pins alpha at 1.8 exactly; a refit moves it
-    assert slot.beliefs[favorite].alpha != 1.8
+    assert slot.arms[favorite].belief.alpha != 1.8
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +749,9 @@ def test_plain_ats_symmetric_arms_split_evenly():
     hist = list(sample(StableParams(1.8, 0.0, 1.0, 0.0), 60, rng))
     agent = PlainAtsAgent(2, AgentConfig(algorithm="plain_ats"), seed=21)
     slot = agent.slots[0]
-    for history in slot.rewards:
+    for loc in slot.arms:
         for r in hist:
-            history.append(r)
+            loc.append(r)
     slot.pulls = np.array([60, 60])
     slot.visits = 120
     agent._init_slot(slot)
@@ -705,18 +791,18 @@ def test_plain_ats_beats_uniform_across_seeds():
 def test_stable_slot_history_grows_past_its_capacity_like_a_list():
     agent = ActsAgent(2, 1, AgentConfig(algorithm="acts"), seed=0)
     slot = agent.slots[0]
-    capacity = _RewardHistory()._buf.size
+    capacity = _Location(np.zeros(1))._rewards.size
     rewards = np.random.default_rng(4).standard_cauchy(3 * capacity + 5).tolist()
     as_list = [[], []]
     for i, r in enumerate(rewards):
         arm = int(i % 5 == 0)
         agent._after_reward(slot, arm, r)
         as_list[arm].append(r)
-    assert len(slot.rewards[0]) > capacity
+    assert len(slot.arms[0]) > capacity
     for arm in range(2):
-        assert len(slot.rewards[arm]) == len(as_list[arm])
-        assert slot.rewards[arm].values.tolist() == as_list[arm]
-        assert slot.rewards[arm].values.dtype == np.float64
+        assert len(slot.arms[arm]) == len(as_list[arm])
+        assert slot.arms[arm].rewards.tolist() == as_list[arm]
+        assert slot.arms[arm].rewards.dtype == np.float64
 
 
 def test_make_agent_requires_mdp_tables():
