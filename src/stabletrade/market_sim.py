@@ -101,13 +101,11 @@ def step(state, action, next_prices, cost_bps=10.0):
 
 @dataclass
 class OhlcvSeries:
+    """Daily closes (days x stocks), the only prices trading reads."""
+
     dates: list
     tickers: list
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
     close: np.ndarray
-    volume: np.ndarray
 
     @property
     def n_days(self):
@@ -119,15 +117,8 @@ class OhlcvSeries:
 
     def window(self, lo, hi):
         """Day-index slice [lo, hi)."""
-        return OhlcvSeries(
-            dates=self.dates[lo:hi],
-            tickers=self.tickers,
-            open=self.open[lo:hi],
-            high=self.high[lo:hi],
-            low=self.low[lo:hi],
-            close=self.close[lo:hi],
-            volume=self.volume[lo:hi],
-        )
+        return OhlcvSeries(dates=self.dates[lo:hi], tickers=self.tickers,
+                           close=self.close[lo:hi])
 
 
 _COLUMNS = ["date", "ticker", "open", "high", "low", "close", "volume"]
@@ -136,8 +127,10 @@ _COLUMNS = ["date", "ticker", "open", "high", "low", "close", "volume"]
 def load_ohlcv(path):
     """CSV with header date,ticker,open,high,low,close,volume.
 
-    Every (date, ticker) cell must appear exactly once and every ticker must
-    cover every date; offending rows are named in errors.
+    Every field is checked: the four prices positive, all five values
+    finite.  Every (date, ticker) cell must appear exactly once and every
+    ticker must cover every date; offending rows are named in errors.  The
+    series keeps the closes.
     """
     try:
         with open(path, newline="") as fh:
@@ -162,7 +155,7 @@ def load_ohlcv(path):
             raise DataError(f"row {idx}: non-finite value")
         if min(vals[:4]) <= 0.0:
             raise DataError(f"row {idx}: non-positive price")
-        rows.append((idx, date, ticker, vals))
+        rows.append((idx, date, ticker, vals[3]))
     if not rows:
         raise DataError("no data rows")
     dates = sorted({r[1] for r in rows})
@@ -170,22 +163,18 @@ def load_ohlcv(path):
     date_i = {d: i for i, d in enumerate(dates)}
     tick_i = {tk: i for i, tk in enumerate(tickers)}
     shape = (len(dates), len(tickers))
-    cols = [np.full(shape, np.nan) for _ in range(5)]
+    close = np.full(shape, np.nan)
     seen = {}
-    for idx, date, ticker, vals in rows:
+    for idx, date, ticker, price in rows:
         key = (date, ticker)
         if key in seen:
             raise DataError(f"row {idx}: duplicate of row {seen[key]} ({date}, {ticker})")
         seen[key] = idx
-        i, j = date_i[date], tick_i[ticker]
-        for k in range(5):
-            cols[k][i, j] = vals[k]
-    if np.isnan(cols[0]).any():
-        i, j = np.argwhere(np.isnan(cols[0]))[0]
+        close[date_i[date], tick_i[ticker]] = price
+    if np.isnan(close).any():
+        i, j = np.argwhere(np.isnan(close))[0]
         raise DataError(f"missing row for ({dates[i]}, {tickers[j]})")
-    return OhlcvSeries(dates=dates, tickers=tickers,
-                       open=cols[0], high=cols[1], low=cols[2],
-                       close=cols[3], volume=cols[4])
+    return OhlcvSeries(dates=dates, tickers=tickers, close=close)
 
 
 def split(series, ratio=0.7):
@@ -216,7 +205,9 @@ def metrics(curve):
     t_days = curve.size - 1
     ar = float((curve[-1] / curve[0]) ** (TRADING_DAYS / t_days) - 1.0)
     rets = curve[1:] / curve[:-1] - 1.0
-    sd = float(np.std(rets, ddof=1))
+    # a sample deviation needs two returns: one return, like returns that
+    # never move, gives no Sharpe ratio
+    sd = float(np.std(rets, ddof=1)) if rets.size > 1 else 0.0
     if sd == 0.0:
         sr = float("nan")
     else:
@@ -267,14 +258,8 @@ def synth_market(d, days, drift=0.05, vol=0.2, corr=0.3, seed=0,
     close = np.empty((days, d))
     close[0] = start_price
     close[1:] = start_price * np.cumprod(factors, axis=0)
-    opens = np.vstack([close[:1], close[:-1]])
-    high = np.maximum(opens, close)
-    low = np.minimum(opens, close)
-    volume = np.full((days, d), 1e6)
-    dates = [f"d{idx:05d}" for idx in range(days)]
-    tickers = [f"S{j}" for j in range(d)]
-    return OhlcvSeries(dates=dates, tickers=tickers, open=opens, high=high,
-                       low=low, close=close, volume=volume)
+    return OhlcvSeries(dates=[f"d{idx:05d}" for idx in range(days)],
+                       tickers=[f"S{j}" for j in range(d)], close=close)
 
 
 # ---------------------------------------------------------------------------

