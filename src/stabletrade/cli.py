@@ -15,9 +15,11 @@ results directory refuses cells from a different config unless forced.
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
@@ -686,11 +688,19 @@ class RunReport:
     failures: list
 
 
+def _usable_cores():
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one (``taskset`` narrows it), else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve_workers(workers):
     if workers is None:
         workers = os.environ.get("STABLETRADE_WORKERS")
     if workers is None:
-        return os.cpu_count() or 1
+        return _usable_cores()
     try:
         w = int(workers)
     except (TypeError, ValueError):
@@ -700,13 +710,36 @@ def _resolve_workers(workers):
     return w
 
 
+# the BLAS libraries' thread counts, read when a process loads them
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Sets one BLAS thread in the environment that worker processes start
+    from, and restores this process's environment on exit. Each worker takes
+    a core, so a BLAS thread pool per worker would only contend for them."""
+    saved = {k: os.environ.get(k) for k in _ONE_BLAS_THREAD}
+    os.environ.update(_ONE_BLAS_THREAD)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                del os.environ[k]
+            else:
+                os.environ[k] = v
+
+
 def run(config, workers=None, force=False):
     """Execute every cell of a validated experiment and persist the result
     bundle.
 
     Results land in config.out_dir; a directory already holding another
     config's results is refused unless force is set.  Cells run seed by seed,
-    possibly in parallel, and are folded back in their listed order, so the
+    possibly in parallel in spawned worker processes that start with one
+    BLAS thread each, and are folded back in their listed order, so the
     output bytes never depend on the worker count.
     """
     workers = _resolve_workers(workers)
@@ -728,9 +761,10 @@ def run(config, workers=None, force=False):
     seeds = config.seeds[:1] if config.kind == "estimate-stable" else config.seeds
     cells = [(lab, s, job) for s in seeds for lab, job in config.cells]
     # never more worker processes than cores or cells
-    workers = min(workers, len(cells), os.cpu_count() or 1)
+    workers = min(workers, len(cells), _usable_cores())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with _one_blas_thread(), ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as ex:
             results = list(ex.map(_run_cell, *zip(*cells)))
     else:
         results = [_run_cell(*c) for c in cells]
@@ -815,7 +849,7 @@ def main(argv=None):
     p.add_argument("config", help="path to a JSON experiment config")
     p.add_argument("--seeds", help="comma-separated seed override, e.g. 0,1,2")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel cell workers (default: all cores)")
+                   help="parallel cell workers (default: all usable cores)")
     p.add_argument("--out", help="output directory override")
     p.add_argument("--force", action="store_true",
                    help="overwrite results written by a different config")

@@ -35,7 +35,7 @@ class PortfolioState:
         self.b = float(self.b)
         if self.b < 0:
             raise ParamError("cash balance must be non-negative")
-        self.total_asset = self.b + float(self.p @ self.h)
+        self.total_asset = self.b + float(self.p.dot(self.h))
         if self.total_asset <= 0:
             raise ParamError("total asset must be positive")
 
@@ -79,13 +79,16 @@ def step(state, action, next_prices, cost_bps=10.0):
     if action.shape != state.h.shape or next_prices.shape != state.p.shape:
         raise ParamError("action/price dimension mismatch")
     c = cost_bps / 1e4
-    sells = np.minimum(np.maximum(-action, 0.0), state.h)
-    buys = np.maximum(action, 0.0)
-    cash = state.b + float(sells @ state.p) * (1.0 - c)
-    buy_notional = float(buys @ state.p)
+    # numpy takes an array zero faster than a Python 0.0, and ``dot`` the
+    # 1-D products faster than ``@``; both give the same bits
+    zero = np.zeros(action.shape)
+    sells = np.minimum(np.maximum(-action, zero), state.h)
+    buys = np.maximum(action, zero)
+    cash = state.b + float(sells.dot(state.p)) * (1.0 - c)
+    buy_notional = float(buys.dot(state.p))
     if buy_notional * (1.0 + c) > cash and buy_notional > 0.0:
         buys = buys * (cash / ((1.0 + c) * buy_notional))
-        buy_notional = float(buys @ state.p)
+        buy_notional = float(buys.dot(state.p))
     cash -= buy_notional * (1.0 + c)
     if -1e-9 * (1.0 + buy_notional) < cash < 0.0:
         cash = 0.0
@@ -295,14 +298,16 @@ class TradingEnv:
         return self.state.t >= self.last_day
 
     def step(self, action):
-        if self.state is None:
+        state = self.state
+        if state is None:
             raise ParamError("reset before stepping")
-        if self.done:
+        if state.t >= self.last_day:
             raise ParamError("episode finished")
-        nxt = self.series.close[self.state.t + 1]
-        self.state, reward = step(self.state, action, nxt, cost_bps=self.cost_bps)
-        self.curve.append(self.state.total_asset)
-        return self.state, reward, self.done
+        state, reward = step(state, action, self.series.close[state.t + 1],
+                             cost_bps=self.cost_bps)
+        self.state = state
+        self.curve.append(state.total_asset)
+        return state, reward, state.t >= self.last_day
 
 
 def run_policy(env, policy):

@@ -225,6 +225,13 @@ class DiscreteTradingEnv(TradingEnv):
         self.d = series.n_stocks
         self.n_actions = 3 ** self.d
         self.n_states = 9 ** self.d
+        # per action, the stocks it sells and buys: action digit j in base 3,
+        # most significant first, is stock j's sell (0), hold (1) or buy (2)
+        self._trades = []
+        for action in range(self.n_actions):
+            codes = [action // 3 ** (self.d - 1 - j) % 3 for j in range(self.d)]
+            self._trades.append(([j for j, c in enumerate(codes) if c == 0],
+                                 [j for j, c in enumerate(codes) if c == 2]))
 
     def reset(self):
         super().reset()
@@ -251,19 +258,12 @@ class DiscreteTradingEnv(TradingEnv):
         if not 0 <= action < self.n_actions:
             raise ParamError(f"action {action} out of range")
         s = self.state
+        sells, buys = self._trades[action]
         moves = np.zeros(self.d)
-        codes = []
-        a = action
-        for _ in range(self.d):
-            codes.append(a % 3)
-            a //= 3
-        codes = codes[::-1]
-        buyers = [j for j, c in enumerate(codes) if c == 2]
-        for j, c in enumerate(codes):
-            if c == 0:
-                moves[j] = -s.h[j]
-            elif c == 2:
-                moves[j] = s.b / len(buyers) / s.p[j]
+        for j in sells:
+            moves[j] = -s.h[j]
+        for j in buys:
+            moves[j] = s.b / len(buys) / s.p[j]
         _, reward, done = super().step(moves)
         return self._state_id(), reward, done
 
@@ -555,7 +555,7 @@ def _td_control(env, episodes, on_policy, seed):
     def pick(s, eps):
         if rng.random() < eps:
             return int(rng.integers(env.n_actions))
-        return int(np.argmax(q[s]))
+        return int(q[s].argmax())
 
     for ep in range(episodes):
         eps = _EPS_START + (ep / max(1, episodes - 1)) * (_EPS_FINAL - _EPS_START)
@@ -568,7 +568,7 @@ def _td_control(env, episodes, on_policy, seed):
             if on_policy:
                 boot = q[s2, a2]
             else:
-                boot = float(np.max(q[s2]))
+                boot = float(q[s2].max())
             target = r + _GAMMA * (0.0 if done else boot)
             q[s, a] += _TD_ALPHA * (target - q[s, a])
             s, a = s2, a2
@@ -589,10 +589,7 @@ class DqnResult:
 
     def greedy_policy(self):
         def policy(s):
-            x = np.zeros(self.net.sizes[0])
-            x[s] = 1.0
-            qv = self.net.predict(x)
-            return int(np.argmax(qv))
+            return int(self.net.predict_index([s]).argmax())
         return policy
 
 
@@ -604,7 +601,7 @@ def dqn_lite(env, episodes, seed):
     target = net.copy()
     opt = adam_init(net)
     buffer = ReplayBuffer(_DQN_CAPACITY)
-    onehot = np.eye(env.n_states)    # row s is state s's input
+    rows = np.arange(_DQN_BATCH)
 
     for ep in range(episodes):
         eps = _EPS_START + (ep / max(1, episodes - 1)) * (_EPS_FINAL - _EPS_START)
@@ -614,18 +611,16 @@ def dqn_lite(env, episodes, seed):
             if rng.random() < eps:
                 a = int(rng.integers(env.n_actions))
             else:
-                qv = net.predict(onehot[s])
-                a = int(np.argmax(qv))
+                a = int(net.predict_index([s]).argmax())
             s2, r, done = env.step(a)
             buffer.add(s, a, r, s2, done)
             s = s2
             if len(buffer) >= _DQN_BATCH:
                 si, ai, ri, s2i, di, _ = buffer.sample(_DQN_BATCH, rng)
-                q2 = target.predict(onehot[s2i])
+                q2 = target.predict_index(s2i)
                 y = ri + _GAMMA * (1.0 - di) * q2.max(axis=1)
-                qv, cache = net.forward(onehot[si])
-                gy = np.zeros_like(qv)
-                rows = np.arange(_DQN_BATCH)
+                qv, cache = net.forward_index(si)
+                gy = np.zeros(qv.shape)
                 gy[rows, ai] = 2.0 * (qv[rows, ai] - y) / _DQN_BATCH
                 grads, _ = net.backward(cache, gy)
                 clip_global_norm(net, grads)

@@ -26,6 +26,16 @@ rows of the last ``predict`` into the cache that ``forward`` gives for those
 rows (bit for bit at row counts that are multiples of 4; see the method), so
 a caller that backpropagates through a few rows of a large pass needs no
 second pass over them.
+
+``forward_index`` and ``predict_index`` are the same pair of passes for
+one-hot inputs given as their hot columns, as a tabular state feeds a Q
+network. A one-hot row times W0 is exactly row s of W0, since every other
+term is an exact zero, so the first layer gathers rows of W0 and adds b0;
+the later layers make the same 2-D products as ``forward`` and ``predict``,
+one row included, and give their outputs bit for bit. Only the W0 gradient
+needs the one-hot rows themselves: ``forward_index`` takes them from an
+identity matrix the network builds on first use and puts them in a cache
+that ``backward`` consumes unchanged.
 """
 
 import numpy as np
@@ -69,6 +79,7 @@ class Mlp:
         self.biases = self._params[1::2]
         self._hidden, self._hidden_rows = [], 0    # predict's layer buffers
         self._last = None                          # predict's last (input, output)
+        self._eye = None                           # forward_index's one-hot rows
         rng = np.random.default_rng(seed)
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
@@ -90,14 +101,19 @@ class Mlp:
             )
         return x, squeeze
 
-    def _layers(self, x, outs):
+    def _layers(self, x, outs, idx):
         """Activations [x, h1, ..., y], one per layer; layer i writes into
-        the buffer outs[i], or into a fresh array where that is None."""
+        the buffer outs[i], or into a fresh array where that is None. With
+        ``idx`` not None, x stands for the one-hot rows with hot columns
+        idx, and the first layer takes rows idx of W0 for its product."""
         acts = [x]
         h = x
         last = len(self.weights) - 1
         for i, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
-            h = np.matmul(h, w, out=out)
+            if i == 0 and idx is not None:
+                h = w[idx]
+            else:
+                h = np.matmul(h, w, out=out)
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
@@ -109,10 +125,18 @@ class Mlp:
     def forward(self, x):
         """Returns (output, cache); pure, touches no state."""
         x, squeeze = self._input(x)
-        acts = self._layers(x, [None] * len(self.weights))
+        acts = self._layers(x, [None] * len(self.weights), None)
         h = acts[-1]
         cache = {"acts": acts, "squeeze": squeeze}
         return (h[0] if squeeze else h), cache
+
+    def forward_index(self, idx):
+        """``forward`` of the one-hot rows whose hot columns are the integers
+        idx (a sequence or array): (output rows, cache), bit for bit."""
+        if self._eye is None:
+            self._eye = np.eye(self.sizes[0])
+        acts = self._layers(self._eye[idx], [None] * len(self.weights), idx)
+        return acts[-1], {"acts": acts, "squeeze": False}
 
     def predict(self, x):
         """``forward``'s output without its cache, through the network's
@@ -122,9 +146,16 @@ class Mlp:
         if rows > self._hidden_rows:
             self._hidden = [np.empty((rows, n)) for n in self.sizes[1:-1]]
             self._hidden_rows = rows
-        h = self._layers(x, [buf[:rows] for buf in self._hidden] + [None])[-1]
+        h = self._layers(x, [buf[:rows] for buf in self._hidden] + [None], None)[-1]
         self._last = (x, h)
         return h[0] if squeeze else h
+
+    def predict_index(self, idx):
+        """``predict`` of the one-hot rows whose hot columns are the integers
+        idx: the output rows, bit for bit, in fresh arrays. It keeps nothing
+        for ``cache_rows``."""
+        self._last = None
+        return self._layers(None, [None] * len(self.weights), idx)[-1]
 
     def cache_rows(self, rows):
         """``forward``'s cache for the given rows of the last ``predict``'s
@@ -224,7 +255,7 @@ def opt_step(net, grads, state, lr=1e-3):
     den += _ADAM_EPS
     num /= den
     p -= num
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NumericError("non-finite parameters after optimizer step")
     return net
 

@@ -3,7 +3,10 @@ overwrite guard, parallel determinism, CLI exit codes."""
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +281,15 @@ RERUN_KINDS = {
                    "params": {"days": 30, "episodes": 2}},
     "backtest": {"kind": "backtest", "agents": ["up", "ad_ts"], "params": {},
                  "env": {"d": 2, "days": 60, "vol": 0.3, "seed": 3, "max_loss": 0.2}},
+    # the network learners: numpy's BLAS runs their products in each worker
+    "tournament-dqn": {"kind": "tournament", "env": {}, "agents": ["dqn", "cb_ts"],
+                       "params": {"days": 30, "episodes": 2}},
+    "backtest-learners": {"kind": "backtest", "agents": ["dqn", "ddpg", "cppi_ddpg"],
+                          "env": {"d": 2, "days": 40, "vol": 0.3, "seed": 3,
+                                  "max_loss": 0.2},
+                          "params": {"backtest": {"episodes": 2, "train": {
+                              "warmup_steps": 16, "pretrain_steps": 10,
+                              "pretrain_episodes": 1}}}},
     "execution": {"kind": "execution", "agents": [], "env": {"d": 2, "days": 40},
                   "params": {"cadences": [1, 5], "floor": 0.8}},
     "estimate-stable": {"kind": "estimate-stable", "env": {}, "agents": [],
@@ -311,7 +323,7 @@ class _RecordingPool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -328,13 +340,33 @@ class _RecordingPool:
                                                   (8, 1, None), (8, None, None),
                                                   (1, 16, None)])
 def test_run_pool_never_exceeds_cores_or_cells(tmp_path, monkeypatch, workers, cores, pool):
+    # cores is the process's CPU affinity, which wins over the machine's 64
+    # cores; None is a platform that reports neither
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None if cores is None else 64)
+    if cores is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
     _RecordingPool.sizes = []
     cfg = small_config(tmp_path / "r", seeds=[0, 1])   # 2 agents x 2 seeds = 4 cells
     rep = cli.run(cfg, workers=workers)
     assert rep.failures == []
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_usable_cores_follow_the_cpu_affinity():
+    # a process pinned to one core counts one usable core and defaults to
+    # one worker, whatever the machine's core count
+    code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from stabletrade import cli; print(cli._usable_cores(), cli._resolve_workers(None))")
+    env = {k: v for k, v in os.environ.items() if k != "STABLETRADE_WORKERS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["1", "1"]
 
 
 def test_fixed_env_seed_vs_bayes_redraw(tmp_path):

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from stabletrade import rl_agents
 from stabletrade.errors import ConfigError, NumericError, ParamError
 from stabletrade.market_sim import (CppiConfig, TradingEnv, metrics, run_policy, split,
                                     synth_market)
@@ -38,7 +39,7 @@ from stabletrade.rl_agents import (
     train,
     up_run,
 )
-from stabletrade.tinynet import Mlp, clip_global_norm, opt_step
+from stabletrade.tinynet import Mlp, adam_init, clip_global_norm, opt_step, soft_update
 
 
 def _zero(net):
@@ -790,9 +791,108 @@ def test_dqn_lite_learns_chain():
     assert res.greedy_policy()(0) == 1
 
 
+class _DecodingDiscreteEnv(DiscreteTradingEnv):
+    """``DiscreteTradingEnv`` with the step that decoded the action's base-3
+    digits on every call: the reference for the decode made once per env."""
+
+    def step(self, action):
+        action = int(action)
+        if not 0 <= action < self.n_actions:
+            raise ParamError(f"action {action} out of range")
+        s = self.state
+        moves = np.zeros(self.d)
+        codes = []
+        a = action
+        for _ in range(self.d):
+            codes.append(a % 3)
+            a //= 3
+        codes = codes[::-1]
+        buyers = [j for j, c in enumerate(codes) if c == 2]
+        for j, c in enumerate(codes):
+            if c == 0:
+                moves[j] = -s.h[j]
+            elif c == 2:
+                moves[j] = s.b / len(buyers) / s.p[j]
+        _, reward, done = TradingEnv.step(self, moves)
+        return self._state_id(), reward, done
+
+
+def _dqn_lite_reference(env, episodes, seed):
+    """``dqn_lite`` before the index passes: every pass feeds rows of
+    ``np.eye`` through ``Mlp.forward`` and ``Mlp.predict``. Returns the net."""
+    rng = np.random.default_rng(seed)
+    net = Mlp([env.n_states, rl_agents._DQN_HIDDEN, env.n_actions],
+              seed=int(rng.integers(2**31)))
+    target = net.copy()
+    opt = adam_init(net)
+    buffer = ReplayBuffer(rl_agents._DQN_CAPACITY)
+    onehot = np.eye(env.n_states)
+    n_batch, gamma = rl_agents._DQN_BATCH, rl_agents._GAMMA
+    eps0, eps1 = rl_agents._EPS_START, rl_agents._EPS_FINAL
+    for ep in range(episodes):
+        eps = eps0 + (ep / max(1, episodes - 1)) * (eps1 - eps0)
+        s = env.reset()
+        done = False
+        while not done:
+            if rng.random() < eps:
+                a = int(rng.integers(env.n_actions))
+            else:
+                qv = net.predict(onehot[s])
+                a = int(np.argmax(qv))
+            s2, r, done = env.step(a)
+            buffer.add(s, a, r, s2, done)
+            s = s2
+            if len(buffer) >= n_batch:
+                si, ai, ri, s2i, di, _ = buffer.sample(n_batch, rng)
+                q2 = target.predict(onehot[s2i])
+                y = ri + gamma * (1.0 - di) * q2.max(axis=1)
+                qv, cache = net.forward(onehot[si])
+                gy = np.zeros_like(qv)
+                rows = np.arange(n_batch)
+                gy[rows, ai] = 2.0 * (qv[rows, ai] - y) / n_batch
+                grads, _ = net.backward(cache, gy)
+                clip_global_norm(net, grads)
+                opt_step(net, grads, opt, lr=rl_agents._DQN_LR)
+                soft_update(target, net, rl_agents._DQN_TAU)
+    return net
+
+
+def _one_hot_greedy(net):
+    def policy(s):
+        x = np.zeros(net.sizes[0])
+        x[s] = 1.0
+        return int(np.argmax(net.predict(x)))
+    return policy
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_dqn_lite_matches_the_one_hot_reference_bit_for_bit(d, seed):
+    series = synth_market(d, 60, vol=0.35, alpha=1.7, seed=20 + seed)
+    train_series, test_series = split(series, 0.7)
+    got = dqn_lite(DiscreteTradingEnv(train_series), 6, seed=seed)
+    ref = _dqn_lite_reference(_DecodingDiscreteEnv(train_series), 6, seed=seed)
+    assert np.array_equal(got.net.flat, ref.flat)
+    curve = run_policy(DiscreteTradingEnv(test_series), got.greedy_policy())
+    ref_curve = run_policy(_DecodingDiscreteEnv(test_series), _one_hot_greedy(ref))
+    assert np.array_equal(curve, ref_curve)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_discrete_step_decodes_every_action_as_the_reference(d):
+    series = synth_market(d, 12, vol=0.4, seed=d)
+    for first in range(3 ** d):
+        env, ref = DiscreteTradingEnv(series), _DecodingDiscreteEnv(series)
+        env.reset(), ref.reset()
+        for t in range(series.n_days - 1):
+            a = (first + 5 * t) % 3 ** d
+            assert env.step(a) == ref.step(a)
+        assert env.curve == ref.curve
+
+
 class _ScatterOneHot:
     """Stands in for ``np.eye(n)``: indexing it builds the one-hot rows with
-    zeros plus a scatter on every call, as dqn_lite once did."""
+    zeros plus a scatter on every call."""
 
     def __init__(self, n):
         self.n = n
@@ -806,13 +906,18 @@ class _ScatterOneHot:
 
 
 def test_dqn_lite_one_hot_rows_from_eye_match_zeros_and_scatter(monkeypatch):
+    # the passes gather rows of W0; one-hot rows feed only the W0 gradient,
+    # from one identity that the trained net's forward_index builds
     series = synth_market(1, 40, vol=0.3, seed=5)
     got = dqn_lite(DiscreteTradingEnv(series), 6, seed=3).net
     built = []
     monkeypatch.setattr(np, "eye", lambda n: built.append(n) or _ScatterOneHot(n))
-    ref = dqn_lite(DiscreteTradingEnv(series), 6, seed=3).net
+    res = dqn_lite(DiscreteTradingEnv(series), 6, seed=3)
     assert built == [9]
-    assert np.array_equal(got.flat, ref.flat)
+    assert np.array_equal(got.flat, res.net.flat)
+    policy = res.greedy_policy()
+    assert [policy(s) for s in range(9)] == [_one_hot_greedy(got)(s) for s in range(9)]
+    assert built == [9]
 
 
 def test_up_single_stock_is_buy_and_hold():

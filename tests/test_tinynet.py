@@ -529,3 +529,50 @@ def test_cache_rows_outlives_the_next_predict():
         net.cache_rows(np.array([5]))
     with pytest.raises(ParamError, match="earlier predict"):
         Mlp([3, 2], seed=0).cache_rows(np.array([0]))
+
+
+# ---------------------------------------------------------------------------
+# index passes: one-hot inputs given as their hot columns
+
+
+@pytest.mark.parametrize("out_act", ["linear", "tanh"])
+@pytest.mark.parametrize("sizes", [[9, 32, 3], [81, 32, 9], [5, 7, 4, 6, 2], [3, 1]])
+def test_index_passes_equal_the_one_hot_passes_bit_for_bit(sizes, out_act):
+    net = Mlp(sizes, out_act=out_act, seed=13)
+    rng = np.random.default_rng(14)
+    eye = np.eye(sizes[0])
+    for step in range(3):
+        for rows in (1, 7, 32):
+            idx = rng.integers(sizes[0], size=rows)
+            x = eye[idx]
+            want, want_cache = net.forward(x)
+            got, got_cache = net.forward_index(idx)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            for g, w in zip(got_cache["acts"], want_cache["acts"]):
+                assert g.shape == w.shape and np.array_equal(g, w)
+            assert got_cache["squeeze"] is False
+            gy = rng.normal(size=want.shape)
+            assert np.array_equal(net.backward(got_cache, gy)[0],
+                                  net.backward(want_cache, gy)[0])
+            pred = net.predict_index(idx)
+            assert pred.shape == want.shape
+            assert np.array_equal(pred, net.predict(x))
+        # one state as a 1-row pass, as a Q learner picks its action
+        s = int(rng.integers(sizes[0]))
+        assert np.array_equal(net.predict_index([s])[0], net.predict(eye[s]))
+        opt_step(net, rng.normal(size=net.flat.shape), adam_init(net), lr=0.1)
+
+
+def test_index_passes_keep_no_cache_rows_and_build_one_identity(monkeypatch):
+    net = Mlp([9, 32, 3], seed=0)
+    built = []
+    real_eye = np.eye
+    monkeypatch.setattr(np, "eye", lambda n: built.append(n) or real_eye(n))
+    net.predict(np.ones((4, 9)))
+    net.predict_index(np.array([0, 1]))
+    assert built == []       # predict_index needs no one-hot rows
+    with pytest.raises(ParamError, match="earlier predict"):
+        net.cache_rows(np.array([0]))
+    for _ in range(3):
+        net.forward_index(np.array([2, 2, 8]))
+    assert built == [9]
