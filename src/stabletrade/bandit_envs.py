@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParamError, _is_int, _is_real, _require
+from .errors import (ConfigError, DataError, ParamError, _check_table, _int_at_least, _is_int,
+                     _number, _one_of)
 from .stable_core import StableParams, sample
 
 DEFAULT_CONTEXT_PARAMS = StableParams(1.8, 0.3, 1.0, 0.0)
@@ -106,6 +107,23 @@ def true_q(tables):
     return _backward_q(tables.reward_means, tables.transitions, tables.horizon)
 
 
+# the check table of an armed or MDP env, one entry per EnvSpec field; the
+# list-valued keys arrive parsed: floats, arrays and StableParams
+_FINITE = (lambda v: v is None or bool(np.all(np.isfinite(v)))), "finite numbers"
+_ENV_CHECKS = {
+    "kind": _one_of(_KINDS), "n_arms": _int_at_least(1), "dim": _int_at_least(1),
+    "horizon": _int_at_least(1), "arm_means": _FINITE, "mu": _FINITE,
+    "noise": ((lambda v: v is None or isinstance(v, StableParams) or (
+        isinstance(v, list) and all(isinstance(p, StableParams) for p in v))),
+        "stable parameters, one set or one per arm"),
+    "context_params": ((lambda v: isinstance(v, StableParams)), "stable parameters"),
+    "resample_contexts": ((lambda v: isinstance(v, bool)), "true or false"),
+    "n_users": _int_at_least(1), "v_max": _number(ge=0), "v_step": _number(ge=0),
+    "mdp": ((lambda v: v is None or isinstance(v, MdpTables)), "an mdp table"),
+    "adversary": _one_of(("round_robin", "greedy")),
+}
+
+
 @dataclass
 class EnvSpec:
     kind: str
@@ -123,19 +141,13 @@ class EnvSpec:
     mdp: MdpTables = None
     adversary: str = "round_robin"
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(**_check_table(d, _ENV_CHECKS, "env")).validate()
+
     def validate(self):
         """Every check on the spec, so a bad one fails before any env is built."""
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown environment kind {self.kind!r}")
-        for key in ("n_arms", "dim", "horizon", "n_users"):
-            value = getattr(self, key)
-            _require(_is_int(value, 1), f"env.{key}", value, "an integer >= 1")
-        for key in ("v_max", "v_step"):
-            value = getattr(self, key)
-            _require(_is_real(value) and value >= 0.0, f"env.{key}", value,
-                     "a finite number >= 0")
-        _require(isinstance(self.resample_contexts, bool), "env.resample_contexts",
-                 self.resample_contexts, "true or false")
+        _check_table(vars(self), _ENV_CHECKS, "env")
         if self.kind == "plain":
             if self.arm_means is None:
                 raise ConfigError("plain environments need arm_means")
@@ -144,14 +156,11 @@ class EnvSpec:
             if len(self.arm_means) != self.n_arms:
                 raise ConfigError(f"env.arm_means has {len(self.arm_means)} entries "
                                   f"but n_arms is {self.n_arms}")
-            _require(np.all(np.isfinite(self.arm_means)), "env.arm_means", self.arm_means,
-                     "finite numbers")
         if self.kind in ("linear", "semiparam") and self.mu is not None:
             mu = np.atleast_1d(self.mu)
             if len(mu) != self.dim:
                 raise ConfigError(f"env.mu has length {len(mu)} but dim is {self.dim}")
-            _require(np.all(np.isfinite(mu)), "env.mu", self.mu, "finite numbers")
-        if self.noise is not None and not isinstance(self.noise, StableParams):
+        if isinstance(self.noise, list):
             if self.kind == "adversarial_mdp":
                 raise ConfigError("env.noise of an MDP must be a single parameter set")
             if len(self.noise) != self.n_arms:
@@ -159,8 +168,6 @@ class EnvSpec:
                                   f"but n_arms is {self.n_arms}")
         if self.kind == "adversarial_mdp" and self.mdp is None:
             raise ConfigError("adversarial_mdp environments need mdp tables")
-        if self.adversary not in ("round_robin", "greedy"):
-            raise ConfigError(f"unknown adversary {self.adversary!r}")
         return self
 
 

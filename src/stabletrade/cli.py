@@ -27,9 +27,11 @@ import numpy as np
 
 from . import rl_agents
 from .bandit_envs import EnvSpec, MdpTables, make_env, play, regret
-from .errors import (ConfigError, DataError, InsufficientDataError, NumericError,
-                     ParamError, _is_int, _is_real, _require)
+from .errors import (_TABLE, ConfigError, DataError, InsufficientDataError, NumericError,
+                     ParamError, _check_table, _int_at_least, _is_int, _number, _one_of,
+                     _or_none)
 from .market_sim import (
+    _TRADING_CHECKS,
     CppiConfig,
     Metrics,
     TradingEnv,
@@ -54,31 +56,16 @@ from .ts_agents import AgentConfig, make_agent
 
 FORMAT_VERSION = 1
 
-_ENV_FIELDS = set(EnvSpec.__dataclass_fields__)
-# synthetic-market keys: (admissible value, what the message asks for);
-# alpha and max_loss may also be null, which is their default
-_MARKET_KEYS = {
-    "d": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "days": (lambda v: _is_int(v, 2), "an integer >= 2"),
-    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
-    "drift": (lambda v: _is_real(v) and v > -1.0, "a number > -1"),
-    "vol": (lambda v: _is_real(v) and v >= 0.0, "a number >= 0"),
-    "corr": (lambda v: _is_real(v) and -1.0 <= v <= 1.0, "a number in [-1, 1]"),
-    "alpha": (lambda v: _is_real(v) and 0.0 < v <= 2.0, "a number in (0, 2]"),
-    "max_loss": (lambda v: _is_real(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
-    "start_price": (lambda v: _is_real(v) and v > 0.0, "a number > 0"),
+_FILE = (lambda v: isinstance(v, str)), "a file path"
+# the check tables of a market: a CSV file, or synthetic, with one entry per
+# synth_market keyword; alpha and max_loss may also be null, their default
+_CSV_CHECKS = {"csv": _FILE}
+_MARKET_CHECKS = {
+    "d": _int_at_least(1), "days": _int_at_least(2), "seed": _int_at_least(0),
+    "drift": _number(gt=-1), "vol": _number(ge=0), "corr": _number(ge=-1, le=1),
+    "alpha": _or_none(_number(gt=1, le=2)), "max_loss": _or_none(_number(gt=0, le=1)),
+    "start_price": _number(gt=0),
 }
-_BANDIT_PARAM_KEYS = {"rounds", "env_seed"}
-_TOURNAMENT_PARAM_KEYS = {"days", "episodes"}
-_BACKTEST_PARAM_KEYS = {"backtest"}
-# execution float params: default, range test, range; floor is a fraction
-# of the initial cash
-_EXECUTION_REALS = {"initial_cash": (100.0, lambda v: v > 0.0, "> 0"),
-                    "cost_bps": (10.0, lambda v: 0.0 <= v < 1e4, "in [0, 10000)"),
-                    "floor": (0.85, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-                    "multiplier": (2.0, lambda v: v >= 0.0, ">= 0")}
-_EXECUTION_PARAM_KEYS = {"cadences"} | set(_EXECUTION_REALS)
-_ESTIMATE_PARAM_KEYS = {"file", "n_freq"}
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +96,9 @@ def _floats(raw, key, what):
 
 
 def _env_spec_from(raw):
-    if not isinstance(raw, dict) or not raw:
+    if not raw:
         raise ConfigError("this experiment kind needs a non-empty env table")
     d = dict(raw)
-    extra = set(d) - _ENV_FIELDS
-    if extra:
-        raise ConfigError(f"unknown env keys: {sorted(extra)}")
     if "noise" in d and d["noise"] is not None:
         n = d["noise"]
         if isinstance(n, list) and n and isinstance(n[0], (list, dict)):
@@ -133,25 +117,16 @@ def _env_spec_from(raw):
             raise ConfigError(f"env.mu must be a list of numbers, got {d['mu']!r}") from None
     if d.get("mdp") is not None:
         d["mdp"] = MdpTables.from_dict(d["mdp"])
-    return EnvSpec(**d).validate()
+    return EnvSpec.from_dict(d)
 
 
 def _market_settings(raw):
     """A loaded CSV price series, or the checked synth_market keywords."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"env must be a table, got {raw!r}")
     if "csv" in raw:
-        extra = set(raw) - {"csv"}
-        if extra:
-            raise ConfigError(f"csv markets take no other env keys: {sorted(extra)}")
-        return load_ohlcv(raw["csv"])
-    extra = set(raw) - set(_MARKET_KEYS)
-    if extra:
-        raise ConfigError(f"unknown market keys: {sorted(extra)}")
+        return load_ohlcv(_check_table(raw, _CSV_CHECKS, "env")["csv"])
+    _check_table(raw, _MARKET_CHECKS, "env")
     kw = {"d": 2, "days": 250}    # synth_market's defaults otherwise
     for key, v in raw.items():
-        ok, want = _MARKET_KEYS[key]
-        _require(ok(v) or (v is None and key in ("alpha", "max_loss")), f"env.{key}", v, want)
         kw[key] = v if v is None or key in ("d", "days", "seed") else float(v)
     return kw
 
@@ -160,12 +135,6 @@ def _market_from(raw):
     """A price series from a CSV path or synthetic generator settings."""
     market = _market_settings(raw)
     return synth_market(**market) if isinstance(market, dict) else market
-
-
-def _check_param_keys(kind, params, allowed):
-    extra = set(params) - allowed
-    if extra:
-        raise ConfigError(f"unknown params for {kind}: {sorted(extra)}")
 
 
 @dataclass
@@ -187,33 +156,22 @@ class ExperimentConfig:
     format_version: int = FORMAT_VERSION
 
     def validate(self):
-        if not isinstance(self.kind, str) or self.kind not in _KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        _require(_is_int(self.format_version), "format_version", self.format_version,
-                 "an integer")
+        _check_table({f.name: getattr(self, f.name) for f in fields(self)}, _CONFIG_CHECKS)
         if self.format_version != FORMAT_VERSION:
             raise ConfigError(
                 f"format_version {self.format_version} unsupported, "
                 f"this build writes {FORMAT_VERSION}")
-        _require(isinstance(self.out_dir, (str, os.PathLike)) and self.out_dir != "",
-                 "out_dir", self.out_dir, "a non-empty directory path")
-        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
-            raise ConfigError("seeds must be a non-empty list")
-        _require(all(_is_int(s, 0) for s in self.seeds), "seeds", self.seeds,
-                 "integers >= 0")
         self.seeds = list(self.seeds)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        if not isinstance(self.params, dict):
-            raise ConfigError("params must be a table")
-        if not isinstance(self.agents, (list, tuple)):
-            raise ConfigError("agents must be a list")
+        parse, _, params = _KINDS[self.kind]
+        _check_table(self.params, params, "params")
         self.agents = [a if isinstance(a, dict) else {"algorithm": str(a)}
                        for a in self.agents]
         for a in self.agents:
             if "algorithm" not in a:
                 raise ConfigError("every agent entry needs an algorithm name")
-        cells = _KINDS[self.kind][0](self)
+        cells = parse(self)
         labels = [lab for lab, _ in cells]
         for lab in labels:
             if not (isinstance(lab, str) and
@@ -242,11 +200,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("experiment config must be a table")
-        extra = set(raw) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        _check_table(raw, _CONFIG_CHECKS)
         if "kind" not in raw:
             raise ConfigError("experiment config needs a kind")
         return cls(**raw).validate()
@@ -287,24 +241,19 @@ class UniformAgent:
 
 def _parse_bandit(cfg):
     params = cfg.params
-    _check_param_keys(cfg.kind, params, _BANDIT_PARAM_KEYS)
-    if "rounds" in params:
-        _require(_is_int(params["rounds"], 1), "params.rounds", params["rounds"],
-                 "an integer >= 1")
     # a fixed-env study varies only the agent seed; the Bayes variant redraws
     # the environment with the cell seed (env_seed None) so averaging
     # estimates the prior mean
     env_seed = None
     if cfg.kind == "bandit-regret":
         env_seed = params.get("env_seed", 0)
-        _require(_is_int(env_seed, 0), "params.env_seed", env_seed, "an integer >= 0")
     elif "env_seed" in params:
         raise ConfigError("bayes-regret draws the environment from each seed, "
                           "drop params.env_seed")
     spec = _env_spec_from(cfg.env)
     rounds = params.get("rounds", spec.horizon)
     if not cfg.agents:
-        raise ConfigError("bandit experiments need at least one agent")
+        raise ConfigError("a bandit experiment needs at least one agent in agents")
     cells = []
     for a in cfg.agents:
         d = {k: v for k, v in a.items() if k != "label"}
@@ -374,12 +323,9 @@ def _roster(cfg, roster, keys):
 
 def _parse_tournament(cfg):
     params = cfg.params
-    _check_param_keys(cfg.kind, params, _TOURNAMENT_PARAM_KEYS)
     if cfg.env:
         raise ConfigError("tournaments build their own markets, drop env")
     days, episodes = params.get("days", 120), params.get("episodes", 40)
-    _require(_is_int(days, 2), "params.days", days, "an integer >= 2")
-    _require(_is_int(episodes, 1), "params.episodes", episodes, "an integer >= 1")
     names = [a["algorithm"] for a in
              _roster(cfg, rl_agents.TOURNAMENT_AGENTS, {"algorithm"})]
     if len(names) < 2:
@@ -394,11 +340,15 @@ def _tournament_cell(names, days, episodes, seed):
 
 
 def _parse_backtest(cfg):
-    _check_param_keys(cfg.kind, cfg.params, _BACKTEST_PARAM_KEYS)
     series = _market_from(cfg.env)
     bt = BacktestConfig.from_dict(cfg.params.get("backtest", {}))
     agents = _roster(cfg, rl_agents.BACKTEST_AGENTS, {"algorithm", "label"})
-    train_series, test_series = split(series, bt.split_ratio)
+    try:
+        train_series, test_series = split(series, bt.split_ratio)
+    except ConfigError as exc:
+        source = "env.csv" if "csv" in cfg.env else "env.days"
+        raise ConfigError(f"{exc}: params.backtest.split_ratio {bt.split_ratio} of the "
+                          f"{series.n_days} days of {source}") from None
     learners = [a["algorithm"] for a in agents if a["algorithm"] in rl_agents.BACKTEST_LEARNERS]
     if learners and train_series.n_days < 2:
         raise ConfigError(
@@ -419,7 +369,6 @@ def _backtest_cell(name, train_series, test_series, bt, seed):
 
 def _parse_execution(cfg):
     params = cfg.params
-    _check_param_keys(cfg.kind, params, _EXECUTION_PARAM_KEYS)
     if cfg.agents:
         raise ConfigError("execution runs trade the built-in floor policy, drop agents")
     market = _market_settings(cfg.env)
@@ -428,20 +377,12 @@ def _parse_execution(cfg):
     if not isinstance(market, dict) and market.n_days < 2:
         raise ConfigError(f"env.csv {cfg.env['csv']!r} holds {market.n_days} day, "
                           "an execution run needs at least 2")
-    v = {}
-    for key, (default, ok, want) in _EXECUTION_REALS.items():
-        v[key] = params.get(key, default)
-        _require(_is_real(v[key]) and ok(v[key]), f"params.{key}", v[key],
-                 f"a finite number {want}")
-    initial_cash = float(v["initial_cash"])
-    rule = CppiConfig(floor=float(v["floor"]) * initial_cash,
-                      multiplier=float(v["multiplier"])).validate(initial_cash)
-    cadences = params.get("cadences", [1, 5, 21])
-    _require(isinstance(cadences, list) and cadences and all(_is_int(c, 1) for c in cadences),
-             "params.cadences", cadences, "a non-empty list of integers >= 1")
-    return [(f"c{c}", partial(_execution_cell, market, initial_cash,
-                              float(v["cost_bps"]), rule, c))
-            for c in cadences]
+    initial_cash = float(params.get("initial_cash", 100.0))
+    cost_bps = float(params.get("cost_bps", 10.0))
+    rule = CppiConfig(floor=float(params.get("floor", 0.85)) * initial_cash,
+                      multiplier=float(params.get("multiplier", 2.0))).validate(initial_cash)
+    return [(f"c{c}", partial(_execution_cell, market, initial_cash, cost_bps, rule, c))
+            for c in params.get("cadences", [1, 5, 21])]
 
 
 def _execution_cell(market, initial_cash, cost_bps, rule, cadence, seed):
@@ -456,13 +397,15 @@ def _execution_cell(market, initial_cash, cost_bps, rule, cadence, seed):
                       "floor_breached": bool(curve.min() < rule.floor - 1e-9)}}
 
 
-def _read_reals(path):
-    """Newline-delimited finite reals; blank lines and # comments are skipped."""
+def _read_reals(path, key=None):
+    """Newline-delimited finite reals; blank lines and # comments are skipped.
+    Messages name the file by the config key that gave it, if any."""
+    name = f"{key} {path}" if key else path
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read samples from {path}: {exc}") from None
+        raise ConfigError(f"cannot read samples from {name}: {exc}") from None
     out = []
     for i, line in enumerate(lines):
         s = line.strip()
@@ -471,11 +414,11 @@ def _read_reals(path):
         try:
             out.append(float(s))
         except ValueError:
-            raise DataError(f"{path} line {i + 1}: not a real number: {s!r}") from None
+            raise DataError(f"{name} line {i + 1}: not a real number: {s!r}") from None
         if not np.isfinite(out[-1]):
-            raise DataError(f"{path} line {i + 1}: not a finite number: {s!r}")
+            raise DataError(f"{name} line {i + 1}: not a finite number: {s!r}")
     if not out:
-        raise DataError(f"{path} holds no samples")
+        raise DataError(f"{name} holds no samples")
     return np.asarray(out)
 
 
@@ -487,16 +430,13 @@ def _estimate_payload(est, n):
 
 def _parse_estimate(cfg):
     params = cfg.params
-    _check_param_keys(cfg.kind, params, _ESTIMATE_PARAM_KEYS)
     if cfg.agents or cfg.env:
         raise ConfigError("estimate-stable takes only params.file")
     if "file" not in params:
         raise ConfigError("estimate-stable needs params.file")
     n_freq = params.get("n_freq", 10)
-    _require(_is_int(n_freq, 2), "params.n_freq", n_freq, "an integer >= 2")
     path = params["file"]
-    _require(isinstance(path, str), "params.file", path, "a file path")
-    xs = _read_reals(path)
+    xs = _read_reals(path, key="params.file")
     if xs.size < _ECF_MIN_SAMPLES:
         raise InsufficientDataError(f"params.file {path} holds {xs.size} samples, "
                                     f"need at least {_ECF_MIN_SAMPLES}")
@@ -665,14 +605,36 @@ def _agg_estimate(cfg, h, results, out_dir):
     return dict(stats)
 
 
-# kind -> (parser, aggregator)
+# the check tables of params, one per parser; a parser reads no other key
+_BANDIT_PARAMS = {"rounds": _int_at_least(1), "env_seed": _int_at_least(0)}
+_TOURNAMENT_PARAMS = {"days": _int_at_least(2), "episodes": _int_at_least(1)}
+_BACKTEST_PARAMS = {"backtest": _TABLE}
+_EXECUTION_PARAMS = {
+    **_TRADING_CHECKS,
+    "cadences": ((lambda v: isinstance(v, list) and v and all(_is_int(c, 1) for c in v)),
+                 "a non-empty list of integers >= 1"),
+}
+_ESTIMATE_PARAMS = {"file": _FILE, "n_freq": _int_at_least(2)}
+
+# kind -> (parser, aggregator, check table of params)
 _KINDS = {
-    "bandit-regret": (_parse_bandit, _agg_bandit),
-    "bayes-regret": (_parse_bandit, _agg_bandit),
-    "tournament": (_parse_tournament, _agg_tournament),
-    "backtest": (_parse_backtest, _agg_backtest),
-    "execution": (_parse_execution, _agg_execution),
-    "estimate-stable": (_parse_estimate, _agg_estimate),
+    "bandit-regret": (_parse_bandit, _agg_bandit, _BANDIT_PARAMS),
+    "bayes-regret": (_parse_bandit, _agg_bandit, _BANDIT_PARAMS),
+    "tournament": (_parse_tournament, _agg_tournament, _TOURNAMENT_PARAMS),
+    "backtest": (_parse_backtest, _agg_backtest, _BACKTEST_PARAMS),
+    "execution": (_parse_execution, _agg_execution, _EXECUTION_PARAMS),
+    "estimate-stable": (_parse_estimate, _agg_estimate, _ESTIMATE_PARAMS),
+}
+
+# the check table of a config's top level, one entry per ExperimentConfig field
+_CONFIG_CHECKS = {
+    "kind": _one_of(_KINDS), "name": ((lambda v: isinstance(v, str)), "a string"),
+    "env": _TABLE, "params": _TABLE, "format_version": (_is_int, "an integer"),
+    "agents": ((lambda v: isinstance(v, (list, tuple))), "a list"),
+    "seeds": ((lambda v: isinstance(v, (list, tuple)) and v and all(_is_int(s, 0) for s in v)),
+              "a non-empty list of integers >= 0"),
+    "out_dir": ((lambda v: isinstance(v, (str, os.PathLike)) and v != ""),
+                "a non-empty directory path"),
 }
 
 

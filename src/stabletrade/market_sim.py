@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParamError
+from .errors import ConfigError, DataError, ParamError, _number
 from .stable_core import StableParams, sample
 
 TRADING_DAYS = 252.0
@@ -38,6 +38,12 @@ class PortfolioState:
         self.total_asset = self.b + float(self.p.dot(self.h))
         if self.total_asset <= 0:
             raise ParamError("total asset must be positive")
+
+
+# the check-table entries of the trading settings that backtest and execution
+# configs share; the floor is a share of the initial cash
+_TRADING_CHECKS = {"initial_cash": _number(gt=0), "cost_bps": _number(ge=0, lt=1e4),
+                   "floor": _number(ge=0, lt=1), "multiplier": _number(ge=0)}
 
 
 @dataclass

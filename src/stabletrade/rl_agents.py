@@ -8,14 +8,16 @@ performance-weighted constant-rebalanced mixtures) and the bandit traders feed
 the tournament and backtest tables.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .bandit_envs import RoundContext
-from .errors import ConfigError, NumericError, ParamError, _is_int, _is_real, _require
+from .errors import (ConfigError, NumericError, ParamError, _check_table, _int_at_least,
+                     _is_int, _number, _require)
 from .market_sim import (
+    _TRADING_CHECKS,
     CppiConfig,
     OhlcvSeries,
     TradingEnv,
@@ -102,6 +104,22 @@ class ReplayBuffer:
         return Batch(*(None if col is None else col[idx] for col in self._cols))
 
 
+# the check table of params.backtest.train, one entry per TrainConfig field
+_TRAIN_CHECKS = {
+    "gamma": _number(ge=0, lt=1), "tau": _number(gt=0, le=1),
+    "buffer_capacity": _int_at_least(1), "batch": _int_at_least(1),
+    "critic_lr": _number(gt=0), "actor_lr": _number(gt=0), "lam_e": _number(ge=0),
+    "hidden": ((lambda v: isinstance(v, (list, tuple)) and all(_is_int(h, 1) for h in v)),
+               "a list of integers >= 1"),
+    "noise_scale": _number(ge=0), "noise_final": _number(ge=0),
+    "margin_m": _number(ge=0), "margin_rho": _number(gt=0),
+    "n_candidates": _int_at_least(0), "pretrain_steps": _int_at_least(0),
+    "pretrain_episodes": _int_at_least(0), "warmup_steps": _int_at_least(0),
+    "grad_clip": _number(gt=0), "divergence_limit": _number(gt=0),
+}
+_TRAIN_PREFIX = "params.backtest.train"
+
+
 @dataclass
 class TrainConfig:
     gamma: float = 0.99
@@ -112,54 +130,27 @@ class TrainConfig:
     actor_lr: float = 1e-4
     lam_e: float = 0.3
     hidden: tuple = (64, 64)
-    noise_scale: float = 0.3
+    noise_scale: float = 0.2
     noise_final: float = 0.01
     margin_m: float = 1.0
     margin_rho: float = 1.0
     n_candidates: int = 8
-    pretrain_steps: int = 1000
-    pretrain_episodes: int = 5
-    warmup_steps: int = 200
+    pretrain_steps: int = 300
+    pretrain_episodes: int = 3
+    warmup_steps: int = 64
     grad_clip: float = 10.0
     divergence_limit: float = 1e6
 
     def validate(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            _require(f.type is not float or _is_real(v), f"train.{f.name}", v, "a finite number")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError("gamma must lie in [0, 1)")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError("tau must lie in (0, 1]")
-        for key, least in (("batch", 1), ("buffer_capacity", 1), ("n_candidates", 0),
-                           ("pretrain_steps", 0), ("pretrain_episodes", 0),
-                           ("warmup_steps", 0)):
-            v = getattr(self, key)
-            _require(_is_int(v, least), f"train.{key}", v, f"an integer >= {least}")
-        if self.buffer_capacity < self.batch:
-            raise ConfigError("need buffer capacity >= batch >= 1")
-        if not isinstance(self.hidden, (tuple, list)) \
-                or not all(_is_int(h, 1) for h in self.hidden):
-            raise ConfigError(
-                f"train.hidden must be a list of integers >= 1, got {self.hidden!r}")
-        if self.lam_e < 0.0:
-            raise ConfigError("expert weight must be non-negative")
-        if self.margin_rho <= 0.0 or self.margin_m < 0.0:
-            raise ConfigError("margin needs rho > 0 and m >= 0")
+        _check_table(vars(self), _TRAIN_CHECKS, _TRAIN_PREFIX)
+        _require(self.buffer_capacity >= self.batch, f"{_TRAIN_PREFIX}.buffer_capacity",
+                 self.buffer_capacity, f"at least {_TRAIN_PREFIX}.batch = {self.batch}")
         return self
 
     @classmethod
-    def from_dict(cls, d, base=None):
-        """The keys of d set on top of base (the library defaults when None)."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"params.backtest.train must be a table, got {d!r}")
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown training keys: {sorted(extra)}")
-        cfg = replace(cls() if base is None else base, **d)
-        if isinstance(cfg.hidden, list):
-            cfg.hidden = tuple(cfg.hidden)
+    def from_dict(cls, d):
+        cfg = cls(**_check_table(d, _TRAIN_CHECKS, _TRAIN_PREFIX))
+        cfg.hidden = tuple(cfg.hidden)
         return cfg.validate()
 
 
@@ -789,6 +780,16 @@ _T3_LABELS = {"up": "UP", "dqn": "DQN", "ddpg": "DDPG",
               "cppi_ddpg": "CPPI-DDPG", "ad_ts": "AD-TS"}
 
 
+# the check table of params.backtest, one entry per BacktestConfig field
+_BACKTEST_CHECKS = {
+    "episodes": _int_at_least(1), "split_ratio": _number(gt=0, lt=1),
+    "initial_cash": _TRADING_CHECKS["initial_cash"], "cost_bps": _TRADING_CHECKS["cost_bps"],
+    "floor_frac": _TRADING_CHECKS["floor"], "multiplier": _TRADING_CHECKS["multiplier"],
+    "window": _int_at_least(1), "reward_scale": _number(gt=0),
+    "train": ((lambda v: isinstance(v, (dict, TrainConfig))), "a table"),
+}
+
+
 @dataclass
 class BacktestConfig:
     episodes: int = 30
@@ -799,36 +800,16 @@ class BacktestConfig:
     multiplier: float = 2.0
     window: int = 3
     reward_scale: float = 0.1
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        noise_scale=0.2, warmup_steps=64, pretrain_steps=300, pretrain_episodes=3))
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError(f"params.backtest must be a table, got {d!r}")
-        d = dict(d)
-        train = d.pop("train", None)
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown backtest keys: {sorted(extra)}")
-        cfg = cls(**d)
-        if train is not None:
-            cfg.train = TrainConfig.from_dict(train, base=cfg.train)
-        return cfg.validate()
+        d = dict(_check_table(d, _BACKTEST_CHECKS, "params.backtest"))
+        d["train"] = TrainConfig.from_dict(d.get("train", {}))
+        return cls(**d).validate()
 
     def validate(self):
-        for key in ("episodes", "window"):
-            v = getattr(self, key)
-            _require(_is_int(v, 1), f"backtest.{key}", v, "an integer >= 1")
-        for key, ok, want in (("split_ratio", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-                              ("initial_cash", lambda v: v > 0.0, "> 0"),
-                              ("cost_bps", lambda v: 0.0 <= v < 1e4, "in [0, 10000)"),
-                              ("floor_frac", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-                              ("multiplier", lambda v: v >= 0.0, ">= 0"),
-                              ("reward_scale", lambda v: v > 0.0, "> 0")):
-            v = getattr(self, key)
-            _require(_is_real(v) and ok(v), f"backtest.{key}", v, f"a finite number {want}")
+        _check_table(vars(self), _BACKTEST_CHECKS, "params.backtest")
         self.floor_rule()
         return self
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandit_envs import _backward_q, mdp_episode
-from .errors import ConfigError, ParamError, _is_int, _is_real, _require
+from .errors import (ConfigError, ParamError, _check_table, _int_at_least, _number,
+                     _one_of, _or_none)
 from .stable_core import PdfTable, estimate_ecf, _tan_half
 
 # the agent keys each algorithm reads; any other key would only change the
@@ -45,7 +46,12 @@ _READS = {
     "mdp_acts": {"refresh_every", "mh_step_scale", "warmup"},
     "plain_ats": {"v", "refresh_every", "mh_step_scale", "warmup"},
 }
-_ALGORITHMS = tuple(_READS)
+# the check table of an agent entry, one entry per AgentConfig field
+_AGENT_CHECKS = {
+    "algorithm": _one_of(_READS), "v": _or_none(_number(ge=0)), "lam": _number(ge=0),
+    "refresh_every": _int_at_least(1), "mc_probs": _int_at_least(1),
+    "mh_step_scale": _number(gt=0), "warmup": _or_none(_int_at_least(1)),
+}
 
 
 @dataclass
@@ -59,17 +65,7 @@ class AgentConfig:
     warmup: int = None           # pulls per arm before the posterior machinery engages
 
     def validate(self):
-        if self.algorithm not in _ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        v, lam, step, warmup = self.v, self.lam, self.mh_step_scale, self.warmup
-        _require(v is None or (_is_real(v) and v >= 0), "agent.v", v, "a number >= 0")
-        _require(_is_real(lam) and lam >= 0, "agent.lam", lam, "a number >= 0")
-        _require(_is_real(step) and step > 0, "agent.mh_step_scale", step, "a number > 0")
-        for key in ("refresh_every", "mc_probs"):
-            _require(_is_int(getattr(self, key), 1), f"agent.{key}", getattr(self, key),
-                     "an integer >= 1")
-        _require(warmup is None or _is_int(warmup, 1), "agent.warmup", warmup,
-                 "an integer >= 1")
+        _check_table(vars(self), _AGENT_CHECKS, "agent")
         return self
 
     def resolved_v(self):
@@ -84,14 +80,11 @@ class AgentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigError(f"unknown agent config keys: {sorted(extra)}")
+        _check_table(raw, _AGENT_CHECKS, "agent")
         if "algorithm" not in raw:
             raise ConfigError("agent config needs an algorithm name")
         alg = raw["algorithm"]
-        unread = sorted(set(raw) - _READS[alg] - {"algorithm"}) if alg in _ALGORITHMS else []
+        unread = sorted(set(raw) - _READS[alg] - {"algorithm"})
         if unread:
             raise ConfigError(f"algorithm {alg!r} never reads "
                               + ", ".join(f"agent.{key}" for key in unread))

@@ -48,7 +48,7 @@ def test_config_rejects_unknown_top_level_key():
 
 
 def test_config_rejects_unknown_kind():
-    with pytest.raises(ConfigError, match="unknown experiment kind"):
+    with pytest.raises(ConfigError, match="kind must be one of"):
         ExperimentConfig.from_dict({"kind": "sweep"})
 
 
@@ -81,7 +81,7 @@ def test_bandit_config_needs_agents(tmp_path):
 
 
 def test_bandit_agents_are_schema_checked(tmp_path):
-    with pytest.raises(ConfigError, match="unknown agent config keys"):
+    with pytest.raises(ConfigError, match="unknown agent keys"):
         small_config(tmp_path, agents=[{"algorithm": "cts", "vv": 2}])
     with pytest.raises(ConfigError, match="no settings"):
         small_config(tmp_path, agents=[{"algorithm": "uniform", "v": 1.0}])
@@ -598,7 +598,7 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"kind": "wat"}))
     assert cli.main(["run", str(path)]) == 2
-    assert "unknown experiment kind" in capsys.readouterr().err
+    assert "kind must be one of" in capsys.readouterr().err
 
 
 def test_cli_estimate_stable(tmp_path, capsys):
@@ -671,8 +671,8 @@ def test_cli_invalid_env_seed_and_tournament_configs_exit_two(tmp_path, capsys,
     ({"train": {"pretrain_steps": -1}}, "train.pretrain_steps"),
     ({"train": {"pretrain_episodes": 1.5}}, "train.pretrain_episodes"),
     ({"train": {"warmup_steps": "64"}}, "train.warmup_steps"),
-    ({"train": {"noise_kind": "ou"}}, "unknown training keys: ['noise_kind']"),
-    ({"train": {"ou_theta": 0.15}}, "unknown training keys: ['ou_theta']"),
+    ({"train": {"noise_kind": "ou"}}, "unknown params.backtest.train keys: ['noise_kind']"),
+    ({"train": {"ou_theta": 0.15}}, "unknown params.backtest.train keys: ['ou_theta']"),
     ({"train": [1, 2]}, "train must be a table"),
     ([1, 2], "params.backtest must be a table"),
     ({"train": {"gamma": "x"}}, "train.gamma"),
@@ -774,6 +774,11 @@ EXECUTION_RUN = {"kind": "execution", "agents": [], "seeds": [0],
 ESTIMATE_RUN = {"kind": "estimate-stable", "agents": [], "env": {}, "seeds": [0]}
 ONE_DAY_TRAIN_RUN = {**BACKTEST_RUN, "env": {"d": 1, "days": 50},
                      "params": {"backtest": {"split_ratio": 0.01}}}
+DDPG_RUN = {**BACKTEST_RUN, "agents": ["ddpg"], "env": {"d": 1, "days": 60}}
+
+
+def _train(train):
+    return {"backtest": {"episodes": 2, "train": train}}
 
 
 @pytest.mark.parametrize("over, key", [
@@ -830,6 +835,20 @@ ONE_DAY_TRAIN_RUN = {**BACKTEST_RUN, "env": {"d": 1, "days": 50},
     ({**EXECUTION_RUN, "env": 5, "params": {}}, "env must be a table"),
     # a one-day train part stops a roster with a learner at load
     ({**ONE_DAY_TRAIN_RUN, "agents": ["up", "dqn"]}, "params.backtest.split_ratio"),
+    # training settings that would load and then run meaninglessly: gradient
+    # ascent, no learning, no exploration, or a critic that diverges at once
+    ({**DDPG_RUN, "params": _train({"critic_lr": -0.001})}, "params.backtest.train.critic_lr"),
+    ({**DDPG_RUN, "params": _train({"actor_lr": -0.0001})}, "params.backtest.train.actor_lr"),
+    ({**DDPG_RUN, "params": _train({"grad_clip": 0})}, "params.backtest.train.grad_clip"),
+    ({**DDPG_RUN, "params": _train({"noise_scale": -1})}, "params.backtest.train.noise_scale"),
+    ({**DDPG_RUN, "params": _train({"noise_final": -1})}, "params.backtest.train.noise_final"),
+    ({**DDPG_RUN, "params": _train({"divergence_limit": 0})},
+     "params.backtest.train.divergence_limit"),
+    ({**DDPG_RUN, "params": _train({"lam_e": -1})}, "params.backtest.train.lam_e"),
+    ({**DDPG_RUN, "params": _train({"margin_rho": 0})}, "params.backtest.train.margin_rho"),
+    # a CSV path that is no string would be opened as a file descriptor or not at all
+    ({**BACKTEST_RUN, "env": {"csv": None}}, "env.csv"),
+    ({**BACKTEST_RUN, "env": {"csv": 5}}, "env.csv"),
 ])
 def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
                                                                  monkeypatch, over, key):

@@ -615,7 +615,7 @@ def test_train_same_seed_same_curves():
     def run():
         env = VectorMarketEnv(series, reward_scale=0.1)
         agent = DdpgAgent(env.state_dim, env.action_dim,
-                          config=TrainConfig(warmup_steps=32, lam_e=0.0),
+                          config=TrainConfig(warmup_steps=32, lam_e=0.0, noise_scale=0.3),
                           seed=11)
         res = train(agent, env, 8)
         return ([log["return"] for log in res.logs],
@@ -631,7 +631,8 @@ def test_train_log_columns():
     series = synth_market(1, 20, vol=0.2, seed=3)
     env = VectorMarketEnv(series, reward_scale=0.1)
     agent = DdpgAgent(env.state_dim, env.action_dim,
-                      config=TrainConfig(warmup_steps=16, lam_e=0.0), seed=0)
+                      config=TrainConfig(warmup_steps=16, lam_e=0.0, noise_scale=0.3),
+                      seed=0)
     res = train(agent, env, 3)
     assert len(res.logs) == 3
     for row in res.logs:
@@ -642,7 +643,7 @@ def test_train_log_columns():
 def test_train_divergence_aborts_with_context():
     series = synth_market(1, 20, vol=0.2, seed=3)
     env = VectorMarketEnv(series, reward_scale=0.1)
-    cfg = TrainConfig(warmup_steps=16, batch=8, lam_e=0.0,
+    cfg = TrainConfig(warmup_steps=16, batch=8, lam_e=0.0, noise_scale=0.3,
                       divergence_limit=1e-12)
     agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=0)
     with pytest.raises(NumericError, match="episode"):
@@ -685,7 +686,8 @@ def test_supervised_ddpg_stays_near_floor_strategy():
     def make_env():
         return VectorMarketEnv(series, cost_bps=10.0, reward_scale=0.1, expert=expert)
 
-    cfg = TrainConfig(warmup_steps=64, pretrain_steps=200, pretrain_episodes=2)
+    cfg = TrainConfig(warmup_steps=64, pretrain_steps=200, pretrain_episodes=2,
+                      noise_scale=0.3)
     agent = DdpgAgent(make_env().state_dim, 2, config=cfg, seed=0)
     res = train(agent, make_env(), 10)
     assert res.pretrained == 200

@@ -3,10 +3,15 @@ used somewhere in the package outside its own definition, or is a listed
 public test oracle; every public method of a public class, and every private
 method of any class, is read as an attribute somewhere in the package; and
 every keyword parameter with a default is set by some package call, or is a
-listed test seam."""
+listed test seam. Every settings key has exactly one check-table entry."""
 
 import ast
+import inspect
 import pathlib
+import textwrap
+from dataclasses import fields
+
+from stabletrade import bandit_envs, cli, market_sim, rl_agents, ts_agents
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stabletrade"
 
@@ -165,3 +170,40 @@ def test_every_keyword_default_is_set_by_a_caller_or_is_a_seam():
 
 def test_every_seam_is_still_an_unset_default():
     assert sorted(set(SEAMS) - set(unset_defaults())) == []
+
+
+def _reads_params(node):
+    return ((isinstance(node, ast.Name) and node.id == "params")
+            or (isinstance(node, ast.Attribute) and node.attr == "params"))
+
+
+def params_read(fn):
+    """The keys a parser reads from its config's params, by subscript, by
+    .get or by an ``in`` test."""
+    keys = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Subscript) and _reads_params(node.value):
+            keys.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and _reads_params(node.func.value)):
+            keys.add(node.args[0].value)
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In)
+              and _reads_params(node.comparators[0])):
+            keys.add(node.left.value)
+    return keys
+
+
+def test_every_settings_field_has_one_check_table_entry():
+    for cls, table in ((rl_agents.TrainConfig, rl_agents._TRAIN_CHECKS),
+                       (rl_agents.BacktestConfig, rl_agents._BACKTEST_CHECKS),
+                       (ts_agents.AgentConfig, ts_agents._AGENT_CHECKS),
+                       (bandit_envs.EnvSpec, bandit_envs._ENV_CHECKS),
+                       (cli.ExperimentConfig, cli._CONFIG_CHECKS)):
+        assert sorted(f.name for f in fields(cls)) == sorted(table), cls.__name__
+    market = inspect.signature(market_sim.synth_market).parameters
+    assert sorted(market) == sorted(cli._MARKET_CHECKS)
+
+
+def test_every_params_key_of_each_kind_has_one_check_table_entry():
+    for kind, (parse, _, table) in cli._KINDS.items():
+        assert sorted(params_read(parse)) == sorted(table), kind
