@@ -12,40 +12,41 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DataError, ParamError, _check_table, _int_at_least, _is_int,
-                     _number, _one_of)
+                     _is_real, _known_keys, _number, _one_of, _require)
 from .stable_core import StableParams, sample
 
 DEFAULT_CONTEXT_PARAMS = StableParams(1.8, 0.3, 1.0, 0.0)
 DEFAULT_NOISE = StableParams(1.8, 0.0, 0.5, 0.0)
 
-_KINDS = ("plain", "linear", "semiparam", "adversarial_mdp")
 
-
-def _int(v):
-    if not _is_int(v):
-        raise TypeError(f"expected an integer, got {v!r}")
+def _ints(v):
+    if not (isinstance(v, list) and all(_is_int(x) for x in v)):
+        raise TypeError(f"expected a list of integers, got {v!r}")
     return v
 
 
-def _int_list(v):
-    if not isinstance(v, list):
-        raise TypeError(f"expected a list of integers, got {v!r}")
-    return [_int(x) for x in v]
-
-
 # the keys of an MDP table, in MdpTables' field order, with their conversions;
-# only integers pass where indices and counts go, nothing is truncated
+# counts pass as they are, and no index is truncated
 _MDP_KEYS = {
-    "n_states": _int,
-    "n_actions": _int,
-    "horizon": _int,
-    "transitions": lambda v: np.asarray([_int_list(row) for row in v], dtype=int),
+    "n_states": None, "n_actions": None, "horizon": None,
+    "transitions": lambda v: np.asarray([_ints(row) for row in v], dtype=int),
     "rewards": lambda v: np.asarray(v, dtype=float),
-    "start_states": _int_list,
+    "start_states": _ints,
 }
 
 
-@dataclass
+# the check table of MdpTables, one entry per field; from_dict's conversions
+# give these types, so only a directly built table can miss them
+_MDP_CHECKS = {
+    "n_states": _int_at_least(1), "n_actions": _int_at_least(1), "horizon": _int_at_least(1),
+    "transitions": ((lambda v: isinstance(v, np.ndarray) and v.dtype.kind == "i"), "integers"),
+    "reward_means": ((lambda v: isinstance(v, np.ndarray) and v.dtype.kind == "f"), "floats"),
+    "start_states": ((lambda v: isinstance(v, list) and v and all(map(_is_int, v))),
+                     "a non-empty list of integers"),
+}
+
+
+@dataclass(frozen=True)
 class MdpTables:
     """Deterministic finite MDP: states and actions are 0-based indices."""
 
@@ -64,31 +65,26 @@ class MdpTables:
         values = []
         for key, convert in _MDP_KEYS.items():
             try:
-                values.append(convert(raw[key]))
+                values.append(raw[key] if convert is None else convert(raw[key]))
             except (TypeError, ValueError) as exc:
                 raise DataError(f"mdp.{key} is malformed: {exc}") from None
-        return cls(*values).validate()
+        return cls(*values)
 
-    def validate(self):
-        if self.horizon < 1:
-            raise DataError(f"horizon must be >= 1, got {self.horizon}")
-        if self.transitions.shape != (self.n_states, self.n_actions):
-            raise DataError("transition table shape mismatch")
-        if self.reward_means.shape != (self.n_states, self.n_actions):
-            raise DataError("reward table shape mismatch")
+    def __post_init__(self):
+        _check_table(vars(self), _MDP_CHECKS, "mdp")
+        shape = (self.n_states, self.n_actions)
+        for key, table in (("transitions", self.transitions), ("rewards", self.reward_means)):
+            if table.shape != shape:
+                raise DataError(f"mdp.{key} has shape {table.shape}, not n_states x n_actions")
         bad = (self.transitions < 0) | (self.transitions >= self.n_states)
         if np.any(bad):
             s, a = np.argwhere(bad)[0]
-            raise DataError(f"transition for state {s}, action {a} leaves the state space")
+            raise DataError(f"mdp.transitions of state {s}, action {a} leave the state space")
         if not np.all(np.isfinite(self.reward_means)):
             s, a = np.argwhere(~np.isfinite(self.reward_means))[0]
-            raise DataError(f"reward mean for state {s}, action {a} is not finite")
-        for s in self.start_states:
-            if not (0 <= s < self.n_states):
-                raise DataError(f"start state {s} leaves the state space")
-        if not self.start_states:
-            raise DataError("at least one start state required")
-        return self
+            raise DataError(f"mdp.rewards of state {s}, action {a} are not finite")
+        if not all(0 <= s < self.n_states for s in self.start_states):
+            raise DataError(f"mdp.start_states {self.start_states} leave the state space")
 
 
 def _backward_q(means, transitions, horizon):
@@ -107,12 +103,54 @@ def true_q(tables):
     return _backward_q(tables.reward_means, tables.transitions, tables.horizon)
 
 
-# the check table of an armed or MDP env, one entry per EnvSpec field; the
-# list-valued keys arrive parsed: floats, arrays and StableParams
-_FINITE = (lambda v: v is None or bool(np.all(np.isfinite(v)))), "finite numbers"
+def _floats(raw, key):
+    """raw's items as floats; a ConfigError naming key when one is no number."""
+    try:
+        return [float(v) for v in raw]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a list of numbers, got {raw!r}") from None
+
+
+def _stable_from(raw, key):
+    """[alpha, beta, sigma, delta] or a dict with exactly those keys; a list of
+    them gives one parameter set each."""
+    if isinstance(raw, list) and raw and isinstance(raw[0], (list, dict)):
+        return [_stable_from(v, f"{key}[{i}]") for i, v in enumerate(raw)]
+    if isinstance(raw, dict):
+        if set(raw) != {"alpha", "beta", "sigma", "delta"}:
+            raise ConfigError(f"{key}: stable params need alpha, beta, sigma and delta")
+        raw = [raw["alpha"], raw["beta"], raw["sigma"], raw["delta"]]
+    elif not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{key}: stable params must be a 4-list or a dict")
+    elif len(raw) != 4:
+        raise ConfigError(f"{key}: stable params need [alpha, beta, sigma, delta]")
+    try:
+        return StableParams(*_floats(raw, key))
+    except ParamError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+# how EnvSpec.from_dict parses the env keys whose JSON form is not the stored
+# one; null passes as it is
+_ENV_PARSE = {"arm_means": _floats, "mu": lambda raw, key: np.asarray(_floats(raw, key)),
+              "noise": _stable_from, "context_params": _stable_from,
+              "mdp": lambda raw, key: MdpTables.from_dict(raw)}
+# the env keys each kind reads besides kind; any other key would only change
+# the config's hash, so from_dict rejects it
+_ARMED = {"n_arms", "dim", "horizon", "noise", "n_users"}
+_CONTEXTUAL = _ARMED | {"mu", "context_params", "resample_contexts"}
+_ENV_READS = {"plain": _ARMED | {"arm_means"}, "linear": _CONTEXTUAL,
+              "semiparam": _CONTEXTUAL | {"v_max", "v_step"},
+              "adversarial_mdp": {"horizon", "noise", "mdp", "adversary"}}
+# the check table of an env, one entry per EnvSpec field; from_dict parses
+# the list-valued keys first, into floats, arrays, StableParams, MdpTables
 _ENV_CHECKS = {
-    "kind": _one_of(_KINDS), "n_arms": _int_at_least(1), "dim": _int_at_least(1),
-    "horizon": _int_at_least(1), "arm_means": _FINITE, "mu": _FINITE,
+    "kind": _one_of(_ENV_READS), "n_arms": _int_at_least(1), "dim": _int_at_least(1),
+    "horizon": _int_at_least(1),
+    "arm_means": ((lambda v: v is None or isinstance(v, list) and all(_is_real(m) for m in v)),
+                  "finite numbers"),
+    "mu": ((lambda v: v is None or isinstance(v, np.ndarray) and v.dtype.kind == "f"
+            and bool(np.all(np.isfinite(v)))), "finite numbers"),
     "noise": ((lambda v: v is None or isinstance(v, StableParams) or (
         isinstance(v, list) and all(isinstance(p, StableParams) for p in v))),
         "stable parameters, one set or one per arm"),
@@ -124,8 +162,10 @@ _ENV_CHECKS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvSpec:
+    """An env's settings, checked when built; dataclasses.replace changes one."""
+
     kind: str
     n_arms: int = 2
     dim: int = 1
@@ -142,11 +182,20 @@ class EnvSpec:
     adversary: str = "round_robin"
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(**_check_table(d, _ENV_CHECKS, "env")).validate()
+    def from_dict(cls, raw):
+        """The spec of a config's env table, its JSON lists and tables parsed;
+        a key that the kind never reads is refused."""
+        kind = _known_keys(raw, _ENV_CHECKS, "env").get("kind")
+        ok, want = _ENV_CHECKS["kind"]
+        _require(ok(kind), "env.kind", kind, want)
+        unread = sorted(set(raw) - _ENV_READS[kind] - {"kind"})
+        if unread:
+            raise ConfigError(f"env kind {kind!r} never reads "
+                              + ", ".join(f"env.{key}" for key in unread))
+        return cls(**{key: v if v is None or key not in _ENV_PARSE
+                      else _ENV_PARSE[key](v, f"env.{key}") for key, v in raw.items()})
 
-    def validate(self):
-        """Every check on the spec, so a bad one fails before any env is built."""
+    def __post_init__(self):
         _check_table(vars(self), _ENV_CHECKS, "env")
         if self.kind == "plain":
             if self.arm_means is None:
@@ -156,10 +205,8 @@ class EnvSpec:
             if len(self.arm_means) != self.n_arms:
                 raise ConfigError(f"env.arm_means has {len(self.arm_means)} entries "
                                   f"but n_arms is {self.n_arms}")
-        if self.kind in ("linear", "semiparam") and self.mu is not None:
-            mu = np.atleast_1d(self.mu)
-            if len(mu) != self.dim:
-                raise ConfigError(f"env.mu has length {len(mu)} but dim is {self.dim}")
+        if self.mu is not None and self.mu.shape != (self.dim,):
+            raise ConfigError(f"env.mu has shape {self.mu.shape} but dim is {self.dim}")
         if isinstance(self.noise, list):
             if self.kind == "adversarial_mdp":
                 raise ConfigError("env.noise of an MDP must be a single parameter set")
@@ -168,7 +215,6 @@ class EnvSpec:
                                   f"but n_arms is {self.n_arms}")
         if self.kind == "adversarial_mdp" and self.mdp is None:
             raise ConfigError("adversarial_mdp environments need mdp tables")
-        return self
 
 
 @dataclass
@@ -202,7 +248,6 @@ class BanditEnv:
     """
 
     def __init__(self, spec, seed):
-        spec.validate()
         self.spec = spec
         ss = np.random.SeedSequence([int(seed), 0xBA4D17])
         ctx_ss, noise_ss, user_ss, mu_ss = ss.spawn(4)
@@ -281,9 +326,8 @@ class MdpEnv:
     """Episodic adversarial MDP with deterministic transitions."""
 
     def __init__(self, spec, seed):
-        spec.validate()
         self.spec = spec
-        self.tables = spec.mdp.validate()
+        self.tables = spec.mdp
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x3D9]))
         self._episode = 0
         self.noise = spec.noise
@@ -344,7 +388,6 @@ def mdp_episode(env, policy, values=None):
 
 
 def make_env(spec, seed):
-    spec.validate()
     if spec.kind == "adversarial_mdp":
         return MdpEnv(spec, seed)
     return BanditEnv(spec, seed)

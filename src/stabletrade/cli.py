@@ -2,11 +2,12 @@
 
 A single JSON file describes one experiment: which environment, which agents,
 which seeds, where results land.  Loading it runs its kind's parser once,
-which checks the config and turns it into cells, each a job over the parsed
-inputs, so bad input fails at load and never inside a cell.  ``run``
-executes every (cell x seed), optionally across worker processes that
-receive the jobs, and writes per-cell trace CSVs next to an aggregate
-summary and plot-ready tables.  Every output file carries the config hash,
+which builds the settings (``EnvSpec``, ``AgentConfig``, ``BacktestConfig``,
+each checked when built) and markets and turns them into cells, each a job
+over those inputs, so bad input fails at load and never inside a cell.
+``run`` executes every (cell x seed), optionally across worker processes
+that receive the jobs, and writes trace CSVs next to an aggregate summary
+and plot-ready tables.  Every output file carries the config hash,
 re-running a config with the same seeds reproduces identical bytes, and a
 results directory refuses cells from a different config unless forced.
 ``stabletrade verify`` prints the report of ``acceptance.verify``.
@@ -26,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import rl_agents
-from .bandit_envs import EnvSpec, MdpTables, make_env, play, regret
+from .bandit_envs import EnvSpec, make_env, play, regret
 from .errors import (_TABLE, ConfigError, DataError, InsufficientDataError, NumericError,
                      ParamError, _check_table, _int_at_least, _is_int, _number, _one_of,
                      _or_none)
@@ -51,7 +52,7 @@ from .rl_agents import (
     format_table3,
     tournament,
 )
-from .stable_core import _ECF_MIN_SAMPLES, StableParams, estimate_ecf
+from .stable_core import _ECF_MIN_SAMPLES, estimate_ecf
 from .ts_agents import AgentConfig, make_agent
 
 FORMAT_VERSION = 1
@@ -72,54 +73,6 @@ _MARKET_CHECKS = {
 # configuration
 
 
-def _stable_from(raw, key):
-    """[alpha, beta, sigma, delta] or a dict with exactly those keys."""
-    if raw is None:
-        return None
-    if isinstance(raw, dict):
-        if set(raw) != {"alpha", "beta", "sigma", "delta"}:
-            raise ConfigError(f"{key}: stable params need alpha, beta, sigma and delta")
-        raw = [raw["alpha"], raw["beta"], raw["sigma"], raw["delta"]]
-    elif not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"{key}: stable params must be a 4-list or a dict")
-    elif len(raw) != 4:
-        raise ConfigError(f"{key}: stable params need [alpha, beta, sigma, delta]")
-    return StableParams(*_floats(raw, key, "stable params"))
-
-
-def _floats(raw, key, what):
-    """raw's items as floats; a ConfigError naming key when one is no number."""
-    try:
-        return [float(v) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: {what} must be numbers, got {raw!r}") from None
-
-
-def _env_spec_from(raw):
-    if not raw:
-        raise ConfigError("this experiment kind needs a non-empty env table")
-    d = dict(raw)
-    if "noise" in d and d["noise"] is not None:
-        n = d["noise"]
-        if isinstance(n, list) and n and isinstance(n[0], (list, dict)):
-            d["noise"] = [_stable_from(v, f"env.noise[{i}]")    # one set per arm
-                          for i, v in enumerate(n)]
-        else:
-            d["noise"] = _stable_from(n, "env.noise")
-    if d.get("arm_means") is not None:
-        d["arm_means"] = _floats(d["arm_means"], "env.arm_means", "arm means")
-    if d.get("context_params") is not None:
-        d["context_params"] = _stable_from(d["context_params"], "env.context_params")
-    if d.get("mu") is not None:
-        try:
-            d["mu"] = np.asarray(d["mu"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"env.mu must be a list of numbers, got {d['mu']!r}") from None
-    if d.get("mdp") is not None:
-        d["mdp"] = MdpTables.from_dict(d["mdp"])
-    return EnvSpec.from_dict(d)
-
-
 def _market_settings(raw):
     """A loaded CSV price series, or the checked synth_market keywords."""
     if "csv" in raw:
@@ -132,9 +85,15 @@ def _market_settings(raw):
 
 
 def _market_from(raw):
-    """A price series from a CSV path or synthetic generator settings."""
+    """A price series from a CSV path or synthetic generator settings; a
+    synthetic price path that overflows is a config error."""
     market = _market_settings(raw)
-    return synth_market(**market) if isinstance(market, dict) else market
+    if not isinstance(market, dict):
+        return market
+    try:
+        return synth_market(**market)
+    except ParamError as exc:
+        raise ConfigError(f"{exc}: lower env.vol or env.drift") from None
 
 
 @dataclass
@@ -250,7 +209,7 @@ def _parse_bandit(cfg):
     elif "env_seed" in params:
         raise ConfigError("bayes-regret draws the environment from each seed, "
                           "drop params.env_seed")
-    spec = _env_spec_from(cfg.env)
+    spec = EnvSpec.from_dict(cfg.env)
     rounds = params.get("rounds", spec.horizon)
     if not cfg.agents:
         raise ConfigError("a bandit experiment needs at least one agent in agents")
@@ -377,6 +336,9 @@ def _parse_execution(cfg):
     if not isinstance(market, dict) and market.n_days < 2:
         raise ConfigError(f"env.csv {cfg.env['csv']!r} holds {market.n_days} day, "
                           "an execution run needs at least 2")
+    if isinstance(market, dict):
+        for seed in cfg.seeds:    # each cell draws its seed's market again
+            _market_from({**cfg.env, "seed": seed})
     initial_cash = float(params.get("initial_cash", 100.0))
     cost_bps = float(params.get("cost_bps", 10.0))
     rule = CppiConfig(floor=float(params.get("floor", 0.85)) * initial_cash,

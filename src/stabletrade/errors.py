@@ -41,14 +41,20 @@ def _require(ok, key, value, want):
         raise ConfigError(f"{key} must be {want}, got {value!r}")
 
 
-def _check_table(values, table, prefix=None):
-    """values, a dict of keys that table lists, each passing its check; a
-    refusal names the key as prefix.key, or bare at a config's top level."""
+def _known_keys(values, table, prefix=None):
+    """values, a dict of keys that table lists."""
     if not isinstance(values, dict):
         raise ConfigError(f"{prefix or 'experiment config'} must be a table, got {values!r}")
     extra = set(values) - set(table)
     if extra:
         raise ConfigError(f"unknown {prefix or 'config'} keys: {sorted(extra)}")
+    return values
+
+
+def _check_table(values, table, prefix=None):
+    """values, a dict of keys that table lists, each passing its check; a
+    refusal names the key as prefix.key, or bare at a config's top level."""
+    _known_keys(values, table, prefix)
     for key, (ok, want) in table.items():
         if key in values:
             _require(ok(values[key]), f"{prefix}.{key}" if prefix else key, values[key], want)

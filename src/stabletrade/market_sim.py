@@ -249,7 +249,8 @@ def synth_market(d, days, drift=0.05, vol=0.2, corr=0.3, seed=0,
 
     drift and vol are annual; alpha switches the innovations to a standardized
     stable draw (alpha = 2 recovers the Gaussian exactly); max_loss bounds the
-    single-day simple loss, the regime the floor guarantee needs.
+    single-day simple loss, the regime the floor guarantee needs. A price
+    path that overflows, or falls to zero, is refused.
     """
     if d < 1 or days < 2:
         raise ParamError("need at least one stock and two days")
@@ -261,12 +262,16 @@ def synth_market(d, days, drift=0.05, vol=0.2, corr=0.3, seed=0,
         z = sample(inn, (days - 1) * d, rng).reshape(days - 1, d)
     z = z @ _corr_factor(d, corr).T
     log_ret = np.log1p(drift) / TRADING_DAYS + (vol / np.sqrt(TRADING_DAYS)) * z
-    factors = np.exp(log_ret)
-    if max_loss is not None:
-        factors = np.maximum(factors, 1.0 - max_loss)
     close = np.empty((days, d))
     close[0] = start_price
-    close[1:] = start_price * np.cumprod(factors, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = np.exp(log_ret)
+        if max_loss is not None:
+            factors = np.maximum(factors, 1.0 - max_loss)
+        close[1:] = start_price * np.cumprod(factors, axis=0)
+    if not np.all((close > 0.0) & (close < np.inf)):
+        raise ParamError(f"the price path of seed {seed} is not finite and positive "
+                         f"at drift {drift:g} and vol {vol:g}")
     return OhlcvSeries(dates=[f"d{idx:05d}" for idx in range(days)],
                        tickers=[f"S{j}" for j in range(d)], close=close)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bandit_envs import RoundContext
 from .errors import (ConfigError, NumericError, ParamError, _check_table, _int_at_least,
-                     _is_int, _number, _require)
+                     _is_int, _known_keys, _number, _require)
 from .market_sim import (
     _TRADING_CHECKS,
     CppiConfig,
@@ -120,7 +120,7 @@ _TRAIN_CHECKS = {
 _TRAIN_PREFIX = "params.backtest.train"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 0.99
     tau: float = 0.01
@@ -141,17 +141,15 @@ class TrainConfig:
     grad_clip: float = 10.0
     divergence_limit: float = 1e6
 
-    def validate(self):
+    def __post_init__(self):
         _check_table(vars(self), _TRAIN_CHECKS, _TRAIN_PREFIX)
         _require(self.buffer_capacity >= self.batch, f"{_TRAIN_PREFIX}.buffer_capacity",
                  self.buffer_capacity, f"at least {_TRAIN_PREFIX}.batch = {self.batch}")
-        return self
+        object.__setattr__(self, "hidden", tuple(self.hidden))
 
     @classmethod
     def from_dict(cls, d):
-        cfg = cls(**_check_table(d, _TRAIN_CHECKS, _TRAIN_PREFIX))
-        cfg.hidden = tuple(cfg.hidden)
-        return cfg.validate()
+        return cls(**_known_keys(d, _TRAIN_CHECKS, _TRAIN_PREFIX))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,7 @@ def perfect_foresight_curve(series):
 
 class DdpgAgent:
     def __init__(self, state_dim, action_dim, config=None, seed=0):
-        self.config = (config or TrainConfig()).validate()
+        self.config = config or TrainConfig()
         self.state_dim, self.action_dim = int(state_dim), int(action_dim)
         seeder = np.random.default_rng(seed)
         hid = list(self.config.hidden)
@@ -471,7 +469,7 @@ def _pretrain(agent, env, buffer, cfg):
 
 def train(agent, env, episodes):
     """Noise-perturbed interaction with replay updates; deterministic per seed."""
-    cfg = agent.config.validate()
+    cfg = agent.config
     buffer = ReplayBuffer(cfg.buffer_capacity)
     expert_mode = cfg.lam_e > 0.0 and getattr(env, "expert", None) is not None
     pretrained = _pretrain(agent, env, buffer, cfg) if expert_mode and cfg.pretrain_steps else 0
@@ -756,7 +754,7 @@ def tournament(names, seed, days, episodes):
 
 def format_table2(result):
     """Pairwise win matrix, one 'w:l' cell per pair, plus average wins."""
-    labels = [_T2_LABELS.get(n, n.upper()) for n in result.names]
+    labels = [_T2_LABELS[n] for n in result.names]
     width = max(8, max(len(x) for x in labels) + 2)
     head = "".ljust(width) + "".join(x.ljust(width) for x in labels) + "Avg Wins"
     lines = [head]
@@ -786,11 +784,11 @@ _BACKTEST_CHECKS = {
     "initial_cash": _TRADING_CHECKS["initial_cash"], "cost_bps": _TRADING_CHECKS["cost_bps"],
     "floor_frac": _TRADING_CHECKS["floor"], "multiplier": _TRADING_CHECKS["multiplier"],
     "window": _int_at_least(1), "reward_scale": _number(gt=0),
-    "train": ((lambda v: isinstance(v, (dict, TrainConfig))), "a table"),
+    "train": ((lambda v: isinstance(v, TrainConfig)), "a TrainConfig"),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BacktestConfig:
     episodes: int = 30
     split_ratio: float = 0.7
@@ -802,16 +800,15 @@ class BacktestConfig:
     reward_scale: float = 0.1
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(_check_table(d, _BACKTEST_CHECKS, "params.backtest"))
-        d["train"] = TrainConfig.from_dict(d.get("train", {}))
-        return cls(**d).validate()
-
-    def validate(self):
+    def __post_init__(self):
         _check_table(vars(self), _BACKTEST_CHECKS, "params.backtest")
         self.floor_rule()
-        return self
+
+    @classmethod
+    def from_dict(cls, d):
+        d = dict(_known_keys(d, _BACKTEST_CHECKS, "params.backtest"))
+        d["train"] = TrainConfig.from_dict(d.get("train", {}))
+        return cls(**d)
 
     def floor_rule(self):
         """The CPPI rule that supervises ``cppi_ddpg``: a floor of
@@ -859,11 +856,11 @@ def backtest_curve(name, train_series, test_series, seed, cfg):
 def format_table3(names, rows):
     """AR / SR / MaxD table, one row per strategy; rows maps each name to its
     Metrics."""
-    width = max(11, max(len(_T3_LABELS.get(n, n.upper())) for n in names) + 2)
+    width = max(11, max(len(_T3_LABELS[n]) for n in names) + 2)
     lines = ["".ljust(width) + "AR".ljust(10) + "SR".ljust(10) + "MaxD"]
     for name in names:
         m = rows[name]
-        lab = _T3_LABELS.get(name, name.upper())
+        lab = _T3_LABELS[name]
         sr = "n/a" if np.isnan(m.sharpe) else f"{m.sharpe * 100:.1f}%"
         lines.append(lab.ljust(width)
                      + f"{m.annual_return * 100:.2f}%".ljust(10)

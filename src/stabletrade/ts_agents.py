@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandit_envs import _backward_q, mdp_episode
-from .errors import (ConfigError, ParamError, _check_table, _int_at_least, _number,
-                     _one_of, _or_none)
+from .errors import (ConfigError, ParamError, _check_table, _int_at_least, _known_keys,
+                     _number, _one_of, _or_none)
 from .stable_core import PdfTable, estimate_ecf, _tan_half
 
 # the agent keys each algorithm reads; any other key would only change the
@@ -54,8 +54,10 @@ _AGENT_CHECKS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentConfig:
+    """An agent's settings, checked when built; dataclasses.replace changes one."""
+
     algorithm: str
     v: float = None              # exploration scale; None picks a lineage default
     lam: float = 0.3             # initial precision scale of each user's slot
@@ -64,9 +66,8 @@ class AgentConfig:
     mh_step_scale: float = 0.1   # proposal step as a fraction of the arm scale
     warmup: int = None           # pulls per arm before the posterior machinery engages
 
-    def validate(self):
+    def __post_init__(self):
         _check_table(vars(self), _AGENT_CHECKS, "agent")
-        return self
 
     def resolved_v(self):
         if self.v is not None:
@@ -80,15 +81,15 @@ class AgentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        _check_table(raw, _AGENT_CHECKS, "agent")
+        _known_keys(raw, _AGENT_CHECKS, "agent")
         if "algorithm" not in raw:
             raise ConfigError("agent config needs an algorithm name")
-        alg = raw["algorithm"]
-        unread = sorted(set(raw) - _READS[alg] - {"algorithm"})
+        cfg = cls(**raw)
+        unread = sorted(set(raw) - _READS[cfg.algorithm] - {"algorithm"})
         if unread:
-            raise ConfigError(f"algorithm {alg!r} never reads "
+            raise ConfigError(f"algorithm {cfg.algorithm!r} never reads "
                               + ", ".join(f"agent.{key}" for key in unread))
-        return cls(**raw).validate()
+        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +345,7 @@ def _cts_round(b, y, mu_bar, thetas, v, n_mc, rng, env, t):
 class CtsAgent:
     """Contextual Thompson sampling with resampled pull probabilities."""
 
-    algorithm = "cts"
-
     def __init__(self, n_arms, dim, config, seed):
-        config.validate()
         self.config = config
         self.v = config.resolved_v()
         self.rng = np.random.default_rng(seed)
@@ -366,10 +364,7 @@ class SctsAgent:
     """Per-user contextual sampling: each user keeps an independent
     (B, y, mu_bar) slot and plays the cts round on it."""
 
-    algorithm = "scts"
-
     def __init__(self, n_arms, dim, config, seed, n_users=1):
-        config.validate()
         self.n_users = n_users
         self.config = config
         self.v = config.resolved_v()
@@ -413,7 +408,6 @@ class _StableBase:
     the arm scores and locations."""
 
     def __init__(self, n_arms, dim, config, seed, n_users=1):
-        config.validate()
         self.n_arms, self.dim, self.n_users = n_arms, dim, n_users
         self.config = config
         self.v = config.resolved_v()
@@ -494,20 +488,14 @@ class _StableBase:
 class ActsAgent(_StableBase):
     """Asymmetric-reward Thompson sampling, single shared state slot."""
 
-    algorithm = "acts"
-
 
 class SactsAgent(_StableBase):
     """Per-user asymmetric sampling: one independent acts slot per user."""
-
-    algorithm = "sacts"
 
 
 class PlainAtsAgent(_StableBase):
     """Context-free asymmetric sampling: pulls the arm whose drawn location
     implies the highest mean reward."""
-
-    algorithm = "plain_ats"
 
     def __init__(self, n_arms, config, seed):
         super().__init__(n_arms, 1, config, seed)
@@ -534,10 +522,7 @@ class MdpActsAgent:
     learned transition table. Unvisited pairs draw straight from the prior.
     """
 
-    algorithm = "mdp_acts"
-
     def __init__(self, n_states, n_actions, horizon, config, seed):
-        config.validate()
         self.n_states, self.n_actions, self.horizon = n_states, n_actions, horizon
         self.config = config
         # per-pair coverage floor; empirical means over heavy tails need depth
@@ -622,7 +607,6 @@ class MdpActsAgent:
 
 
 def make_agent(config, n_arms=2, dim=1, n_users=1, seed=0, mdp=None):
-    config.validate()
     alg = config.algorithm
     if alg == "cts":
         return CtsAgent(n_arms, dim, config, seed)
@@ -638,7 +622,6 @@ def make_agent(config, n_arms=2, dim=1, n_users=1, seed=0, mdp=None):
         if mdp is None:
             raise ConfigError("mdp_acts needs the MDP shape tables")
         return MdpActsAgent(mdp.n_states, mdp.n_actions, mdp.horizon, config, seed)
-    raise ConfigError(f"unknown algorithm {alg!r}")
 
 
 def replay_information(updates, dim, b0=None):

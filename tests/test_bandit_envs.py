@@ -4,6 +4,7 @@ import pytest
 from stabletrade.bandit_envs import (
     EnvSpec,
     MdpTables,
+    _stable_from,
     make_env,
     mdp_episode,
     play,
@@ -57,13 +58,24 @@ class OracleAgent:
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
-        EnvSpec(kind="bogus").validate()
+        EnvSpec(kind="bogus")
     with pytest.raises(ConfigError):
-        EnvSpec(kind="plain").validate()               # no arm_means
+        EnvSpec(kind="plain")               # no arm_means
     with pytest.raises(ConfigError):
-        EnvSpec(kind="linear", dim=3, mu=np.ones(4)).validate()
+        EnvSpec(kind="linear", dim=3, mu=np.ones(4))
     with pytest.raises(ConfigError):
-        EnvSpec(kind="adversarial_mdp").validate()     # no tables
+        EnvSpec(kind="adversarial_mdp")     # no tables
+
+
+def test_stable_params_from_list_and_dict():
+    p = _stable_from([1.5, 0.2, 1.0, 0.0], "env.noise")
+    assert (p.alpha, p.beta) == (1.5, 0.2)
+    q = _stable_from({"alpha": 1.5, "beta": 0.2, "sigma": 1.0, "delta": 0.0}, "env.noise")
+    assert q == p
+    with pytest.raises(ConfigError, match="env.noise"):
+        _stable_from([1.5, 0.2], "env.noise")
+    with pytest.raises(ConfigError, match="env.noise"):
+        _stable_from({"alpha": 1.5}, "env.noise")
 
 
 def test_plain_zero_noise_constant_reward():

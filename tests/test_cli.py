@@ -179,18 +179,6 @@ def test_same_algorithm_twice_with_labels(tmp_path):
     assert [label for label, _ in cfg.cells] == ["cts_tight", "cts_wide"]
 
 
-def test_stable_params_from_list_and_dict():
-    p = cli._stable_from([1.5, 0.2, 1.0, 0.0], "env.noise")
-    assert (p.alpha, p.beta) == (1.5, 0.2)
-    q = cli._stable_from({"alpha": 1.5, "beta": 0.2, "sigma": 1.0, "delta": 0.0},
-                         "env.noise")
-    assert q == p
-    with pytest.raises(ConfigError, match="env.noise"):
-        cli._stable_from([1.5, 0.2], "env.noise")
-    with pytest.raises(ConfigError, match="env.noise"):
-        cli._stable_from({"alpha": 1.5}, "env.noise")
-
-
 def test_load_config_wraps_parse_errors(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("{not json")
@@ -758,6 +746,16 @@ def test_backtest_params_at_their_lower_limits_are_valid():
     ({"env": {**LINEAR_ENV, "kind": "semiparam", "v_max": -1}}, "env.v_max"),
     ({"env": {**LINEAR_ENV, "resample_contexts": "yes"}}, "env.resample_contexts"),
     ({"env": {**LINEAR_ENV, "noise": [[1.8, 0, 1, 0]]}}, "env.noise"),
+    ({"env": {**LINEAR_ENV, "noise": [3, 0, 1, 0]}}, "env.noise"),
+    # a key that the env kind never reads would change only the config hash
+    ({"env": {**LINEAR_ENV, "arm_means": []}}, "never reads env.arm_means"),
+    ({"env": {**LINEAR_ENV, "v_max": 1.0, "v_step": 0.1}},
+     "never reads env.v_max, env.v_step"),
+    ({"env": {"kind": "plain", "n_arms": 2, "arm_means": [0, 1], "mu": [1.0]}},
+     "never reads env.mu"),
+    ({"env": {"kind": "adversarial_mdp", "mdp": MDP_TOY, "n_arms": 2}},
+     "never reads env.n_arms"),
+    ({"env": {**LINEAR_ENV, "adversary": "greedy"}}, "never reads env.adversary"),
 ])
 def test_cli_malformed_env_and_seed_values_exit_two(tmp_path, capsys, over, key):
     path = write_config(tmp_path, **over)
@@ -849,6 +847,9 @@ def _train(train):
     # a CSV path that is no string would be opened as a file descriptor or not at all
     ({**BACKTEST_RUN, "env": {"csv": None}}, "env.csv"),
     ({**BACKTEST_RUN, "env": {"csv": 5}}, "env.csv"),
+    # a price path that overflows would trade to all-null metrics
+    ({**BACKTEST_RUN, "env": {"d": 1, "days": 30, "vol": 10000}}, "env.vol"),
+    ({**EXECUTION_RUN, "env": {"d": 1, "days": 30, "vol": 10000}, "params": {}}, "env.vol"),
 ])
 def test_cli_malformed_market_cadence_and_agent_values_exit_two(tmp_path, capsys,
                                                                  monkeypatch, over, key):

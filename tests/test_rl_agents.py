@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,9 +180,9 @@ def test_buffer_rejects_mixed_expert_actions():
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(gamma=1.0).validate()
+        TrainConfig(gamma=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(tau=0.0).validate()
+        TrainConfig(tau=0.0)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"gamme": 0.9})
     cfg = TrainConfig.from_dict({"gamma": 0.9, "hidden": [8, 8]})
@@ -236,7 +237,7 @@ def test_critic_update_reduces_loss():
 
 def test_critic_divergence_guard():
     agent = _tiny_agent()
-    agent.config.divergence_limit = 1e-12
+    agent.config = replace(agent.config, divergence_limit=1e-12)
     agent.critic.biases[-1][0] = 1.0
     with pytest.raises(NumericError, match="diverged"):
         critic_loss(agent, _batch(_exp(0.0, 0.0, 0.0, 0.0)))

@@ -198,6 +198,7 @@ def test_every_settings_field_has_one_check_table_entry():
                        (rl_agents.BacktestConfig, rl_agents._BACKTEST_CHECKS),
                        (ts_agents.AgentConfig, ts_agents._AGENT_CHECKS),
                        (bandit_envs.EnvSpec, bandit_envs._ENV_CHECKS),
+                       (bandit_envs.MdpTables, bandit_envs._MDP_CHECKS),
                        (cli.ExperimentConfig, cli._CONFIG_CHECKS)):
         assert sorted(f.name for f in fields(cls)) == sorted(table), cls.__name__
     market = inspect.signature(market_sim.synth_market).parameters
@@ -207,3 +208,9 @@ def test_every_settings_field_has_one_check_table_entry():
 def test_every_params_key_of_each_kind_has_one_check_table_entry():
     for kind, (parse, _, table) in cli._KINDS.items():
         assert sorted(params_read(parse)) == sorted(table), kind
+
+
+def test_every_env_key_is_checked_and_read_by_some_kind():
+    read = set().union(*bandit_envs._ENV_READS.values())
+    assert read <= set(bandit_envs._ENV_CHECKS)
+    assert sorted(set(bandit_envs._ENV_CHECKS) - read) == ["kind"]

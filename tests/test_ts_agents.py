@@ -92,7 +92,7 @@ def recorded_updates():
 
 def test_config_rejects_unknown_algorithm():
     with pytest.raises(ConfigError):
-        AgentConfig(algorithm="uct").validate()
+        AgentConfig(algorithm="uct")
 
 
 def test_config_from_dict_rejects_unknown_keys():
