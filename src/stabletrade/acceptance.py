@@ -19,9 +19,9 @@ import numpy as np
 from .bandit_envs import EnvSpec, MdpTables, make_env, play, true_q
 from .cli import ExperimentConfig, run
 from .errors import ConfigError
-from .market_sim import TradingEnv, run_policy, synth_market
-from .rl_agents import (DdpgAgent, TrainConfig, VectorMarketEnv, alternating_series,
-                        perfect_foresight_curve, train)
+from .market_sim import TradingEnv, synth_market
+from .rl_agents import (BacktestConfig, TrainConfig, alternating_series, backtest_curve,
+                        perfect_foresight_curve)
 from .stable_core import StableParams, char_fn, estimate_ecf, sample
 from .tinynet import Mlp, gradient_check
 from .ts_agents import (ActsAgent, AgentConfig, CtsAgent, SactsAgent, SctsAgent,
@@ -212,15 +212,12 @@ def check_ddpg_learnability():
     """Actor-critic reaches near-omniscient profit on the alternating toy."""
     series = alternating_series(25)
     omn = perfect_foresight_curve(series)
+    cfg = BacktestConfig(episodes=300, cost_bps=0.0, reward_scale=0.05, train=TrainConfig(
+        lam_e=0.0, warmup_steps=64, noise_scale=0.3))
     wins = 0
     ratios = []
     for s in range(20):
-        env = VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05)
-        cfg = TrainConfig(lam_e=0.0, warmup_steps=64, noise_scale=0.3)
-        agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=s)
-        train(agent, env, 300)
-        curve = run_policy(VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05),
-                           agent.act)
+        curve = backtest_curve("ddpg", series, series, s, cfg)
         ratio = (curve[-1] - curve[0]) / (omn[-1] - omn[0])
         ratios.append(float(ratio))
         wins += ratio >= 0.9

@@ -41,9 +41,16 @@ _MDP_CHECKS = {
     "n_states": _int_at_least(1), "n_actions": _int_at_least(1), "horizon": _int_at_least(1),
     "transitions": ((lambda v: isinstance(v, np.ndarray) and v.dtype.kind == "i"), "integers"),
     "reward_means": ((lambda v: isinstance(v, np.ndarray) and v.dtype.kind == "f"), "floats"),
-    "start_states": ((lambda v: isinstance(v, list) and v and all(map(_is_int, v))),
+    "start_states": ((lambda v: isinstance(v, (list, tuple)) and v and all(map(_is_int, v))),
                      "a non-empty list of integers"),
 }
+
+
+def _frozen(a):
+    """A read-only copy of array a."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -53,9 +60,9 @@ class MdpTables:
     n_states: int
     n_actions: int
     horizon: int
-    transitions: np.ndarray       # (S, A) -> next state
-    reward_means: np.ndarray      # (S, A)
-    start_states: list
+    transitions: np.ndarray       # (S, A) -> next state, read-only
+    reward_means: np.ndarray      # (S, A), read-only
+    start_states: tuple
 
     @classmethod
     def from_dict(cls, raw):
@@ -85,6 +92,9 @@ class MdpTables:
             raise DataError(f"mdp.rewards of state {s}, action {a} are not finite")
         if not all(0 <= s < self.n_states for s in self.start_states):
             raise DataError(f"mdp.start_states {self.start_states} leave the state space")
+        object.__setattr__(self, "transitions", _frozen(self.transitions))
+        object.__setattr__(self, "reward_means", _frozen(self.reward_means))
+        object.__setattr__(self, "start_states", tuple(self.start_states))
 
 
 def _backward_q(means, transitions, horizon):
@@ -147,12 +157,12 @@ _ENV_READS = {"plain": _ARMED | {"arm_means"}, "linear": _CONTEXTUAL,
 _ENV_CHECKS = {
     "kind": _one_of(_ENV_READS), "n_arms": _int_at_least(1), "dim": _int_at_least(1),
     "horizon": _int_at_least(1),
-    "arm_means": ((lambda v: v is None or isinstance(v, list) and all(_is_real(m) for m in v)),
-                  "finite numbers"),
+    "arm_means": ((lambda v: v is None or isinstance(v, (list, tuple))
+                   and all(_is_real(m) for m in v)), "finite numbers"),
     "mu": ((lambda v: v is None or isinstance(v, np.ndarray) and v.dtype.kind == "f"
             and bool(np.all(np.isfinite(v)))), "finite numbers"),
     "noise": ((lambda v: v is None or isinstance(v, StableParams) or (
-        isinstance(v, list) and all(isinstance(p, StableParams) for p in v))),
+        isinstance(v, (list, tuple)) and all(isinstance(p, StableParams) for p in v))),
         "stable parameters, one set or one per arm"),
     "context_params": ((lambda v: isinstance(v, StableParams)), "stable parameters"),
     "resample_contexts": ((lambda v: isinstance(v, bool)), "true or false"),
@@ -170,9 +180,9 @@ class EnvSpec:
     n_arms: int = 2
     dim: int = 1
     horizon: int = 1000
-    arm_means: list = None                 # plain kind
-    mu: np.ndarray = None                  # linear/semiparam weight; None -> unit sphere draw
-    noise: object = None                   # StableParams, or list per arm, or None
+    arm_means: tuple = None                # plain kind
+    mu: np.ndarray = None                  # read-only linear/semiparam weight; None -> sphere draw
+    noise: object = None                   # StableParams, or a tuple per arm, or None
     context_params: StableParams = DEFAULT_CONTEXT_PARAMS
     resample_contexts: bool = False
     n_users: int = 1
@@ -207,14 +217,19 @@ class EnvSpec:
                                   f"but n_arms is {self.n_arms}")
         if self.mu is not None and self.mu.shape != (self.dim,):
             raise ConfigError(f"env.mu has shape {self.mu.shape} but dim is {self.dim}")
-        if isinstance(self.noise, list):
+        if isinstance(self.noise, (list, tuple)):
             if self.kind == "adversarial_mdp":
                 raise ConfigError("env.noise of an MDP must be a single parameter set")
             if len(self.noise) != self.n_arms:
                 raise ConfigError(f"env.noise has {len(self.noise)} parameter sets "
                                   f"but n_arms is {self.n_arms}")
+            object.__setattr__(self, "noise", tuple(self.noise))
         if self.kind == "adversarial_mdp" and self.mdp is None:
             raise ConfigError("adversarial_mdp environments need mdp tables")
+        if self.arm_means is not None:
+            object.__setattr__(self, "arm_means", tuple(self.arm_means))
+        if self.mu is not None:
+            object.__setattr__(self, "mu", _frozen(self.mu))
 
 
 @dataclass

@@ -177,22 +177,6 @@ def load_config(path):
 
 
 # ---------------------------------------------------------------------------
-# agents the harness adds on top of the library
-
-
-class UniformAgent:
-    """Pulls arms uniformly at random; the no-learning reference line."""
-
-    def __init__(self, n_arms, seed=0):
-        self.n_arms = int(n_arms)
-        self.rng = np.random.default_rng(seed)
-
-    def step(self, ctx, env):
-        arm = int(self.rng.integers(self.n_arms))
-        return arm, env.pull(ctx.t, arm)
-
-
-# ---------------------------------------------------------------------------
 # experiment kinds: each parser checks its kind's params, env and agents and
 # returns the cells as (label, job) pairs; a job is a picklable partial of a
 # cell function over the parsed inputs, called with the cell seed
@@ -216,13 +200,8 @@ def _parse_bandit(cfg):
     cells = []
     for a in cfg.agents:
         d = {k: v for k, v in a.items() if k != "label"}
-        alg = d["algorithm"]
-        agent = None    # the uniform baseline
-        if alg == "uniform":
-            if set(d) != {"algorithm"}:
-                raise ConfigError("the uniform baseline takes no settings")
-        else:
-            agent = AgentConfig.from_dict(d)
+        agent = AgentConfig.from_dict(d)
+        alg = agent.algorithm
         if (alg == "mdp_acts") != (spec.kind == "adversarial_mdp"):
             raise ConfigError(f"agent {alg!r} does not fit env kind {spec.kind!r}: mdp_acts "
                               "plays adversarial_mdp episodes, every other agent arm rounds")
@@ -233,11 +212,8 @@ def _parse_bandit(cfg):
 
 def _bandit_cell(spec, agent_cfg, rounds, env_seed, seed):
     env = make_env(spec, seed if env_seed is None else env_seed)
-    if agent_cfg is None:
-        agent = UniformAgent(spec.n_arms, seed=seed)
-    else:
-        agent = make_agent(agent_cfg, n_arms=spec.n_arms, dim=spec.dim,
-                           n_users=spec.n_users, seed=seed, mdp=spec.mdp)
+    agent = make_agent(agent_cfg, n_arms=spec.n_arms, dim=spec.dim,
+                       n_users=spec.n_users, seed=seed, mdp=spec.mdp)
     if spec.kind == "adversarial_mdp":
         rows = []
         cum = 0.0

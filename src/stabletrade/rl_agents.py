@@ -8,7 +8,8 @@ performance-weighted constant-rebalanced mixtures) and the bandit traders feed
 the tournament and backtest tables.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from .market_sim import (
     synth_market,
 )
 from .tinynet import Mlp, adam_init, clip_global_norm, opt_step, soft_update
-from .ts_agents import AgentConfig, CtsAgent, PlainAtsAgent
+from .ts_agents import AgentConfig, make_agent
 
 
 class Batch(NamedTuple):
@@ -670,20 +671,16 @@ class _ArmPullShim:
         return r * _BANDIT_REWARD_SCALE
 
 
-def bandit_trade(kind, series, seed, initial_cash=100.0, cost_bps=10.0):
-    """Run a Thompson-sampling trader over sell/hold/buy combination arms."""
-    env = DiscreteTradingEnv(series, initial_cash=initial_cash, cost_bps=cost_bps)
+def _bandit_curve(algorithm, train_series, test_series, seed, cfg):
+    """A Thompson-sampling trader over the sell/hold/buy combination arms of
+    the test series, each arm's context its one-hot code (plain_ats reads
+    none)."""
+    env = DiscreteTradingEnv(test_series, initial_cash=cfg.initial_cash, cost_bps=cfg.cost_bps)
     env.reset()
     shim = _ArmPullShim(env)
     n = env.n_actions
-    if kind == "cb_ts":
-        agent = CtsAgent(n, n, AgentConfig(algorithm="cts"), seed=seed)
-        contexts = np.eye(n)
-    elif kind == "ac_ts":
-        agent = PlainAtsAgent(n, AgentConfig(algorithm="plain_ats"), seed=seed)
-        contexts = np.ones((n, 1))
-    else:
-        raise ConfigError(f"unknown bandit trader {kind!r}")
+    agent = make_agent(AgentConfig(algorithm=algorithm), n_arms=n, dim=n, seed=seed)
+    contexts = np.eye(n)
     t = 0
     while not env.done:
         agent.step(RoundContext(t=t, contexts=contexts), shim)
@@ -729,26 +726,13 @@ def _episode_return(curve):
     return curve[-1] / curve[0] - 1.0
 
 
-def run_trader(name, series, seed, episodes):
-    """Train the named agent on a series; return its evaluation equity curve."""
-    if name in ("cb_ts", "ac_ts"):
-        return bandit_trade(name, series, seed)
-    if name not in ("ql", "sarsa", "dqn"):
-        raise ConfigError(f"unknown tournament agent {name!r}")
-    env = DiscreteTradingEnv(series)
-    if name == "dqn":
-        res = dqn_lite(env, episodes, seed=seed)
-    else:
-        res = (tabular_q if name == "ql" else sarsa)(env, episodes, seed)
-    return run_policy(env, res.greedy_policy())
-
-
 def tournament(names, seed, days, episodes):
     """One round: every named agent trains and trades on one seeded one-stock
     market under one trader seed; returns the round returns in roster order,
     which TournamentResult.from_returns folds into the win matrix."""
     series = synth_market(1, days, drift=0.05, vol=0.35, seed=seed * 7919, alpha=1.7)
-    return [float(_episode_return(run_trader(name, series, seed * 104729, episodes)))
+    cfg = BacktestConfig(episodes=episodes)
+    return [float(_episode_return(_RUNNERS[name](series, series, seed * 104729, cfg)))
             for name in names]
 
 
@@ -826,31 +810,43 @@ def _ddpg_curve(train_series, test_series, seed, cfg, supervised):
                                reward_scale=cfg.reward_scale,
                                expert=expert)
     env = make_env(train_series)
-    tc = cfg.train if supervised else replace(cfg.train, lam_e=0.0)
-    agent = DdpgAgent(env.state_dim, env.action_dim, config=tc, seed=seed)
+    agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg.train, seed=seed)
     train(agent, env, cfg.episodes)
     return run_policy(make_env(test_series), agent.act)
 
 
+def _discrete_curve(learner, train_series, test_series, seed, cfg):
+    """A discrete learner trained on the train series; its greedy policy
+    trades the test series."""
+    def make_env(series):
+        return DiscreteTradingEnv(series, initial_cash=cfg.initial_cash, cost_bps=cfg.cost_bps)
+    res = learner(make_env(train_series), cfg.episodes, seed)
+    return run_policy(make_env(test_series), res.greedy_policy())
+
+
+# every trader of Tables 2 and 3: name -> runner(train_series, test_series,
+# seed, cfg), which returns the equity curve on the test series. The runners
+# look the learners up when called, so a wrapper installed over a module
+# global (a tracer's) sees every call.
+_RUNNERS = {
+    "up": lambda train_series, test_series, seed, cfg: up_run(
+        test_series, initial_cash=cfg.initial_cash),
+    "ql": lambda *run: _discrete_curve(tabular_q, *run),
+    "sarsa": lambda *run: _discrete_curve(sarsa, *run),
+    "dqn": lambda *run: _discrete_curve(dqn_lite, *run),
+    "ddpg": partial(_ddpg_curve, supervised=False),
+    "cppi_ddpg": partial(_ddpg_curve, supervised=True),
+    "cb_ts": partial(_bandit_curve, "cts"),
+    "ac_ts": partial(_bandit_curve, "plain_ats"),
+    # the backtest's bandit trader never sees the train series
+    "ad_ts": partial(_bandit_curve, "plain_ats"),
+}
+
+
 def backtest_curve(name, train_series, test_series, seed, cfg):
-    """Equity curve of one backtest agent on the held-out series."""
-    if name == "up":
-        return up_run(test_series, initial_cash=cfg.initial_cash)
-    if name == "dqn":
-        env = DiscreteTradingEnv(train_series, initial_cash=cfg.initial_cash,
-                                 cost_bps=cfg.cost_bps)
-        res = dqn_lite(env, cfg.episodes, seed=seed)
-        return run_policy(DiscreteTradingEnv(test_series, initial_cash=cfg.initial_cash,
-                                             cost_bps=cfg.cost_bps),
-                          res.greedy_policy())
-    if name == "ddpg":
-        return _ddpg_curve(train_series, test_series, seed, cfg, supervised=False)
-    if name == "cppi_ddpg":
-        return _ddpg_curve(train_series, test_series, seed, cfg, supervised=True)
-    if name == "ad_ts":
-        return bandit_trade("ac_ts", test_series, seed,
-                            initial_cash=cfg.initial_cash, cost_bps=cfg.cost_bps)
-    raise ConfigError(f"unknown backtest agent {name!r}")
+    """Equity curve of one trader, trained on the train series where it
+    learns, on the held-out series."""
+    return _RUNNERS[name](train_series, test_series, seed, cfg)
 
 
 def format_table3(names, rows):

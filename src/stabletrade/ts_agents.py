@@ -45,6 +45,7 @@ _READS = {
     "sacts": {"v", "lam", "refresh_every", "mh_step_scale", "warmup"},
     "mdp_acts": {"refresh_every", "mh_step_scale", "warmup"},
     "plain_ats": {"v", "refresh_every", "mh_step_scale", "warmup"},
+    "uniform": set(),
 }
 # the check table of an agent entry, one entry per AgentConfig field
 _AGENT_CHECKS = {
@@ -606,8 +607,22 @@ class MdpActsAgent:
 # factory
 
 
+class UniformAgent:
+    """Pulls arms uniformly at random; the no-learning reference line."""
+
+    def __init__(self, n_arms, seed=0):
+        self.n_arms = int(n_arms)
+        self.rng = np.random.default_rng(seed)
+
+    def step(self, ctx, env):
+        arm = int(self.rng.integers(self.n_arms))
+        return arm, env.pull(ctx.t, arm)
+
+
 def make_agent(config, n_arms=2, dim=1, n_users=1, seed=0, mdp=None):
     alg = config.algorithm
+    if alg == "uniform":
+        return UniformAgent(n_arms, seed)
     if alg == "cts":
         return CtsAgent(n_arms, dim, config, seed)
     if alg == "scts":

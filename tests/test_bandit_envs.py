@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,29 @@ def test_mdp_tables_validation():
         MdpTables.from_dict({k: v for k, v in raw.items() if k != "horizon"})
     with pytest.raises(DataError, match="mdp.start_states"):
         MdpTables.from_dict({**raw, "start_states": 0})
+
+
+def test_built_settings_cannot_change_in_place():
+    # a built spec or table was checked once; its containers must not let
+    # anyone undo that, and the caller's own containers stay theirs
+    mu = np.ones(2)
+    spec = EnvSpec(kind="linear", dim=2, mu=mu)
+    mu[0] = 5.0
+    assert spec.mu[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        spec.mu[0] = np.nan
+    plain = EnvSpec(kind="plain", n_arms=2, arm_means=[0.0, 1.0], noise=[ZERO_NOISE] * 2)
+    for per_arm in (plain.arm_means, plain.noise):
+        with pytest.raises(AttributeError):
+            per_arm.append(per_arm[0])
+    tables = toy_tables()
+    for table in (tables.transitions, tables.reward_means):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    with pytest.raises(AttributeError):
+        tables.start_states.append(1)
+    # the check tables accept what is stored, so a copy is checked again
+    assert replace(plain, horizon=5).arm_means == (0.0, 1.0)
+    assert replace(tables, horizon=1).start_states == tables.start_states
+    with pytest.raises(ConfigError, match="noise has 2 parameter sets"):
+        replace(plain, n_arms=3, arm_means=(0.0, 1.0, 2.0))

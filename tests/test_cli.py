@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from stabletrade import acceptance, cli
-from stabletrade.cli import ExperimentConfig, UniformAgent
+from stabletrade.cli import ExperimentConfig
 from stabletrade.errors import ConfigError, DataError, NumericError
 from stabletrade.rl_agents import BacktestConfig
 from stabletrade.stable_core import StableParams, sample
+from stabletrade.ts_agents import AgentConfig, UniformAgent, make_agent
 
 LINEAR_ENV = {"kind": "linear", "n_arms": 3, "dim": 3, "horizon": 100,
               "mu": [0.0, 0.5, 1.0]}
@@ -83,8 +84,11 @@ def test_bandit_config_needs_agents(tmp_path):
 def test_bandit_agents_are_schema_checked(tmp_path):
     with pytest.raises(ConfigError, match="unknown agent keys"):
         small_config(tmp_path, agents=[{"algorithm": "cts", "vv": 2}])
-    with pytest.raises(ConfigError, match="no settings"):
+    # uniform is an ordinary agent: it reads no agent key, and the error says so
+    with pytest.raises(ConfigError, match="algorithm 'uniform' never reads agent.v"):
         small_config(tmp_path, agents=[{"algorithm": "uniform", "v": 1.0}])
+    with pytest.raises(ConfigError, match=r"one of \[.*'plain_ats', 'uniform'\]"):
+        small_config(tmp_path, agents=[{"algorithm": "greedy"}])
 
 
 def test_roster_kinds_reject_unknown_agents():
@@ -223,11 +227,15 @@ def test_uniform_agent_contract():
     class Ctx:
         t = 3
 
-    agent = UniformAgent(4, seed=0)
+    def uniform():
+        return make_agent(AgentConfig.from_dict({"algorithm": "uniform"}), n_arms=4, seed=0)
+
+    agent = uniform()
+    assert isinstance(agent, UniformAgent)
     arms = [agent.step(Ctx(), Env())[0] for _ in range(200)]
     assert set(arms) <= {0, 1, 2, 3}
     assert len(set(arms)) == 4
-    again = UniformAgent(4, seed=0)
+    again = uniform()
     assert [again.step(Ctx(), Env())[0] for _ in range(200)] == arms
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stabletrade import rl_agents
+from stabletrade.bandit_envs import RoundContext
 from stabletrade.errors import ConfigError, NumericError, ParamError
 from stabletrade.market_sim import (CppiConfig, TradingEnv, metrics, run_policy, split,
                                     synth_market)
@@ -24,7 +25,6 @@ from stabletrade.rl_agents import (
     actor_update,
     alternating_series,
     backtest_curve,
-    bandit_trade,
     cppi_margin_loss,
     critic_loss,
     critic_update,
@@ -33,7 +33,6 @@ from stabletrade.rl_agents import (
     format_table2,
     format_table3,
     perfect_foresight_curve,
-    run_trader,
     sarsa,
     tabular_q,
     tournament,
@@ -41,6 +40,7 @@ from stabletrade.rl_agents import (
     up_run,
 )
 from stabletrade.tinynet import Mlp, adam_init, clip_global_norm, opt_step, soft_update
+from stabletrade.ts_agents import AgentConfig, CtsAgent, PlainAtsAgent
 
 
 def _zero(net):
@@ -949,11 +949,9 @@ def test_up_two_stocks_grid_average():
 def test_bandit_trader_curves():
     series = synth_market(1, 80, seed=3)
     for kind in ("cb_ts", "ac_ts"):
-        curve = bandit_trade(kind, series, seed=0)
+        curve = backtest_curve(kind, series, series, 0, BacktestConfig())
         assert curve.shape == (80,)
         assert np.all(curve > 0)
-    with pytest.raises(ConfigError):
-        bandit_trade("mystery", series, seed=0)
 
 
 def _rounds(names, seeds, days, episodes):
@@ -1001,11 +999,6 @@ def test_format_table2_layout():
         assert ":" in line and line.rstrip().endswith("%")
 
 
-def test_run_trader_unknown():
-    with pytest.raises(ConfigError):
-        run_trader("mystery", synth_market(1, 30, seed=0), seed=0, episodes=1)
-
-
 def test_backtest_table_format():
     train_series, test_series = split(synth_market(1, 120, drift=0.05, vol=0.3, seed=7), 0.7)
     cfg = BacktestConfig(episodes=6)
@@ -1034,3 +1027,80 @@ def test_partial_train_table_keeps_the_backtest_training_defaults():
     assert (t.pretrain_steps, t.pretrain_episodes) == (300, 3)
     assert t.hidden == (8,)
     assert BacktestConfig().train.hidden == (64, 64)      # the default is untouched
+
+
+# ---------------------------------------------------------------------------
+# the runner table against the code paths it replaced, kept as references
+
+
+def _reference_bandit_trade(kind, series, seed):
+    """Table 2's bandit traders as written per kind, with a constant context
+    for the context-free plain_ats."""
+    env = DiscreteTradingEnv(series)
+    env.reset()
+    shim = rl_agents._ArmPullShim(env)
+    n = env.n_actions
+    if kind == "cb_ts":
+        agent = CtsAgent(n, n, AgentConfig(algorithm="cts"), seed=seed)
+        contexts = np.eye(n)
+    else:
+        agent = PlainAtsAgent(n, AgentConfig(algorithm="plain_ats"), seed=seed)
+        contexts = np.ones((n, 1))
+    t = 0
+    while not env.done:
+        agent.step(RoundContext(t=t, contexts=contexts), shim)
+        t += 1
+    return np.asarray(env.curve)
+
+
+def _reference_run_trader(name, series, seed, episodes):
+    """Table 2's own trader dispatch: a discrete learner's greedy policy
+    trades the env it trained on."""
+    if name in ("cb_ts", "ac_ts"):
+        return _reference_bandit_trade(name, series, seed)
+    env = DiscreteTradingEnv(series)
+    if name == "dqn":
+        res = dqn_lite(env, episodes, seed=seed)
+    else:
+        res = (tabular_q if name == "ql" else sarsa)(env, episodes, seed)
+    return run_policy(env, res.greedy_policy())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", TOURNAMENT_AGENTS)
+def test_tournament_traders_match_their_own_dispatch_bit_for_bit(name, seed):
+    days, episodes = 40, 4
+    series = synth_market(1, days, drift=0.05, vol=0.35, seed=seed * 7919, alpha=1.7)
+    want = _reference_run_trader(name, series, seed * 104729, episodes)
+    got = backtest_curve(name, series, series, seed * 104729, BacktestConfig(episodes=episodes))
+    assert np.array_equal(got, want)
+    assert tournament([name], seed, days, episodes) == [float(want[-1] / want[0] - 1.0)]
+
+
+def _reference_ddpg_toy_curve(series, seed, episodes):
+    """Criterion 8's DDPG trained and traded by hand."""
+    env = VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05)
+    cfg = TrainConfig(lam_e=0.0, warmup_steps=64, noise_scale=0.3)
+    agent = DdpgAgent(env.state_dim, env.action_dim, config=cfg, seed=seed)
+    train(agent, env, episodes)
+    return run_policy(VectorMarketEnv(series, cost_bps=0.0, reward_scale=0.05), agent.act)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_8_ddpg_matches_its_hand_trained_loop_bit_for_bit(seed):
+    # 8 episodes of 24 steps make 129 updates past the 64-step warm-up
+    series = alternating_series(25)
+    cfg = BacktestConfig(episodes=8, cost_bps=0.0, reward_scale=0.05, train=TrainConfig(
+        lam_e=0.0, warmup_steps=64, noise_scale=0.3))
+    want = _reference_ddpg_toy_curve(series, seed, 8)
+    assert np.array_equal(backtest_curve("ddpg", series, series, seed, cfg), want)
+
+
+def test_unsupervised_ddpg_ignores_lam_e():
+    # ddpg's env has no expert, which already keeps expert mode off
+    train_series, test_series = split(synth_market(1, 60, vol=0.3, seed=2), 0.7)
+    cfg = BacktestConfig(episodes=3, train=TrainConfig(warmup_steps=16, batch=16))
+    off = replace(cfg, train=replace(cfg.train, lam_e=0.0))
+    assert cfg.train.lam_e > 0.0
+    assert np.array_equal(backtest_curve("ddpg", train_series, test_series, 0, cfg),
+                          backtest_curve("ddpg", train_series, test_series, 0, off))
