@@ -137,8 +137,8 @@ def check_regret_sublinearity():
 
 
 def check_degeneracy_equivalence():
-    """The per-user variants with one user at lam = 0 replay their parents
-    arm for arm."""
+    """The per-user variants, their parents' code at n_users = 1, replay
+    them arm for arm at lam = 0: lam and user routing do nothing there."""
     spec = EnvSpec(kind="linear", n_arms=4, dim=6, horizon=100,
                    mu=np.linspace(0.0, 1.0, 6))
     e1, e2 = make_env(spec, 7), make_env(spec, 7)

@@ -7,7 +7,7 @@ is exactly its model mean. Pseudo-regret is computed from true means, never from
 realized rewards.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,12 @@ def _frozen(a):
     return a
 
 
+def _rebuilt(self):
+    """__reduce__ of the frozen settings classes: pickle and deepcopy rebuild
+    through the constructor, which checks the fields and freezes the arrays."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class MdpTables:
     """Deterministic finite MDP: states and actions are 0-based indices."""
@@ -63,6 +69,8 @@ class MdpTables:
     transitions: np.ndarray       # (S, A) -> next state, read-only
     reward_means: np.ndarray      # (S, A), read-only
     start_states: tuple
+
+    __reduce__ = _rebuilt
 
     @classmethod
     def from_dict(cls, raw):
@@ -190,6 +198,8 @@ class EnvSpec:
     v_step: float = 0.1
     mdp: MdpTables = None
     adversary: str = "round_robin"
+
+    __reduce__ = _rebuilt
 
     @classmethod
     def from_dict(cls, raw):

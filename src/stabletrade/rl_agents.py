@@ -468,6 +468,12 @@ def _pretrain(agent, env, buffer, cfg):
     return cfg.pretrain_steps
 
 
+def _linear_schedule(start, final, ep, episodes):
+    """The exploration level of episode ep of episodes, linear from start at
+    the first episode to final at the last."""
+    return start + ep / max(1, episodes - 1) * (final - start)
+
+
 def train(agent, env, episodes):
     """Noise-perturbed interaction with replay updates; deterministic per seed."""
     cfg = agent.config
@@ -476,8 +482,7 @@ def train(agent, env, episodes):
     pretrained = _pretrain(agent, env, buffer, cfg) if expert_mode and cfg.pretrain_steps else 0
     logs = []
     for ep in range(episodes):
-        frac = ep / max(1, episodes - 1)
-        noise = cfg.noise_scale + frac * (cfg.noise_final - cfg.noise_scale)
+        noise = _linear_schedule(cfg.noise_scale, cfg.noise_final, ep, episodes)
         s = env.reset()
         done = False
         ep_td, ep_la, ep_je, n_upd = 0.0, 0.0, 0.0, 0
@@ -548,7 +553,7 @@ def _td_control(env, episodes, on_policy, seed):
         return int(q[s].argmax())
 
     for ep in range(episodes):
-        eps = _EPS_START + (ep / max(1, episodes - 1)) * (_EPS_FINAL - _EPS_START)
+        eps = _linear_schedule(_EPS_START, _EPS_FINAL, ep, episodes)
         s = env.reset()
         a = pick(s, eps)
         done = False
@@ -594,7 +599,7 @@ def dqn_lite(env, episodes, seed):
     rows = np.arange(_DQN_BATCH)
 
     for ep in range(episodes):
-        eps = _EPS_START + (ep / max(1, episodes - 1)) * (_EPS_FINAL - _EPS_START)
+        eps = _linear_schedule(_EPS_START, _EPS_FINAL, ep, episodes)
         s = env.reset()
         done = False
         while not done:

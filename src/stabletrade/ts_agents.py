@@ -1,30 +1,32 @@
 """Thompson-sampling agents over the bandit environment family.
 
-The bandit agents' two lineages share one linear (B, y) update rule:
+The contextual agents share one linear round (_linear_round): draw mu from
+N(mu_bar, v^2 B^-1), pull the arm it ranks first, and update (B, y) with
+per-arm weights:
 
-  * Gaussian lineage (cts, scts): arm parameters are the observed contexts, the
-    shared weight mu is resampled from N(center, v^2 Gamma^-1), and the update
-    weights are Monte-Carlo pull probabilities pi.
-  * Stable lineage (acts, sacts, plain_ats): per-arm location draws theta
-    evolve by Metropolis-Hastings on a numeric stable likelihood, and the
-    update weights are normalized upper-tail probabilities beyond the chosen
-    arm's score.
+  * Gaussian lineage (cts, scts): arm parameters are the observed contexts,
+    and the weights are Monte-Carlo pull probabilities pi.
+  * Stable lineage (acts, sacts): per-arm location draws theta evolve by
+    Metropolis-Hastings on a numeric stable likelihood, and the weights are
+    normalized upper-tail probabilities beyond the chosen arm's score.
 
-The episodic mdp_acts keeps no (B, y) state: each episode moves every visited
-(state, action) location by one MH step on the same stable likelihood and
-plans on the Q those locations give.
+Each keeps (B, y, mu_bar) in one slot (_Slot) per user, and one rule picks
+a round's slot: a single slot serves every round; with several, the round's
+user indexes one, whose state alone the round reads and updates. lam only
+scales each slot's initial precision when there are several users, so with
+one user or at lam = 0, scts and sacts replay cts and acts draw for draw.
 
-Each arm of the stable lineage and each mdp_acts pair is one location chain
-(_Location), and all of them move by the same MH step. A step evaluates the
-proposals over the chain's whole reward history: O(pulls x dim) density
-points, so a run of T rounds costs O(T^2) in total. The likelihood at the
-current locations is cached per reward, so a new reward costs dim points and
-only a new belief re-evaluates the whole history.
+plain_ats moves the stable lineage's location chains but does no (B, y)
+work: it pulls the arm whose drawn location implies the highest mean. The
+episodic mdp_acts moves the location of every visited (state, action) pair
+by one MH step per episode and plans on the Q those locations give.
 
-The semi-contextual variants (scts, sacts) keep one independent state slot per
-user: a user's round reads and updates only that user's slot. lam only scales
-each slot's initial precision when there are several users, so with one user
-or at lam = 0 each slot replays its parent algorithm draw for draw.
+Every arm of the stable agents and every mdp_acts pair is one location
+chain (_Location), and all of them move by the same MH step. A step
+evaluates the proposals over the chain's whole reward history: O(pulls x
+dim) density points, so a run of T rounds costs O(T^2) in total. The
+likelihood at the current locations is cached per reward, so a new reward
+costs dim points and only a new belief re-evaluates the whole history.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +36,7 @@ import numpy as np
 from .bandit_envs import _backward_q, mdp_episode
 from .errors import (ConfigError, ParamError, _check_table, _int_at_least, _known_keys,
                      _number, _one_of, _or_none)
-from .stable_core import PdfTable, estimate_ecf, _tan_half
+from .stable_core import _ECF_MIN_SAMPLES, PdfTable, estimate_ecf, _tan_half
 
 # the agent keys each algorithm reads; any other key would only change the
 # config's hash, so from_dict rejects it
@@ -44,7 +46,7 @@ _READS = {
     "scts": {"v", "lam", "mc_probs"},
     "sacts": {"v", "lam", "refresh_every", "mh_step_scale", "warmup"},
     "mdp_acts": {"refresh_every", "mh_step_scale", "warmup"},
-    "plain_ats": {"v", "refresh_every", "mh_step_scale", "warmup"},
+    "plain_ats": {"refresh_every", "mh_step_scale", "warmup"},
     "uniform": set(),
 }
 # the check table of an agent entry, one entry per AgentConfig field
@@ -104,15 +106,6 @@ def _solve_spd(b, y):
         return np.linalg.lstsq(b, y, rcond=None)[0]
 
 
-def _draw_mu(center, chol, v, rng):
-    """One draw from N(center, v^2 gamma^-1) given gamma's Cholesky factor;
-    chol is None at v = 0, where the draw is center and consumes no randomness."""
-    if chol is None:
-        return center.copy()
-    z = rng.normal(size=center.shape[0])
-    return center + v * np.linalg.solve(chol.T, z)
-
-
 def _pi_estimate(thetas, center, chol, v, n_mc, rng):
     """Monte-Carlo pull probabilities under resampled mu draws; chol is the
     Cholesky factor of the sampling precision, None at v = 0."""
@@ -137,11 +130,39 @@ def _weighted_update(b, y, thetas, weights, arm, reward):
     return theta_bar
 
 
-def _initial_b(lam, n_users, dim):
-    """A user slot's starting precision: lam * I when other users exist and
-    lam > 0, the parent algorithm's I otherwise."""
-    scale = lam if n_users > 1 and lam > 0.0 else 1.0
-    return scale * np.eye(dim)
+class _Slot:
+    """One user's linear state: precision B, response y and the point
+    estimate mu_bar = B^-1 y. B starts at lam * I when other users exist and
+    lam > 0, at the parent algorithm's I otherwise."""
+
+    def __init__(self, lam, n_users, dim):
+        self.B = (lam if n_users > 1 and lam > 0.0 else 1.0) * np.eye(dim)
+        self.y = np.zeros(dim)
+        self.mu_bar = np.zeros(dim)
+
+
+def _slot_of(slots, user):
+    """The round's slot: a single slot serves every round; with several,
+    user must index one."""
+    if len(slots) > 1 and not 0 <= user < len(slots):
+        raise ParamError(f"unknown user index {user}")
+    return slots[user if len(slots) > 1 else 0]
+
+
+def _linear_round(slot, thetas, v, rng, env, t, weights):
+    """One round on a slot: draw mu from N(mu_bar, v^2 B^-1) (mu_bar itself at
+    v = 0, with no randomness), pull the arm it ranks first, and update
+    (B, y, mu_bar) in place with the arm weights weights(chol, arm), chol
+    being B's Cholesky factor or None. Returns the arm and the reward."""
+    chol = np.linalg.cholesky(slot.B) if v > 0.0 else None
+    mu_hat = slot.mu_bar
+    if chol is not None:
+        mu_hat = mu_hat + v * np.linalg.solve(chol.T, rng.normal(size=mu_hat.size))
+    arm = int(np.argmax(thetas @ mu_hat))
+    reward = env.pull(t, arm)
+    _weighted_update(slot.B, slot.y, thetas, weights(chol, arm), arm, reward)
+    slot.mu_bar = _solve_spd(slot.B, slot.y)
+    return arm, reward
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +243,7 @@ def belief_from_history(rewards):
     """
     n = len(rewards)
     widen = max(1.0, 8.0 / n)
-    if n >= 50:
+    if n >= _ECF_MIN_SAMPLES:
         alpha, beta, sigma, delta = _ecf_fit(rewards)
         return ArmBelief(alpha, beta, sigma, prior_mu=delta, prior_var=widen * sigma ** 2)
     b = _moment_beliefs(rewards)
@@ -330,72 +351,44 @@ def tail_weights(beliefs, deltas, cutoff):
 # Gaussian lineage
 
 
-def _cts_round(b, y, mu_bar, thetas, v, n_mc, rng, env, t):
-    """One Gaussian-lineage round on the state (b, y, mu_bar): draw mu, pull
-    the arm it ranks first, estimate pi and update b and y in place. Returns
-    the arm, the reward and the new center."""
-    chol = np.linalg.cholesky(b) if v > 0.0 else None
-    mu_hat = _draw_mu(mu_bar, chol, v, rng)
-    arm = int(np.argmax(thetas @ mu_hat))
-    reward = env.pull(t, arm)
-    pi = _pi_estimate(thetas, mu_bar, chol, v, n_mc, rng)
-    _weighted_update(b, y, thetas, pi, arm, reward)
-    return arm, reward, _solve_spd(b, y)
-
-
 class CtsAgent:
-    """Contextual Thompson sampling with resampled pull probabilities."""
-
-    def __init__(self, n_arms, dim, config, seed):
-        self.config = config
-        self.v = config.resolved_v()
-        self.rng = np.random.default_rng(seed)
-        self.B = np.eye(dim)
-        self.y = np.zeros(dim)
-        self.mu_bar = np.zeros(dim)
-
-    def step(self, ctx, env):
-        arm, reward, self.mu_bar = _cts_round(
-            self.B, self.y, self.mu_bar, np.asarray(ctx.contexts, dtype=float),
-            self.v, self.config.mc_probs, self.rng, env, ctx.t)
-        return arm, reward
-
-
-class SctsAgent:
-    """Per-user contextual sampling: each user keeps an independent
-    (B, y, mu_bar) slot and plays the cts round on it."""
+    """Contextual Thompson sampling with resampled pull probabilities, one
+    slot per user."""
 
     def __init__(self, n_arms, dim, config, seed, n_users=1):
-        self.n_users = n_users
         self.config = config
         self.v = config.resolved_v()
         self.rng = np.random.default_rng(seed)
-        self.B = [_initial_b(float(config.lam), n_users, dim) for _ in range(n_users)]
-        self.y = [np.zeros(dim) for _ in range(n_users)]
-        self.mu_bar = [np.zeros(dim) for _ in range(n_users)]
+        self.slots = [_Slot(float(config.lam), n_users, dim) for _ in range(n_users)]
 
     def step(self, ctx, env):
-        j = ctx.user
-        if not 0 <= j < self.n_users:
-            raise ParamError(f"unknown user index {j}")
-        arm, reward, self.mu_bar[j] = _cts_round(
-            self.B[j], self.y[j], self.mu_bar[j], np.asarray(ctx.contexts, dtype=float),
-            self.v, self.config.mc_probs, self.rng, env, ctx.t)
-        return arm, reward
+        slot = _slot_of(self.slots, ctx.user)
+        thetas = np.asarray(ctx.contexts, dtype=float)
+
+        def pull_probs(chol, arm):
+            return _pi_estimate(thetas, slot.mu_bar, chol, self.v, self.config.mc_probs,
+                                self.rng)
+
+        return _linear_round(slot, thetas, self.v, self.rng, env, ctx.t, pull_probs)
+
+
+class SctsAgent(CtsAgent):
+    """Per-user contextual sampling: cts with one independent slot per user."""
+
+    # an own entry, so bench/tracer.py wraps each class's step once
+    step = CtsAgent.step
 
 
 # ---------------------------------------------------------------------------
 # stable lineage
 
 
-class _StableSlot:
-    """Per-user bundle of the asymmetric agent's state: the (B, y) update and
-    one location chain per arm over that arm's row of theta."""
+class _StableSlot(_Slot):
+    """A user's slot of the asymmetric agents: the linear state plus one
+    location chain per arm over that arm's row of theta."""
 
-    def __init__(self, n_arms, dim, b):
-        self.B = b
-        self.y = np.zeros(dim)
-        self.mu_bar = np.zeros(dim)
+    def __init__(self, lam, n_users, dim, n_arms):
+        super().__init__(lam, n_users, dim)
         self.theta = np.zeros((n_arms, dim))
         self.arms = [_Location(row) for row in self.theta]
         self.pulls = np.zeros(n_arms, dtype=int)
@@ -405,16 +398,16 @@ class _StableSlot:
 
 class _StableBase:
     """Warm-up, MH sweeps, tail weighting and refresh cadence shared by the
-    asymmetric agents, one independent state slot per user. Subclasses pick
-    the arm scores and locations."""
+    asymmetric agents, one independent slot per user. A subclass may replace
+    the round that follows the sweep."""
 
     def __init__(self, n_arms, dim, config, seed, n_users=1):
-        self.n_arms, self.dim, self.n_users = n_arms, dim, n_users
+        self.n_arms, self.dim = n_arms, dim
         self.config = config
         self.v = config.resolved_v()
         self.warmup = config.resolved_warmup(dim)
         self.rng = np.random.default_rng(seed)
-        self.slots = [_StableSlot(n_arms, dim, _initial_b(float(config.lam), n_users, dim))
+        self.slots = [_StableSlot(float(config.lam), n_users, dim, n_arms)
                       for _ in range(n_users)]
 
     # -- warm-up and beliefs
@@ -440,7 +433,7 @@ class _StableBase:
         slot.visits += 1
         if (
             slot.ready
-            and slot.pulls[arm] >= 50
+            and slot.pulls[arm] >= _ECF_MIN_SAMPLES
             and slot.pulls[arm] % self.config.refresh_every == 0
         ):
             slot.arms[arm].refit()
@@ -454,34 +447,25 @@ class _StableBase:
 
     # -- one bandit round
 
-    def _scores(self, slot, mu_hat):
-        return slot.theta @ mu_hat
+    def _round(self, slot, ctx, env):
+        """The contextual round on the swept locations, tail-weighted."""
 
-    def _locations(self, slot, center):
-        return slot.theta @ center
+        def tail_probs(chol, arm):
+            # tail cutoffs and arm locations both project through the point
+            # estimate so the bound and the integrand share reward units
+            locs = slot.theta @ slot.mu_bar
+            return tail_weights([loc.belief for loc in slot.arms], locs, float(locs[arm]))
+
+        return _linear_round(slot, slot.theta, self.v, self.rng, env, ctx.t, tail_probs)
 
     def step(self, ctx, env):
-        j = ctx.user if self.n_users > 1 else 0
-        if not 0 <= j < self.n_users:
-            raise ParamError(f"unknown user index {j}")
-        slot = self.slots[j]
-        warm = self._warm_arm(slot)
-        if warm is not None:
-            reward = env.pull(ctx.t, warm)
-            self._after_reward(slot, warm, reward)
-            return warm, reward
-        self._mh_sweep(slot)
-        chol = np.linalg.cholesky(slot.B) if self.v > 0.0 else None
-        mu_hat = _draw_mu(slot.mu_bar, chol, self.v, self.rng)
-        scores = self._scores(slot, mu_hat)
-        arm = int(np.argmax(scores))
-        reward = env.pull(ctx.t, arm)
-        # tail cutoffs and arm locations both project through the point
-        # estimate so the bound and the integrand share reward units
-        locs = self._locations(slot, slot.mu_bar)
-        weights = tail_weights([loc.belief for loc in slot.arms], locs, float(locs[arm]))
-        _weighted_update(slot.B, slot.y, slot.theta, weights, arm, reward)
-        slot.mu_bar = _solve_spd(slot.B, slot.y)
+        slot = _slot_of(self.slots, ctx.user)
+        arm = self._warm_arm(slot)
+        if arm is None:
+            self._mh_sweep(slot)
+            arm, reward = self._round(slot, ctx, env)
+        else:
+            reward = env.pull(ctx.t, arm)
         self._after_reward(slot, arm, reward)
         return arm, reward
 
@@ -501,11 +485,9 @@ class PlainAtsAgent(_StableBase):
     def __init__(self, n_arms, config, seed):
         super().__init__(n_arms, 1, config, seed)
 
-    def _scores(self, slot, mu_hat):
-        return np.array([loc.belief.mean_given_delta(loc.theta[0]) for loc in slot.arms])
-
-    def _locations(self, slot, center):
-        return self._scores(slot, None)
+    def _round(self, slot, ctx, env):
+        arm = int(np.argmax([loc.belief.mean_given_delta(loc.theta[0]) for loc in slot.arms]))
+        return arm, env.pull(ctx.t, arm)
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +576,9 @@ class MdpActsAgent:
             belief = belief_from_history(loc.rewards)
             self.theta[s, a] = belief.prior_mu
             loc.adopt(belief)
-        elif n >= 50 and n % self.config.refresh_every == 0:
+        elif n >= _ECF_MIN_SAMPLES and n % self.config.refresh_every == 0:
             loc.refit()
-        elif n < 50 and n % 5 == 0:
+        elif n < _ECF_MIN_SAMPLES and n % 5 == 0:
             loc.adopt(belief_from_history(loc.rewards))
 
     def greedy_policy(self):

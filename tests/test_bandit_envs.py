@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -351,3 +353,22 @@ def test_built_settings_cannot_change_in_place():
     assert replace(tables, horizon=1).start_states == tables.start_states
     with pytest.raises(ConfigError, match="noise has 2 parameter sets"):
         replace(plain, n_arms=3, arm_means=(0.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copied_settings_stay_read_only_and_equal(copy_of):
+    # worker processes get their specs by pickle, so a copy must rebuild
+    # through the constructor, not restore a writable __dict__
+    spec = EnvSpec(kind="linear", dim=2, mu=np.ones(2))
+    tables = toy_tables()
+    for original, arrays in ((spec, ("mu",)), (tables, ("transitions", "reward_means"))):
+        copied = copy_of(original)
+        assert type(copied) is type(original)
+        for name in arrays:
+            array = getattr(copied, name)
+            assert not array.flags.writeable, name
+            np.testing.assert_array_equal(array, getattr(original, name))
+        assert vars(copied).keys() == vars(original).keys()
+        assert all(getattr(copied, k) == getattr(original, k) for k in vars(original)
+                   if k not in arrays)

@@ -214,3 +214,9 @@ def test_every_env_key_is_checked_and_read_by_some_kind():
     read = set().union(*bandit_envs._ENV_READS.values())
     assert read <= set(bandit_envs._ENV_CHECKS)
     assert sorted(set(bandit_envs._ENV_CHECKS) - read) == ["kind"]
+
+
+def test_every_agent_key_is_checked_and_read_by_some_algorithm():
+    read = set().union(*ts_agents._READS.values())
+    assert read <= set(ts_agents._AGENT_CHECKS)
+    assert sorted(set(ts_agents._AGENT_CHECKS) - read) == ["algorithm"]

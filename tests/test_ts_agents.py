@@ -107,7 +107,7 @@ def test_config_from_dict_rejects_unknown_keys():
     ("cts", "refresh_every"), ("scts", "refresh_every"),
     ("cts", "warmup"), ("scts", "warmup"),
     ("cts", "mh_step_scale"), ("scts", "mh_step_scale"),
-    ("mdp_acts", "v"),
+    ("mdp_acts", "v"), ("plain_ats", "v"),
 ])
 def test_config_from_dict_rejects_keys_the_algorithm_never_reads(algorithm, key):
     with pytest.raises(ConfigError) as err:
@@ -124,7 +124,7 @@ _READ_VALUES = {"v": 0.5, "lam": 0.7, "refresh_every": 10, "mc_probs": 50,
     ("scts", ("v", "lam", "mc_probs")),
     ("acts", ("v", "refresh_every", "mh_step_scale", "warmup")),
     ("sacts", ("v", "lam", "refresh_every", "mh_step_scale", "warmup")),
-    ("plain_ats", ("v", "refresh_every", "mh_step_scale", "warmup")),
+    ("plain_ats", ("refresh_every", "mh_step_scale", "warmup")),
     ("mdp_acts", ("refresh_every", "mh_step_scale", "warmup")),
 ])
 def test_config_from_dict_takes_every_key_the_algorithm_reads(algorithm, keys):
@@ -205,8 +205,8 @@ def test_cts_zero_v_first_step_leaves_information_unchanged():
     ctx = RoundContext(t=0, contexts=np.array([[1.0, 0.0], [0.0, 1.0]]))
     arm, reward = agent.step(ctx, env)
     assert arm == 0 and reward == 1.0
-    np.testing.assert_allclose(agent.B, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(agent.y, np.zeros(2), atol=1e-12)
+    np.testing.assert_allclose(agent.slots[0].B, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(agent.slots[0].y, np.zeros(2), atol=1e-12)
 
 
 def test_cts_replay_oracle_matches_incremental_state():
@@ -218,8 +218,8 @@ def test_cts_replay_oracle_matches_incremental_state():
         play(env, agent, 80)
     assert len(calls) == 80
     b, y = replay_information([u for _, u in calls], 6)
-    np.testing.assert_allclose(b, agent.B, atol=1e-10)
-    np.testing.assert_allclose(y, agent.y, atol=1e-10)
+    np.testing.assert_allclose(b, agent.slots[0].B, atol=1e-10)
+    np.testing.assert_allclose(y, agent.slots[0].y, atol=1e-10)
 
 
 def test_cts_learns_on_the_linear_env():
@@ -568,8 +568,8 @@ def test_scts_at_lambda_zero_replays_cts_exactly():
     t2 = play(e2, c2, 150)
     assert t1.arms == t2.arms
     np.testing.assert_array_equal(t1.rewards, t2.rewards)
-    np.testing.assert_allclose(c1.B, c2.B[0], atol=0)
-    np.testing.assert_allclose(c1.y, c2.y[0], atol=0)
+    np.testing.assert_allclose(c1.slots[0].B, c2.slots[0].B, atol=0)
+    np.testing.assert_allclose(c1.slots[0].y, c2.slots[0].y, atol=0)
 
 
 def test_sacts_at_lambda_zero_replays_acts_exactly():
@@ -634,13 +634,13 @@ def test_scts_multiuser_replay_oracle_matches_slot_state():
     with recorded_updates() as calls:
         tr = play(env, agent, 150)
     assert len(calls) == 150
-    for j in range(3):
-        own = [u for b, u in calls if b is agent.B[j]]
+    for j, slot in enumerate(agent.slots):
+        own = [u for b, u in calls if b is slot.B]
         assert len(own) == tr.users.count(j) == 50
         b, y = replay_information(own, 4, b0=0.4 * np.eye(4))
-        np.testing.assert_allclose(b, agent.B[j], atol=1e-8)
-        np.testing.assert_allclose(y, agent.y[j], atol=1e-8)
-        np.testing.assert_allclose(agent.mu_bar[j], np.linalg.solve(b, y), atol=1e-8)
+        np.testing.assert_allclose(b, slot.B, atol=1e-8)
+        np.testing.assert_allclose(y, slot.y, atol=1e-8)
+        np.testing.assert_allclose(slot.mu_bar, np.linalg.solve(b, y), atol=1e-8)
 
 
 def test_coupled_agents_reject_unknown_users():
@@ -652,6 +652,11 @@ def test_coupled_agents_reject_unknown_users():
         scts.step(ctx, ScriptedEnv([0.0]))
     with pytest.raises(ParamError):
         sacts.step(ctx, ScriptedEnv([0.0]))
+    # a single slot serves every round, whatever its user
+    one = SctsAgent(2, 1, AgentConfig(algorithm="scts"), seed=0, n_users=1)
+    ctx = RoundContext(t=0, contexts=np.array([[1.0], [0.0]]), user=3)
+    assert one.step(ctx, ScriptedEnv([2.0]))[1] == 2.0
+    assert one.slots[0].B[0, 0] > 1.0
 
 
 def test_sacts_keeps_one_slot_per_user():
@@ -755,12 +760,32 @@ def test_plain_ats_symmetric_arms_split_evenly():
     slot.pulls = np.array([60, 60])
     slot.visits = 120
     agent._init_slot(slot)
+    ctx, env = RoundContext(t=0, contexts=np.ones((2, 1))), ScriptedEnv([0.0])
     picks = 0
     n = 10000
     for _ in range(n):
         agent._mh_sweep(slot)
-        picks += int(np.argmax(agent._scores(slot, None)) == 0)
+        picks += int(agent._round(slot, ctx, env)[0] == 0)
     assert abs(picks / n - 0.5) < 0.05
+
+
+def test_plain_ats_does_no_linear_work_after_warmup(monkeypatch):
+    # its pick reads the drawn locations alone, so no round weights the
+    # tails, updates (B, y) or solves for mu_bar, and none enters the linear
+    # round, where the only mu draw is
+    calls = []
+    for name in ("tail_weights", "_weighted_update", "_solve_spd"):
+        def recording(*args, _name=name, _real=getattr(ts_agents, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(ts_agents, name, recording)
+    spec = EnvSpec(kind="plain", n_arms=3, horizon=200, arm_means=[0.0, 0.2, 0.5])
+    agent = PlainAtsAgent(3, AgentConfig(algorithm="plain_ats"), seed=2)
+    tr = play(make_env(spec, seed=2), agent, 200)
+    slot = agent.slots[0]
+    assert slot.ready and slot.visits == len(tr.arms) == 200
+    assert calls == []
+    np.testing.assert_array_equal(slot.B, np.eye(1))
 
 
 def test_plain_ats_converges_to_the_best_arm():
