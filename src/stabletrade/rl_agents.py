@@ -102,7 +102,9 @@ class ReplayBuffer:
         if n > self._n:
             raise ParamError(f"minibatch {n} exceeds buffer size {self._n}")
         idx = rng.choice(self._n, size=n, replace=False)
-        return Batch(*(None if col is None else col[idx] for col in self._cols))
+        s, a, r, s_next, done, a_exp = self._cols
+        return Batch(s[idx], a[idx], r[idx], s_next[idx], done[idx],
+                     None if a_exp is None else a_exp[idx])
 
 
 # the check table of params.backtest.train, one entry per TrainConfig field
@@ -279,6 +281,35 @@ def perfect_foresight_curve(series):
 # DDPG
 
 
+class _UpdateBuffers:
+    """The arrays one DDPG update on n-row minibatches writes into, and the
+    constants it reads.
+
+    Critic inputs ``sa`` = [s|a], ``s2a2`` = [s2|a2] and ``spi`` = [s|pi];
+    the TD target ``y`` (then the squared errors) and |Q| (then the error)
+    ``td``, and the critic's upstream column ``gy``; the margin loss's (n, k + 2, input) candidate pass ``margin_x``,
+    its perturbations ``noise`` (k, n, d), action gaps ``gap`` and
+    ``scores``, and ``picked``, the pass rows of each state's best and
+    expert candidates. The constants are the upstream columns ``up`` (+1/n)
+    and ``down`` (-1/n) and each state's first row in the pass,
+    ``block_start``. No loss returns an array that lives here.
+    """
+
+    def __init__(self, n, state_dim, action_dim, n_candidates):
+        width, cols = n_candidates + 2, state_dim + action_dim
+        self.n = n
+        self.sa, self.s2a2, self.spi = (np.empty((n, cols)) for _ in range(3))
+        self.y, self.td, self.gy = np.empty(n), np.empty(n), np.empty((n, 1))
+        self.up, self.down = np.full((n, 1), 1.0 / n), np.full((n, 1), -1.0 / n)
+        self.margin_x = np.empty((n, width, cols))
+        self.noise = np.empty((n_candidates, n, action_dim))
+        self.gap = np.empty((n, width, action_dim))
+        self.scores = np.empty((n, width))
+        self.block_start = np.arange(n) * width
+        self.picked = np.empty(2 * n, dtype=np.intp)
+        self.picked[n:] = self.block_start + 1     # column 1 is the expert's
+
+
 class DdpgAgent:
     def __init__(self, state_dim, action_dim, config=None, seed=0):
         self.config = config or TrainConfig()
@@ -294,6 +325,15 @@ class DdpgAgent:
         self.opt_actor = adam_init(self.actor)
         self.opt_critic = adam_init(self.critic)
         self.rng = np.random.default_rng(int(seeder.integers(2**31)))
+        self._buffers = None
+
+    def buffers(self, n):
+        """The update buffers for n-row minibatches, built on first use and
+        again whenever the row count changes."""
+        if self._buffers is None or self._buffers.n != n:
+            self._buffers = _UpdateBuffers(n, self.state_dim, self.action_dim,
+                                           self.config.n_candidates)
+        return self._buffers
 
     def act(self, state, noise_scale=0.0):
         a = self.actor.predict(state)
@@ -320,36 +360,53 @@ def _median(x):
 
 def critic_loss(agent, batch):
     """Mean squared TD error against the target networks, plus critic
-    gradients; terminal rows drop the bootstrap."""
+    gradients; terminal rows drop the bootstrap.
+
+    It evaluates y = r + gamma * (1 - done) * Q'(s2, pi'(s2)) and
+    mean((Q(s, a) - y)**2) one operation at a time in the agent's update
+    buffers, with the roundings of those expressions."""
     cfg = agent.config
     s, a, r, s2, done, _ = batch
-    a2 = agent.t_actor.predict(s2)
-    q2 = agent.t_critic.predict(np.hstack([s2, a2]))
-    y = r + cfg.gamma * (1.0 - done) * q2[:, 0]
-    q, cache = agent.critic.forward(np.hstack([s, a]))
-    med = _median(np.abs(q[:, 0]))
+    n, sd = len(r), agent.state_dim
+    buf = agent.buffers(n)
+    buf.s2a2[:, :sd] = s2
+    buf.s2a2[:, sd:] = agent.t_actor.predict(s2)
+    q2 = agent.t_critic.predict(buf.s2a2)
+    y = np.subtract(1.0, done, out=buf.y)
+    y *= cfg.gamma
+    y *= q2[:, 0]
+    y += r
+    buf.sa[:, :sd] = s
+    buf.sa[:, sd:] = a
+    q, cache = agent.critic.forward(buf.sa)
+    med = _median(np.abs(q[:, 0], out=buf.td))
     if not med <= cfg.divergence_limit:    # a NaN median counts as diverged
         raise NumericError(
             f"critic diverged: median |Q| {med:.3g} exceeds {cfg.divergence_limit:.0e}"
         )
-    resid = q[:, 0] - y
-    loss = float(np.mean(resid**2))
-    gy = (2.0 / len(r)) * resid[:, None]
-    grads, _ = agent.critic.backward(cache, gy)
+    resid = np.subtract(q[:, 0], y, out=buf.td)
+    loss = float(np.add.reduce(np.multiply(resid, resid, out=buf.y))) / n   # y is spent
+    np.multiply(resid[:, None], 2.0 / n, out=buf.gy)
+    grads, _ = agent.critic.backward(cache, buf.gy)
     return loss, grads
 
 
 def _candidate_set(agent, pi, expert_actions, rng):
     """(n, k + 2, d): the actor's actions pi, the expert's, then k clipped
-    Gaussian perturbations of the expert's, drawn perturbation-major."""
-    k = agent.config.n_candidates
-    n, d = expert_actions.shape
-    cands = np.empty((n, k + 2, d))
+    Gaussian perturbations of the expert's, drawn perturbation-major.
+
+    The candidates are drawn into the action columns of the margin loss's
+    input in the agent's update buffers, and returned as a view of them."""
+    buf = agent.buffers(expert_actions.shape[0])
+    cands = buf.margin_x[:, :, agent.state_dim:]
     cands[:, 0] = pi
     cands[:, 1] = expert_actions
-    noise = rng.standard_normal((k, n, d)).transpose(1, 0, 2)
-    np.clip(expert_actions[:, None, :] + 0.5 * agent.config.margin_rho * noise,
-            -1.0, 1.0, out=cands[:, 2:])
+    noise = rng.standard_normal(out=buf.noise)
+    noise *= 0.5 * agent.config.margin_rho
+    noise += expert_actions
+    np.maximum(noise, -1.0, out=noise)    # np.clip's two comparisons, NaN kept
+    np.minimum(noise, 1.0, out=noise)
+    cands[:, 2:] = noise.transpose(1, 0, 2)
     return cands
 
 
@@ -361,32 +418,38 @@ def cppi_margin_loss(agent, states, expert_actions, pi):
     actions on the states) and the agent's rng; their column 1 is the
     expert's action, so the loss is non-negative. One critic pass covers
     every column, and the best and expert rows' activations come from it.
+    The pass's input is the agent's update buffer that the candidates were
+    drawn into; the distances evaluate np.linalg.norm's sqrt of summed
+    squares one operation at a time.
     """
     cfg = agent.config
     states = np.atleast_2d(np.asarray(states, dtype=float))
     expert_actions = np.atleast_2d(np.asarray(expert_actions, dtype=float))
-    n, sd = states.shape
+    n = states.shape[0]
     candidates = _candidate_set(agent, pi, expert_actions, agent.rng)
-    width = candidates.shape[1]
-    # each state beside each of its candidates
-    x = np.empty((n, width, sd + expert_actions.shape[1]))
-    x[:, :, :sd] = states[:, None, :]
-    x[:, :, sd:] = candidates
+    buf = agent.buffers(n)
+    x = buf.margin_x
+    width = x.shape[1]
+    x[:, :, :agent.state_dim] = states[:, None, :]    # each state beside its candidates
     q = agent.critic.predict(x.reshape(n * width, -1))[:, 0].reshape(n, width)
-    dist = np.linalg.norm(candidates - expert_actions[:, None, :], axis=2)
-    pen = cfg.margin_m * np.minimum(1.0, dist / cfg.margin_rho)
-    scores = q + pen
-    best = np.argmax(scores, axis=1)
-    rows = np.arange(n)
-    value = float(np.mean(scores[rows, best] - q[rows, 1]))
-    # the pass's [best rows; expert rows], split into two caches
-    cache = agent.critic.cache_rows(np.concatenate([rows * width + best, rows * width + 1]))
+    gap = np.subtract(candidates, expert_actions[:, None, :], out=buf.gap)
+    gap *= gap
+    scores = np.add.reduce(gap, axis=2, out=buf.scores)
+    np.sqrt(scores, out=scores)                   # the distances, then
+    scores /= cfg.margin_rho
+    np.minimum(scores, 1.0, out=scores)
+    scores *= cfg.margin_m                        # the penalties, then
+    scores += q                                   # the scores
+    # the pass's [best rows; expert rows], which also index the flat scores
+    np.add(buf.block_start, np.argmax(scores, axis=1), out=buf.picked[:n])
+    value = float(np.add.reduce(scores.reshape(-1)[buf.picked[:n]] - q[:, 1])) / n
+    cache = agent.critic.cache_rows(buf.picked)    # [best rows; expert rows]
     cache_b = {"acts": [h[:n] for h in cache["acts"]], "squeeze": False}
     cache_e = {"acts": [h[n:] for h in cache["acts"]], "squeeze": False}
-    up = np.full((n, 1), 1.0 / n)
-    g_best, _ = agent.critic.backward(cache_b, up)
-    g_exp, _ = agent.critic.backward(cache_e, -up)
-    return value, g_best + g_exp
+    g_best, _ = agent.critic.backward(cache_b, buf.up)
+    g_exp, _ = agent.critic.backward(cache_e, buf.down)
+    g_best += g_exp
+    return value, g_best
 
 
 def critic_update(agent, batch, pi=None):
@@ -400,23 +463,27 @@ def critic_update(agent, batch, pi=None):
         if batch.a_exp is None:
             raise ParamError("expert mode needs expert actions in the minibatch")
         j_e, mg = cppi_margin_loss(agent, batch.s, batch.a_exp, pi)
-        grads = grads + cfg.lam_e * mg
+        mg *= cfg.lam_e
+        grads += mg
     clip_global_norm(agent.critic, grads, cfg.grad_clip)
     opt_step(agent.critic, grads, agent.opt_critic, lr=cfg.critic_lr)
     return td, j_e
 
 
 def actor_loss_grads(agent, states, actor_pass=None):
-    """Loss -mean Q(s, pi(s)) and its actor gradients via the critic's input;
-    actor_pass is actor.forward(states) when the caller has made it."""
+    """Loss -mean Q(s, pi(s)) and its actor gradients via the critic's input
+    gradient alone; actor_pass is actor.forward(states) when the caller has
+    made it."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
+    n, sd = states.shape[0], agent.state_dim
     a, cache_a = agent.actor.forward(states) if actor_pass is None else actor_pass
-    q, cache_c = agent.critic.forward(np.hstack([states, a]))
-    up = np.full((states.shape[0], 1), -1.0 / states.shape[0])
-    _, gx = agent.critic.backward(cache_c, up, want_gx=True)
-    ga = gx[:, agent.state_dim:]
-    grads, _ = agent.actor.backward(cache_a, ga)
-    return float(-np.mean(q)), grads
+    buf = agent.buffers(n)
+    buf.spi[:, :sd] = states
+    buf.spi[:, sd:] = a
+    q, cache_c = agent.critic.forward(buf.spi)
+    _, gx = agent.critic.backward(cache_c, buf.down, want_gx=True, want_grads=False)
+    grads, _ = agent.actor.backward(cache_a, gx[:, sd:])
+    return -float(np.add.reduce(q, axis=None)) / n, grads
 
 
 def actor_update(agent, batch, actor_pass=None):

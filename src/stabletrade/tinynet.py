@@ -9,7 +9,10 @@ Each network keeps its parameters in one contiguous float64 vector,
 ``Mlp.flat`` (W0, b0, W1, b1, ..., weights row-major), and ``backward``
 returns the parameter gradients as one vector aligned to it; the input's
 gradient only with ``want_gx=True``, since only the actor's chain rule
-through the critic needs it. The optimizer moments, soft target updates,
+through the critic needs it. That chain rule needs nothing else from the
+critic, so ``want_grads=False`` makes the same layer loop skip every weight
+product and bias sum and return the input's gradient alone, bit for bit the
+one a full pass gives. The optimizer moments, soft target updates,
 gradient clipping and copies work on whole vectors, and the optimizer keeps
 two scratch vectors for its temporaries; only the global norm is summed
 parameter by parameter, in the order above, so that its rounding does not
@@ -176,13 +179,17 @@ class Mlp:
         acts = [x[rows]] + [buf[:n][rows] for buf in self._hidden] + [y[rows]]
         return {"acts": acts, "squeeze": False}
 
-    def backward(self, cache, gy, want_gx=False):
+    def backward(self, cache, gy, want_gx=False, want_grads=True):
         """Gradients of sum(output * gy) for every parameter plus, with
         ``want_gx``, the input.
 
-        Returns (grads, gx): grads is one vector aligned to ``flat``; gx is
-        None without ``want_gx``.
+        Returns (grads, gx): grads is one fresh vector aligned to ``flat``,
+        None with ``want_grads=False``; gx is None without ``want_gx``. The
+        parameter gradients never feed the input's, so leaving them out
+        changes no bit of gx. gy is only read.
         """
+        if not (want_grads or want_gx):
+            raise ParamError("backward needs want_grads or want_gx")
         acts = cache["acts"]
         gy = np.asarray(gy, dtype=float)
         if cache["squeeze"]:
@@ -192,12 +199,13 @@ class Mlp:
         g = gy
         if self.out_act == "tanh":
             g = g * (1.0 - acts[-1] ** 2)
-        grads = np.empty(self.flat.size)
+        grads = np.empty(self.flat.size) if want_grads else None
         for i in range(len(self.weights) - 1, -1, -1):
-            w0, w1, w_shape = self.layout[2 * i]
-            b0, b1, _ = self.layout[2 * i + 1]
-            np.matmul(acts[i].T, g, out=grads[w0:w1].reshape(w_shape))
-            np.add.reduce(g, axis=0, out=grads[b0:b1])
+            if want_grads:
+                w0, w1, w_shape = self.layout[2 * i]
+                b0, b1, _ = self.layout[2 * i + 1]
+                np.matmul(acts[i].T, g, out=grads[w0:w1].reshape(w_shape))
+                np.add.reduce(g, axis=0, out=grads[b0:b1])
             if i == 0 and not want_gx:
                 return grads, None
             w = self.weights[i]

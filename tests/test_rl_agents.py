@@ -278,7 +278,7 @@ class _QuadCritic:
         q = -np.sum((a - self.a_star) ** 2, axis=1, keepdims=True)
         return q, {"a": a}
 
-    def backward(self, cache, gy, want_gx=False):
+    def backward(self, cache, gy, want_gx=False, want_grads=True):
         if not want_gx:
             return [], None
         a = cache["a"]
@@ -458,20 +458,45 @@ def test_margin_loss_makes_one_cache_free_critic_pass(monkeypatch):
 
 
 # The reference below is the update sequence that ddpg_update replaced:
-# critic_update (with the margin loss's own actor and critic passes), then
-# actor_update, then soft_updates. The new update must match it bit for bit.
+# the critic step (with the margin loss's own actor and critic passes), then
+# the actor step, then soft_updates, each written with fresh arrays and the
+# critic's full backward, as before the update buffers. The new update must
+# match it bit for bit.
+
+
+def _ref_critic_loss(agent, batch):
+    cfg = agent.config
+    s, a, r, s2, done, _ = batch
+    a2 = agent.t_actor.predict(s2)
+    q2 = agent.t_critic.predict(np.hstack([s2, a2]))
+    y = r + cfg.gamma * (1.0 - done) * q2[:, 0]
+    q, cache = agent.critic.forward(np.hstack([s, a]))
+    resid = q[:, 0] - y
+    grads, _ = agent.critic.backward(cache, (2.0 / len(r)) * resid[:, None])
+    return float(np.mean(resid**2)), grads
+
+
+def _ref_actor_loss_grads(agent, states):
+    a, cache_a = agent.actor.forward(states)
+    q, cache_c = agent.critic.forward(np.hstack([states, a]))
+    up = np.full((states.shape[0], 1), -1.0 / states.shape[0])
+    _, gx = agent.critic.backward(cache_c, up, want_gx=True)
+    grads, _ = agent.actor.backward(cache_a, gx[:, agent.state_dim:])
+    return float(-np.mean(q)), grads
 
 
 def _ref_update(agent, batch, expert):
     cfg = agent.config
-    td, grads = critic_loss(agent, batch)
+    td, grads = _ref_critic_loss(agent, batch)
     j_e = 0.0
     if expert:
         j_e, mg = _ref_margin_loss(agent, batch.s, batch.a_exp, rng=agent.rng)
         grads = grads + cfg.lam_e * mg
     clip_global_norm(agent.critic, grads, cfg.grad_clip)
     opt_step(agent.critic, grads, agent.opt_critic, lr=cfg.critic_lr)
-    la = actor_update(agent, batch)
+    la, grads = _ref_actor_loss_grads(agent, batch.s)
+    clip_global_norm(agent.actor, grads, cfg.grad_clip)
+    opt_step(agent.actor, grads, agent.opt_actor, lr=cfg.actor_lr)
     agent.soft_updates()
     return td, j_e, la
 
@@ -483,24 +508,89 @@ def _agent_state(agent):
                for key in ("m", "v")])
 
 
-@pytest.mark.parametrize("expert", [True, False], ids=["expert", "plain"])
-def test_ddpg_update_matches_three_step_reference(expert):
-    rng = np.random.default_rng(11)
+def _filled_buffer(seed=11):
+    """300 random transitions at the backtest's shapes, with expert actions."""
+    rng = np.random.default_rng(seed)
     buffer = ReplayBuffer(500)
     for _ in range(300):
         buffer.add(rng.normal(size=13), np.clip(rng.normal(size=2), -1.0, 1.0),
                    rng.normal(), rng.normal(size=13), rng.random() < 0.05,
                    a_exp=np.clip(rng.normal(scale=0.6, size=2), -1.0, 1.0))
+    return buffer
+
+
+@pytest.mark.parametrize("expert", [True, False], ids=["expert", "plain"])
+def test_ddpg_update_matches_three_step_reference(expert):
+    buffer = _filled_buffer()
     agent, ref = DdpgAgent(13, 2, seed=4), DdpgAgent(13, 2, seed=4)
-    for _ in range(50):
-        got = ddpg_update(agent, buffer.sample(64, agent.rng), expert)
-        want = _ref_update(ref, buffer.sample(64, ref.rng), expert)
+    # the update buffers are rebuilt whenever the row count changes; both
+    # counts are multiples of 4, so the margin loss's cached rows stay exact
+    for step in range(50):
+        rows = (64, 32)[step % 2]
+        got = ddpg_update(agent, buffer.sample(rows, agent.rng), expert)
+        want = _ref_update(ref, buffer.sample(rows, ref.rng), expert)
         assert got == want
     for mine, theirs in zip(_agent_state(agent), _agent_state(ref)):
         assert np.array_equal(mine, theirs)
     assert agent.opt_actor["step"] == ref.opt_actor["step"] == 50
     assert agent.opt_critic["step"] == ref.opt_critic["step"] == 50
     assert agent.rng.random() == ref.rng.random()     # the streams stayed in step
+
+
+def test_losses_return_arrays_that_no_later_call_overwrites():
+    # every array a loss returns belongs to its caller: none is a view of the
+    # agent's update buffers, so a second call leaves the first's unchanged
+    buffer = _filled_buffer()
+    agent = DdpgAgent(13, 2, seed=4)
+    first, second = (buffer.sample(64, agent.rng) for _ in range(2))
+    pi = agent.actor.predict(first.s)
+
+    def calls(batch):
+        return [critic_loss(agent, batch),
+                cppi_margin_loss(agent, batch.s, batch.a_exp, pi),
+                actor_loss_grads(agent, batch.s)]
+
+    got = calls(first)
+    keep = copy.deepcopy(got)
+    again = calls(second)
+    scratch = [v for v in vars(agent.buffers(64)).values() if isinstance(v, np.ndarray)]
+    for (value, grads), (kept_value, kept_grads), (_, later) in zip(got, keep, again):
+        assert value == kept_value and np.array_equal(grads, kept_grads)
+        assert not np.shares_memory(grads, later)
+        assert not any(np.shares_memory(grads, b) for b in scratch)
+
+
+def test_expert_update_calls_no_allocating_helpers_after_the_first(monkeypatch):
+    buffer = _filled_buffer()
+    agent = DdpgAgent(13, 2, seed=4)
+    batches = [buffer.sample(64, agent.rng) for _ in range(3)]
+    ddpg_update(agent, batches[0], expert=True)     # builds the update buffers
+    called = []
+    for owner, name in ((np, "hstack"), (np, "full"), (np, "mean"), (np, "clip"),
+                        (np.linalg, "norm")):
+        def spy(*args, _name=name, _orig=getattr(owner, name), **kwargs):
+            called.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    for batch in batches[1:]:
+        ddpg_update(agent, batch, expert=True)
+    assert called == []
+
+
+def test_actor_step_makes_no_critic_weight_gradient(monkeypatch):
+    agent = DdpgAgent(13, 2, seed=4)
+    states = np.random.default_rng(0).normal(size=(64, 13))
+    seen = []
+    orig = Mlp.backward
+
+    def spy(net, cache, gy, want_gx=False, want_grads=True):
+        grads, gx = orig(net, cache, gy, want_gx=want_gx, want_grads=want_grads)
+        seen.append((net is agent.critic, grads is None))
+        return grads, gx
+    monkeypatch.setattr(Mlp, "backward", spy)
+    _, grads = actor_loss_grads(agent, states)
+    assert seen == [(True, True), (False, False)]    # critic gx alone, then the actor
+    assert grads.shape == agent.actor.flat.shape
 
 
 def test_critic_median_matches_numpy_median():

@@ -486,6 +486,28 @@ def test_copy_gets_its_own_predict_buffers():
         assert not any(np.shares_memory(mine, theirs) for theirs in twin._hidden)
 
 
+@pytest.mark.parametrize("sizes, out_act, rows", [
+    ([15, 64, 64, 1], "linear", 64),     # the backtest's critic, as the actor step uses it
+    ([13, 64, 64, 2], "tanh", 64),       # its actor
+    ([15, 64, 64, 1], "linear", None),   # one row, squeezed
+    ([5, 7, 4, 6, 2], "tanh", 8),
+])
+def test_input_only_backward_gives_the_full_backwards_gx_bit_for_bit(sizes, out_act, rows):
+    net = Mlp(sizes, out_act=out_act, seed=21)
+    rng = np.random.default_rng(22)
+    shape = (sizes[0],) if rows is None else (rows, sizes[0])
+    _, cache = net.forward(rng.normal(size=shape))
+    gy = rng.normal(size=shape[:-1] + (sizes[-1],))
+    keep = gy.copy()
+    _, full_gx = net.backward(cache, gy, want_gx=True)
+    grads, gx = net.backward(cache, gy, want_gx=True, want_grads=False)
+    assert grads is None
+    assert gx.shape == full_gx.shape == shape and np.array_equal(gx, full_gx)
+    assert np.array_equal(gy, keep)      # the upstream gradient is only read
+    with pytest.raises(ParamError, match="want_grads or want_gx"):
+        net.backward(cache, gy, want_grads=False)
+
+
 # ---------------------------------------------------------------------------
 # cache_rows: forward's cache for rows of the last predict
 
