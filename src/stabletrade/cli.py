@@ -1,13 +1,14 @@
 """Experiment harness behind the ``stabletrade`` command.
 
 A single JSON file describes one experiment: which environment, which agents,
-which seeds, where results land.  Loading it runs its kind's parser once,
-which builds the settings (``EnvSpec``, ``AgentConfig``, ``BacktestConfig``,
-each checked when built) and markets and turns them into cells, each a job
-over those inputs, so bad input fails at load and never inside a cell.
-``run`` executes every (cell x seed), optionally across worker processes
-that receive the jobs, and writes trace CSVs next to an aggregate summary
-and plot-ready tables.  Every output file carries the config hash,
+which seeds, where results land.  Building an ``ExperimentConfig`` runs its
+kind's parser, which builds the settings (``EnvSpec``, ``AgentConfig``,
+``BacktestConfig``, ``CppiConfig``, each checked when built) and markets and
+turns them into the plan, one job over those inputs per (cell x seed), so
+bad input fails at load and never inside a cell.  ``run`` parses the config
+again for its plan, executes it, optionally across worker processes that
+receive the jobs, and writes trace CSVs next to an aggregate summary and
+plot-ready tables.  Every output file carries the config hash,
 re-running a config with the same seeds reproduces identical bytes, and a
 results directory refuses cells from a different config unless forced.
 ``stabletrade verify`` prints the report of ``acceptance.verify``.
@@ -20,8 +21,9 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -29,8 +31,8 @@ import numpy as np
 from . import rl_agents
 from .bandit_envs import EnvSpec, make_env, play, regret
 from .errors import (_TABLE, ConfigError, DataError, InsufficientDataError, NumericError,
-                     ParamError, _check_table, _int_at_least, _is_int, _number, _one_of,
-                     _or_none)
+                     ParamError, _check_table, _int_at_least, _is_int, _known_keys, _number,
+                     _one_of, _or_none)
 from .market_sim import (
     _TRADING_CHECKS,
     CppiConfig,
@@ -102,8 +104,12 @@ class ExperimentConfig:
     directory.  The hash covers everything that shapes the results (not the
     cosmetic name or the output location), so moved copies still match.
 
-    ``validate`` parses the config into ``cells``: (label, job) pairs in
-    output order, where ``job(seed)`` runs one cell on the parsed inputs."""
+    Building one, also by ``from_dict`` or ``dataclasses.replace``, runs
+    ``validate``, which returns the plan: (label, seed, job) triples in output
+    order, where ``job(seed)`` runs one cell on the parsed inputs.  Change a
+    config with ``dataclasses.replace``.  It is not frozen only because the
+    benchmark assigns ``out_dir`` on a loaded config, so ``run`` validates
+    again."""
 
     kind: str
     name: str = "experiment"
@@ -114,22 +120,15 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
 
+    def __post_init__(self):
+        if isinstance(self.agents, (list, tuple)):    # a bare name is the algorithm
+            self.agents = [{"algorithm": a} if isinstance(a, str) else a for a in self.agents]
+        self.validate()
+
     def validate(self):
-        _check_table({f.name: getattr(self, f.name) for f in fields(self)}, _CONFIG_CHECKS)
-        if self.format_version != FORMAT_VERSION:
-            raise ConfigError(
-                f"format_version {self.format_version} unsupported, "
-                f"this build writes {FORMAT_VERSION}")
-        self.seeds = list(self.seeds)
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
+        _check_table(vars(self), _CONFIG_CHECKS)
         parse, _, params = _KINDS[self.kind]
         _check_table(self.params, params, "params")
-        self.agents = [a if isinstance(a, dict) else {"algorithm": str(a)}
-                       for a in self.agents]
-        for a in self.agents:
-            if "algorithm" not in a:
-                raise ConfigError("every agent entry needs an algorithm name")
         cells = parse(self)
         labels = [lab for lab, _ in cells]
         for lab in labels:
@@ -138,8 +137,9 @@ class ExperimentConfig:
                 raise ConfigError(f"label {lab!r} not usable in file names")
         if len(set(labels)) != len(labels):
             raise ConfigError("agent labels must be distinct, set label: on duplicates")
-        self.cells = cells
-        return self
+        # an estimate is one fit, whatever the seeds
+        seeds = self.seeds[:1] if self.kind == "estimate-stable" else self.seeds
+        return [(lab, s, job) for s in seeds for lab, job in cells]
 
     def canonical(self):
         # out_dir is where results land, not what the experiment is; leaving
@@ -159,10 +159,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        _check_table(raw, _CONFIG_CHECKS)
-        if "kind" not in raw:
+        if "kind" not in _known_keys(raw, _CONFIG_CHECKS):
             raise ConfigError("experiment config needs a kind")
-        return cls(**raw).validate()
+        return cls(**raw)
 
 
 def load_config(path):
@@ -318,7 +317,7 @@ def _parse_execution(cfg):
     initial_cash = float(params.get("initial_cash", 100.0))
     cost_bps = float(params.get("cost_bps", 10.0))
     rule = CppiConfig(floor=float(params.get("floor", 0.85)) * initial_cash,
-                      multiplier=float(params.get("multiplier", 2.0))).validate(initial_cash)
+                      multiplier=float(params.get("multiplier", 2.0)))
     return [(f"c{c}", partial(_execution_cell, market, initial_cash, cost_bps, rule, c))
             for c in params.get("cadences", [1, 5, 21])]
 
@@ -567,10 +566,14 @@ _KINDS = {
 # the check table of a config's top level, one entry per ExperimentConfig field
 _CONFIG_CHECKS = {
     "kind": _one_of(_KINDS), "name": ((lambda v: isinstance(v, str)), "a string"),
-    "env": _TABLE, "params": _TABLE, "format_version": (_is_int, "an integer"),
-    "agents": ((lambda v: isinstance(v, (list, tuple))), "a list"),
-    "seeds": ((lambda v: isinstance(v, (list, tuple)) and v and all(_is_int(s, 0) for s in v)),
-              "a non-empty list of integers >= 0"),
+    "env": _TABLE, "params": _TABLE,
+    "format_version": ((lambda v: _is_int(v) and v == FORMAT_VERSION),
+                       f"the integer {FORMAT_VERSION}, the version this build writes"),
+    "agents": ((lambda v: isinstance(v, (list, tuple))
+                and all(isinstance(a, dict) and "algorithm" in a for a in v)),
+               "a list of algorithm names or tables with an algorithm"),
+    "seeds": ((lambda v: isinstance(v, (list, tuple)) and v and all(_is_int(s, 0) for s in v)
+               and len(set(v)) == len(v)), "a non-empty list of distinct integers >= 0"),
     "out_dir": ((lambda v: isinstance(v, (str, os.PathLike)) and v != ""),
                 "a non-empty directory path"),
 }
@@ -632,9 +635,20 @@ def _one_blas_thread():
                 os.environ[k] = v
 
 
+def _collect(futures, plan):
+    """The result of each submitted cell in plan order; a cell whose worker
+    process died before it returned is a failed cell."""
+    for future, (label, seed, _) in zip(futures, plan):
+        try:
+            yield future.result()
+        except BrokenProcessPool:
+            yield {"label": label, "seed": seed, "status": "error",
+                   "error": "worker process died"}
+
+
 def run(config, workers=None, force=False):
-    """Execute every cell of a validated experiment and persist the result
-    bundle.
+    """Execute every cell of the plan that ``config.validate()`` returns and
+    persist the result bundle.
 
     Results land in config.out_dir; a directory already holding another
     config's results is refused unless force is set.  Cells run seed by seed,
@@ -642,10 +656,14 @@ def run(config, workers=None, force=False):
     BLAS thread each, and are folded back in their listed order, so the
     output bytes never depend on the worker count.
     """
+    plan = config.validate()
     workers = _resolve_workers(workers)
     h = config.hash()
     out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir {out_dir} cannot be a directory: {exc.strerror}") from None
     guard = os.path.join(out_dir, "config.json")
     if os.path.exists(guard) and not force:
         try:
@@ -657,17 +675,14 @@ def run(config, workers=None, force=False):
             raise ConfigError(
                 f"{out_dir} holds results for config {prev}, not {h}; "
                 "pass --force to overwrite")
-    # an estimate is one fit, whatever the seeds
-    seeds = config.seeds[:1] if config.kind == "estimate-stable" else config.seeds
-    cells = [(lab, s, job) for s in seeds for lab, job in config.cells]
     # never more worker processes than cores or cells
-    workers = min(workers, len(cells), _usable_cores())
+    workers = min(workers, len(plan), _usable_cores())
     if workers > 1:
         with _one_blas_thread(), ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as ex:
-            results = list(ex.map(_run_cell, *zip(*cells)))
+            results = list(_collect([ex.submit(_run_cell, *c) for c in plan], plan))
     else:
-        results = [_run_cell(*c) for c in cells]
+        results = [_run_cell(*c) for c in plan]
 
     _write_json(guard, {"hash": h, "config": config.canonical()})
     for r in results:
@@ -703,13 +718,11 @@ def _parse_seed_list(text):
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    if args.seeds:
-        cfg.seeds = _parse_seed_list(args.seeds)
-        cfg.validate()
-    out = args.out or os.environ.get("STABLETRADE_OUT")
-    if out:
-        cfg.out_dir = out
-    report = run(cfg, workers=args.workers, force=args.force)
+    # an override that is given applies, even an empty one, which the checks refuse
+    changes = {} if args.out is None else {"out_dir": args.out}
+    if args.seeds is not None:
+        changes["seeds"] = _parse_seed_list(args.seeds)
+    report = run(replace(cfg, **changes), workers=args.workers, force=args.force)
     n_ok = len(report.cells) - len(report.failures)
     print(f"{n_ok}/{len(report.cells)} cells ok -> {report.out_dir} "
           f"(config {report.config_hash})")
@@ -750,7 +763,8 @@ def main(argv=None):
     p.add_argument("--seeds", help="comma-separated seed override, e.g. 0,1,2")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel cell workers (default: all usable cores)")
-    p.add_argument("--out", help="output directory override")
+    p.add_argument("--out", default=os.environ.get("STABLETRADE_OUT"),
+                   help="output directory override (default: $STABLETRADE_OUT)")
     p.add_argument("--force", action="store_true",
                    help="overwrite results written by a different config")
     p.set_defaults(fn=_cmd_run)

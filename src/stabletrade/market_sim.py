@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParamError, _number
+from .errors import ConfigError, DataError, ParamError, _check_table, _number
 from .stable_core import StableParams, sample
 
 TRADING_DAYS = 252.0
@@ -46,19 +46,17 @@ _TRADING_CHECKS = {"initial_cash": _number(gt=0), "cost_bps": _number(ge=0, lt=1
                    "floor": _number(ge=0, lt=1), "multiplier": _number(ge=0)}
 
 
-@dataclass
+# the check table of a CPPI rule, whose floor is in cash
+_CPPI_CHECKS = {"floor": _number(ge=0), "multiplier": _TRADING_CHECKS["multiplier"]}
+
+
+@dataclass(frozen=True)
 class CppiConfig:
     floor: float
     multiplier: float
 
-    def validate(self, initial_asset=None):
-        if self.multiplier < 0:
-            raise ConfigError("multiplier must be non-negative")
-        if self.floor < 0:
-            raise ConfigError("floor must be non-negative")
-        if initial_asset is not None and not self.floor < initial_asset:
-            raise ConfigError("floor must sit below the initial asset")
-        return self
+    def __post_init__(self):
+        _check_table(vars(self), _CPPI_CHECKS, "cppi")
 
 
 def cppi_exposure(asset, cfg):

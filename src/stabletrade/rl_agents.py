@@ -858,7 +858,6 @@ class BacktestConfig:
 
     def __post_init__(self):
         _check_table(vars(self), _BACKTEST_CHECKS, "params.backtest")
-        self.floor_rule()
 
     @classmethod
     def from_dict(cls, d):
@@ -870,7 +869,7 @@ class BacktestConfig:
         """The CPPI rule that supervises ``cppi_ddpg``: a floor of
         ``floor_frac`` times the initial cash."""
         return CppiConfig(floor=self.floor_frac * self.initial_cash,
-                          multiplier=self.multiplier).validate(self.initial_cash)
+                          multiplier=self.multiplier)
 
 
 def _ddpg_curve(train_series, test_series, seed, cfg, supervised):

@@ -1,11 +1,13 @@
 """Harness tests: config schema and hashing, cell execution and artifacts,
 overwrite guard, parallel determinism, CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +182,36 @@ def test_same_algorithm_twice_with_labels(tmp_path):
     cfg = small_config(tmp_path, agents=[
         {"algorithm": "cts", "label": "cts_tight", "v": 0.1},
         {"algorithm": "cts", "label": "cts_wide", "v": 1.0}])
-    assert [label for label, _ in cfg.cells] == ["cts_tight", "cts_wide"]
+    # the plan runs every labelled cell of one seed before the next seed
+    assert [(label, seed) for label, seed, _ in cfg.validate()] == [
+        ("cts_tight", 0), ("cts_wide", 0), ("cts_tight", 1), ("cts_wide", 1)]
+
+
+def test_building_checks_and_validate_writes_nothing(tmp_path):
+    cfg = small_config(tmp_path)
+    fields_before = dict(vars(cfg))
+    plan = cfg.validate()
+    assert vars(cfg) == fields_before
+    assert [(label, seed) for label, seed, _ in plan] == [
+        ("cts", 0), ("uniform", 0), ("cts", 1), ("uniform", 1)]
+    with pytest.raises(ConfigError, match="seeds"):
+        dataclasses.replace(cfg, seeds=[])
+    with pytest.raises(ConfigError, match="params.rounds"):
+        ExperimentConfig(**{**fields_before, "params": {"rounds": 0}})
+    # a field assigned after building is checked again when the config runs
+    cfg.out_dir = ""
+    with pytest.raises(ConfigError, match="out_dir"):
+        cli.run(cfg, workers=1)
+
+
+def test_run_takes_a_directly_built_config(tmp_path):
+    cfg = ExperimentConfig(kind="tournament", agents=["ql", "sarsa"], seeds=[0],
+                           params={"days": 20, "episodes": 2}, out_dir=str(tmp_path / "r"))
+    assert cfg.agents == [{"algorithm": "ql"}, {"algorithm": "sarsa"}]
+    rep = cli.run(cfg, workers=1)
+    assert rep.failures == [] and len(rep.cells) == 1
+    assert (tmp_path / "r" / "table2.txt").exists()
+    assert ExperimentConfig.from_dict(cfg.canonical()).hash() == rep.config_hash
 
 
 def test_load_config_wraps_parse_errors(tmp_path):
@@ -328,8 +359,10 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.mark.parametrize("workers, cores, pool", [(8, 2, 2), (8, 16, 4), (3, 16, 3),
@@ -410,6 +443,25 @@ def test_cell_failures_are_recorded_not_raised(tmp_path):
     assert {c["label"] for c in bad} == {"ddpg"}
     assert all("critic diverged" in c["error"] for c in bad)
     assert set(summary["aggregate"]["median"]) == {"up"}
+
+
+def test_a_dead_worker_fails_its_cells_and_the_bundle_is_written(tmp_path, monkeypatch,
+                                                                capsys):
+    # the job os._exit ends the worker process that runs it, so the pool
+    # breaks; run keeps the results that came back and fails the rest by name
+    validate = ExperimentConfig.validate
+    monkeypatch.setattr(ExperimentConfig, "validate",
+                        lambda cfg: validate(cfg)[:1] + [("die", 3, os._exit)] + validate(cfg)[1:])
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    path = write_config(tmp_path)
+    assert cli.main(["run", str(path), "--workers", "2"]) == 1
+    assert "failed cell die/s3: worker process died" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [(c["label"], c["seed"]) for c in summary["cells"]] == [
+        ("uniform", 0), ("die", 3), ("uniform", 1)]
+    assert all(c["status"] == "ok" or c["error"] == "worker process died"
+               for c in summary["cells"])
+    assert (tmp_path / "out" / "config.json").exists()
 
 
 def test_pretraining_failure_names_its_step(tmp_path):
@@ -556,12 +608,35 @@ def test_cli_run_ok_exit_zero(tmp_path, capsys):
     assert "2/2 cells ok" in out
 
 
-def test_cli_run_seed_and_out_overrides(tmp_path):
+def test_cli_run_seed_and_out_overrides(tmp_path, capsys):
     path = write_config(tmp_path)
     target = tmp_path / "elsewhere"
     assert cli.main(["run", str(path), "--seeds", "5", "--out", str(target)]) == 0
     assert sorted(os.listdir(target)) == ["config.json", "regret_mean.csv",
                                           "summary.json", "trace_uniform_s5.csv"]
+    # an override that is given applies even when empty, and its check refuses it
+    capsys.readouterr()
+    for flag, key in (("--seeds", "seeds"), ("--out", "out_dir")):
+        assert cli.main(["run", str(path), flag, ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+def test_cli_out_dir_that_cannot_be_a_directory_exits_two(tmp_path, capsys, under, by_flag):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    target = str(blocker / "sub" if under else blocker)
+    if by_flag:
+        args = [str(write_config(tmp_path)), "--out", target]
+    else:
+        args = [str(write_config(tmp_path, out_dir=target))]
+    assert cli.main(["run", *args, "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"out_dir {target}" in err
+    assert blocker.read_text() == "a file\n"
 
 
 def test_cli_env_var_out_override(tmp_path, monkeypatch):
@@ -677,6 +752,8 @@ def test_cli_invalid_env_seed_and_tournament_configs_exit_two(tmp_path, capsys,
     ({"initial_cash": 0}, "backtest.initial_cash"),
     ({"cost_bps": -1}, "backtest.cost_bps"),
     ({"cost_bps": 1e4}, "backtest.cost_bps"),
+    # a floor share of 1 puts the CPPI floor at the initial cash; this load
+    # check is the only one that keeps the floor below it
     ({"floor_frac": 1.0}, "backtest.floor_frac"),
     ({"floor_frac": -0.1}, "backtest.floor_frac"),
     ({"multiplier": -2.0}, "backtest.multiplier"),
@@ -813,6 +890,7 @@ def _train(train):
     ({"agents": [{"algorithm": "acts", "warmup": 0}]}, "agent.warmup"),
     ({**BACKTEST_RUN, "env": {"csv": "no-such-prices.csv"}}, "env.csv"),
     ({**EXECUTION_RUN, "params": {"floor": 1.5}}, "params.floor"),
+    # the CPPI floor must stay below the initial cash, here as at floor_frac
     ({**EXECUTION_RUN, "params": {"floor": 1.0}}, "params.floor"),
     ({**EXECUTION_RUN, "params": {"initial_cash": "x"}}, "params.initial_cash"),
     ({**EXECUTION_RUN, "params": {"initial_cash": -5}}, "params.initial_cash"),

@@ -34,11 +34,13 @@ def test_state_invariants():
 
 
 def test_cppi_config_validation():
-    with pytest.raises(ConfigError):
-        CppiConfig(floor=80.0, multiplier=-1.0).validate()
-    with pytest.raises(ConfigError):
-        CppiConfig(floor=100.0, multiplier=2.0).validate(initial_asset=100.0)
-    CppiConfig(floor=80.0, multiplier=2.0).validate(initial_asset=100.0)
+    # a floor at or above the initial asset is refused where configs load,
+    # by params.floor and params.backtest.floor_frac < 1
+    with pytest.raises(ConfigError, match="multiplier"):
+        CppiConfig(floor=80.0, multiplier=-1.0)
+    with pytest.raises(ConfigError, match="floor"):
+        CppiConfig(floor=-1.0, multiplier=2.0)
+    CppiConfig(floor=80.0, multiplier=2.0)
 
 
 def test_exposure_basic():

@@ -3,7 +3,9 @@ used somewhere in the package outside its own definition, or is a listed
 public test oracle; every public method of a public class, and every private
 method of any class, is read as an attribute somewhere in the package; and
 every keyword parameter with a default is set by some package call, or is a
-listed test seam. Every settings key has exactly one check-table entry."""
+listed test seam. Every settings key has exactly one check-table entry, and
+every settings class checks itself when built and is frozen, but for the
+listed mutable one, the only class that defines ``validate``."""
 
 import ast
 import inspect
@@ -39,6 +41,21 @@ SEAMS = (
     "PdfTable.span",
     "PdfTable.n",
     "main.argv",
+)
+
+# settings classes that may change after they are built: the benchmark's
+# worker assigns out_dir on a loaded ExperimentConfig, so run validates again
+MUTABLE_SETTINGS = ("ExperimentConfig",)
+
+# (settings class, its check table)
+SETTINGS_TABLES = (
+    (rl_agents.TrainConfig, rl_agents._TRAIN_CHECKS),
+    (rl_agents.BacktestConfig, rl_agents._BACKTEST_CHECKS),
+    (ts_agents.AgentConfig, ts_agents._AGENT_CHECKS),
+    (bandit_envs.EnvSpec, bandit_envs._ENV_CHECKS),
+    (bandit_envs.MdpTables, bandit_envs._MDP_CHECKS),
+    (market_sim.CppiConfig, market_sim._CPPI_CHECKS),
+    (cli.ExperimentConfig, cli._CONFIG_CHECKS),
 )
 
 
@@ -194,12 +211,7 @@ def params_read(fn):
 
 
 def test_every_settings_field_has_one_check_table_entry():
-    for cls, table in ((rl_agents.TrainConfig, rl_agents._TRAIN_CHECKS),
-                       (rl_agents.BacktestConfig, rl_agents._BACKTEST_CHECKS),
-                       (ts_agents.AgentConfig, ts_agents._AGENT_CHECKS),
-                       (bandit_envs.EnvSpec, bandit_envs._ENV_CHECKS),
-                       (bandit_envs.MdpTables, bandit_envs._MDP_CHECKS),
-                       (cli.ExperimentConfig, cli._CONFIG_CHECKS)):
+    for cls, table in SETTINGS_TABLES:
         assert sorted(f.name for f in fields(cls)) == sorted(table), cls.__name__
     market = inspect.signature(market_sim.synth_market).parameters
     assert sorted(market) == sorted(cli._MARKET_CHECKS)
@@ -220,3 +232,47 @@ def test_every_agent_key_is_checked_and_read_by_some_algorithm():
     read = set().union(*ts_agents._READS.values())
     assert read <= set(ts_agents._AGENT_CHECKS)
     assert sorted(set(ts_agents._AGENT_CHECKS) - read) == ["algorithm"]
+
+
+def _classes(src=SRC):
+    return [node for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+
+
+def _called(fn):
+    return {_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
+def _frozen_dataclass(cls):
+    return any(isinstance(d, ast.Call) and _callee(d) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                       for k in d.keywords)
+               for d in cls.decorator_list)
+
+
+def self_checking_classes(src=SRC):
+    """{class: frozen} of each class whose __post_init__ calls _check_table,
+    directly or through a method of its own."""
+    found = {}
+    for cls in _classes(src):
+        methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        if "__post_init__" not in methods:
+            continue
+        called = _called(methods["__post_init__"])
+        if "_check_table" in called or any("_check_table" in _called(methods[name])
+                                           for name in called & set(methods)):
+            found[cls.name] = _frozen_dataclass(cls)
+    return found
+
+
+def test_every_settings_class_checks_itself_and_is_frozen_but_the_listed_one():
+    found = self_checking_classes()
+    assert {cls.__name__ for cls, _ in SETTINGS_TABLES} <= set(found)
+    assert sorted(name for name, frozen in found.items() if not frozen) == sorted(MUTABLE_SETTINGS)
+
+
+def test_only_the_listed_mutable_settings_define_validate():
+    defining = [cls.name for cls in _classes()
+                if any(isinstance(fn, ast.FunctionDef) and fn.name == "validate"
+                       for fn in cls.body)]
+    assert sorted(defining) == sorted(MUTABLE_SETTINGS)
