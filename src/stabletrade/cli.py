@@ -12,24 +12,24 @@ plot-ready tables.  Every output file carries the config hash,
 re-running a config with the same seeds reproduces identical bytes, and a
 results directory refuses cells from a different config unless forced.
 ``stabletrade verify`` prints the report of ``acceptance.verify``.
+
+A command imports only the modules its config kind runs: a bandit config
+never loads the trading learners (``rl_agents``, ``tinynet``), an
+``execution`` or ``estimate-stable`` config no learner at all, and a
+one-worker ``run`` never loads the process pool. ``verify`` loads
+everything.
 """
 
-import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
 
-from . import rl_agents
-from .bandit_envs import EnvSpec, make_env, play, regret
 from .errors import (_TABLE, ConfigError, DataError, InsufficientDataError, NumericError,
                      ParamError, _check_table, _int_at_least, _is_int, _known_keys, _number,
                      _one_of, _or_none)
@@ -46,16 +46,7 @@ from .market_sim import (
     split,
     synth_market,
 )
-from .rl_agents import (
-    BacktestConfig,
-    TournamentResult,
-    backtest_curve,
-    format_table2,
-    format_table3,
-    tournament,
-)
 from .stable_core import _ECF_MIN_SAMPLES, estimate_ecf
-from .ts_agents import AgentConfig, make_agent
 
 FORMAT_VERSION = 1
 
@@ -178,10 +169,15 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # experiment kinds: each parser checks its kind's params, env and agents and
 # returns the cells as (label, job) pairs; a job is a picklable partial of a
-# cell function over the parsed inputs, called with the cell seed
+# cell function over the parsed inputs, called with the cell seed. A kind's
+# functions import only the modules that kind runs, so a bandit command never
+# loads the trading learners and a trading command loads them at its parse.
 
 
 def _parse_bandit(cfg):
+    from .bandit_envs import EnvSpec
+    from .ts_agents import AgentConfig
+
     params = cfg.params
     # a fixed-env study varies only the agent seed; the Bayes variant redraws
     # the environment with the cell seed (env_seed None) so averaging
@@ -210,6 +206,9 @@ def _parse_bandit(cfg):
 
 
 def _bandit_cell(spec, agent_cfg, rounds, env_seed, seed):
+    from .bandit_envs import make_env, play, regret
+    from .ts_agents import make_agent
+
     env = make_env(spec, seed if env_seed is None else env_seed)
     agent = make_agent(agent_cfg, n_arms=spec.n_arms, dim=spec.dim,
                        n_users=spec.n_users, seed=seed, mdp=spec.mdp)
@@ -256,6 +255,8 @@ def _roster(cfg, roster, keys):
 
 
 def _parse_tournament(cfg):
+    from . import rl_agents
+
     params = cfg.params
     if cfg.env:
         raise ConfigError("tournaments build their own markets, drop env")
@@ -268,14 +269,18 @@ def _parse_tournament(cfg):
 
 
 def _tournament_cell(names, days, episodes, seed):
+    from .rl_agents import tournament
+
     rets = tournament(names, seed, days, episodes)
     return {"header": ("agent", "round_return"), "rows": list(zip(names, rets)),
             "stats": {"best": names[int(np.argmax(rets))]}}
 
 
 def _parse_backtest(cfg):
+    from . import rl_agents
+
     series = _market_from(cfg.env)
-    bt = BacktestConfig.from_dict(cfg.params.get("backtest", {}))
+    bt = rl_agents.BacktestConfig.from_dict(cfg.params.get("backtest", {}))
     agents = _roster(cfg, rl_agents.BACKTEST_AGENTS, {"algorithm", "label"})
     try:
         train_series, test_series = split(series, bt.split_ratio)
@@ -294,6 +299,8 @@ def _parse_backtest(cfg):
 
 
 def _backtest_cell(name, train_series, test_series, bt, seed):
+    from .rl_agents import backtest_curve
+
     curve = backtest_curve(name, train_series, test_series, seed, bt)
     rows = [(t, float(v)) for t, v in enumerate(curve)]
     # the algorithm names the Table 3 row, the label only the files
@@ -469,6 +476,8 @@ def _agg_bandit(cfg, h, results, out_dir):
 
 
 def _agg_tournament(cfg, h, results, out_dir):
+    from .rl_agents import TournamentResult, format_table2
+
     ok = _ok(results)
     if not ok:
         return {}
@@ -496,6 +505,8 @@ def _cell_metrics(r):
 
 
 def _agg_backtest(cfg, h, results, out_dir):
+    from .rl_agents import format_table3
+
     by = _by_label(results)
     if not by:
         return {}
@@ -635,15 +646,25 @@ def _one_blas_thread():
                 os.environ[k] = v
 
 
-def _collect(futures, plan):
-    """The result of each submitted cell in plan order; a cell whose worker
-    process died before it returned is a failed cell."""
-    for future, (label, seed, _) in zip(futures, plan):
-        try:
-            yield future.result()
-        except BrokenProcessPool:
-            yield {"label": label, "seed": seed, "status": "error",
-                   "error": "worker process died"}
+def _pooled(plan, workers):
+    """The result of each cell in plan order, run in spawned worker processes
+    that start with one BLAS thread each; a cell whose worker process died
+    before it returned is a failed cell. Only here is the process pool
+    imported, so a one-worker run never loads it."""
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    results = []
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as ex:
+        futures = [ex.submit(_run_cell, *c) for c in plan]
+        for future, (label, seed, _) in zip(futures, plan):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                results.append({"label": label, "seed": seed, "status": "error",
+                                "error": "worker process died"})
+    return results
 
 
 def run(config, workers=None, force=False):
@@ -678,9 +699,7 @@ def run(config, workers=None, force=False):
     # never more worker processes than cores or cells
     workers = min(workers, len(plan), _usable_cores())
     if workers > 1:
-        with _one_blas_thread(), ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as ex:
-            results = list(_collect([ex.submit(_run_cell, *c) for c in plan], plan))
+        results = _pooled(plan, workers)
     else:
         results = [_run_cell(*c) for c in plan]
 
@@ -753,6 +772,8 @@ def _cmd_estimate(args):
 
 
 def main(argv=None):
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="stabletrade",
         description="bandit, tournament and portfolio experiment harness")

@@ -17,13 +17,13 @@ Conventions:
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParamError
 
 _LN_INV_CF_FLOOR = np.log(1e12)   # |CF| at the integration cutoff is 1e-12
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 16384
 _SIGMA_FLOOR = 1e-12
 _ECF_MIN_SAMPLES = 50    # estimate_ecf refuses fewer samples
@@ -117,12 +117,21 @@ def _freq_cutoff(params):
     return _LN_INV_CF_FLOOR ** (1.0 / params.alpha) / params.sigma
 
 
+@cache
+def _gauss_legendre():
+    """The 20 Gauss-Legendre nodes and weights on [-1, 1], computed by the
+    first quadrature: only the pdf/cdf oracles integrate, and numpy.polynomial
+    is loaded only then."""
+    return np.polynomial.legendre.leggauss(20)
+
+
 def _panel_nodes(upper, n_panels):
+    nodes, weights = _gauss_legendre()
     edges = np.linspace(0.0, upper, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
     return u, w
 
 

@@ -29,13 +29,14 @@ likelihood at the current locations is cached per reward, so a new reward
 costs dim points and only a new belief re-evaluates the whole history.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bandit_envs import _backward_q, mdp_episode
-from .errors import (ConfigError, ParamError, _check_table, _int_at_least, _known_keys,
-                     _number, _one_of, _or_none)
+from .errors import (ConfigError, NumericError, ParamError, _check_table, _int_at_least,
+                     _known_keys, _number, _one_of, _or_none)
 from .stable_core import _ECF_MIN_SAMPLES, PdfTable, estimate_ecf, _tan_half
 
 # the agent keys each algorithm reads; any other key would only change the
@@ -149,6 +150,15 @@ def _slot_of(slots, user):
     return slots[user if len(slots) > 1 else 0]
 
 
+def _pull(env, t, arm):
+    """env.pull(t, arm); a reward that is not a finite number fails the run
+    with the round and the arm, before any agent state takes it in."""
+    reward = env.pull(t, arm)
+    if not math.isfinite(reward):
+        raise NumericError(f"round {t}, arm {arm}: reward {reward} is not a finite number")
+    return reward
+
+
 def _linear_round(slot, thetas, v, rng, env, t, weights):
     """One round on a slot: draw mu from N(mu_bar, v^2 B^-1) (mu_bar itself at
     v = 0, with no randomness), pull the arm it ranks first, and update
@@ -159,7 +169,7 @@ def _linear_round(slot, thetas, v, rng, env, t, weights):
     if chol is not None:
         mu_hat = mu_hat + v * np.linalg.solve(chol.T, rng.normal(size=mu_hat.size))
     arm = int(np.argmax(thetas @ mu_hat))
-    reward = env.pull(t, arm)
+    reward = _pull(env, t, arm)
     _weighted_update(slot.B, slot.y, thetas, weights(chol, arm), arm, reward)
     slot.mu_bar = _solve_spd(slot.B, slot.y)
     return arm, reward
@@ -465,7 +475,7 @@ class _StableBase:
             self._mh_sweep(slot)
             arm, reward = self._round(slot, ctx, env)
         else:
-            reward = env.pull(ctx.t, arm)
+            reward = _pull(env, ctx.t, arm)
         self._after_reward(slot, arm, reward)
         return arm, reward
 
@@ -487,7 +497,7 @@ class PlainAtsAgent(_StableBase):
 
     def _round(self, slot, ctx, env):
         arm = int(np.argmax([loc.belief.mean_given_delta(loc.theta[0]) for loc in slot.arms]))
-        return arm, env.pull(ctx.t, arm)
+        return arm, _pull(env, ctx.t, arm)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +608,7 @@ class UniformAgent:
 
     def step(self, ctx, env):
         arm = int(self.rng.integers(self.n_arms))
-        return arm, env.pull(ctx.t, arm)
+        return arm, _pull(env, ctx.t, arm)
 
 
 def make_agent(config, n_arms=2, dim=1, n_users=1, seed=0, mdp=None):

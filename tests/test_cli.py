@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabletrade import acceptance, cli
+from stabletrade import acceptance, bandit_envs, cli
 from stabletrade.cli import ExperimentConfig
 from stabletrade.errors import ConfigError, DataError, NumericError
 from stabletrade.rl_agents import BacktestConfig
@@ -370,8 +370,9 @@ class _RecordingPool:
                                                   (1, 16, None)])
 def test_run_pool_never_exceeds_cores_or_cells(tmp_path, monkeypatch, workers, cores, pool):
     # cores is the process's CPU affinity, which wins over the machine's 64
-    # cores; None is a platform that reports neither
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    # cores; None is a platform that reports neither. run imports the pool
+    # class from its home module only when it starts a pool
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None if cores is None else 64)
     if cores is None:
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
@@ -383,6 +384,49 @@ def test_run_pool_never_exceeds_cores_or_cells(tmp_path, monkeypatch, workers, c
     rep = cli.run(cfg, workers=workers)
     assert rep.failures == []
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
+
+
+# loads, validates and runs one config with one worker in a fresh
+# interpreter, and prints the watched modules it held after the validation
+# and after the run
+_FOOTPRINT = """
+import json, sys
+from stabletrade import cli
+watched = ("stabletrade.rl_agents", "stabletrade.tinynet", "stabletrade.bandit_envs",
+           "stabletrade.ts_agents", "concurrent.futures.process", "multiprocessing",
+           "numpy.polynomial", "argparse")
+cfg = cli.load_config(sys.argv[1])
+cfg.validate()
+validated = sorted(m for m in watched if m in sys.modules)
+assert not cli.run(cfg, workers=1).failures
+print(json.dumps([validated, sorted(m for m in watched if m in sys.modules)]))
+"""
+_BANDIT_MODULES = ["stabletrade.bandit_envs", "stabletrade.ts_agents"]
+_TRADER_MODULES = sorted(_BANDIT_MODULES + ["stabletrade.rl_agents", "stabletrade.tinynet"])
+# kind -> the watched modules its config loads
+_FOOTPRINTS = {"bandit": _BANDIT_MODULES, "bayes-regret": _BANDIT_MODULES,
+               "tournament": _TRADER_MODULES, "backtest": _TRADER_MODULES,
+               "execution": [], "estimate-stable": []}
+
+
+@pytest.mark.parametrize("kind", list(_FOOTPRINTS))
+def test_a_command_imports_only_what_its_kind_runs(tmp_path, monkeypatch, kind):
+    # a bandit config never loads the trading learners, an execution or
+    # estimate config no learner at all, and no kind the process pool, the
+    # polynomial package or the argument parser, neither at its validation
+    # nor in a one-worker run
+    monkeypatch.chdir(tmp_path)
+    xs = np.random.default_rng(0).standard_t(3, size=200)
+    (tmp_path / "x.txt").write_text("\n".join(repr(float(v)) for v in xs) + "\n")
+    cfg = small_config(tmp_path / "out", seeds=[0], **RERUN_KINDS.get(kind, {"kind": kind}))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**cfg.canonical(), "out_dir": cfg.out_dir}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(path)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    validated, ran = json.loads(out.stdout)
+    assert validated == ran == _FOOTPRINTS[kind]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
@@ -445,6 +489,37 @@ def test_cell_failures_are_recorded_not_raised(tmp_path):
     assert set(summary["aggregate"]["median"]) == {"up"}
 
 
+def test_a_non_finite_reward_fails_its_cell_naming_the_round_and_arm(tmp_path, monkeypatch):
+    # the env of seed 1 returns NaN at round 40, after every warm-up, and the
+    # env of seed 2 at round 2, inside the stable agents' warm-up; seed 0 is
+    # healthy, so its cells complete
+    bad_round = {1: 40, 2: 2}
+    real_init, real_pull = bandit_envs.BanditEnv.__init__, bandit_envs.BanditEnv.pull
+    hit = []
+
+    def init(env, spec, seed):
+        real_init(env, spec, seed)
+        env.bad_round = bad_round.get(seed)
+
+    def pull(env, t, arm):
+        if t == env.bad_round:
+            hit.append((t, arm))
+            return float("nan")
+        return real_pull(env, t, arm)
+
+    monkeypatch.setattr(bandit_envs.BanditEnv, "__init__", init)
+    monkeypatch.setattr(bandit_envs.BanditEnv, "pull", pull)
+    agents = ["cts", "acts", "plain_ats", "uniform"]
+    cfg = small_config(tmp_path / "r", kind="bayes-regret", agents=agents, seeds=[0, 1, 2])
+    rep = cli.run(cfg, workers=1)
+    assert rep.failures == [
+        f"{lab}/s{seed}: NumericError: round {t}, arm {arm}: reward nan is not a finite number"
+        for (lab, seed), (t, arm) in zip([(a, s) for s in (1, 2) for a in agents], hit)]
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert [c["label"] for c in summary["cells"] if c["status"] == "ok"] == agents
+    assert all((tmp_path / "r" / f"trace_{a}_s0.csv").exists() for a in agents)
+
+
 def test_a_dead_worker_fails_its_cells_and_the_bundle_is_written(tmp_path, monkeypatch,
                                                                 capsys):
     # the job os._exit ends the worker process that runs it, so the pool
@@ -477,9 +552,10 @@ def test_pretraining_failure_names_its_step(tmp_path):
 
 
 def test_non_finite_bandit_stats_fail_the_cell(tmp_path, capsys):
-    # mu near the float limit overflows every mean reward: the cell fails
-    # with the stat named instead of reporting a null regret
-    path = write_config(tmp_path, env={**LINEAR_ENV, "mu": [1e308, 1e308, 1e308]})
+    # mu a decade below the float limit keeps every reward finite, but the
+    # rounds' regret gaps sum past it: the cell fails with the stat named
+    # instead of reporting a null regret
+    path = write_config(tmp_path, env={**LINEAR_ENV, "mu": [1e307, 1e307, 1e307]})
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["run", str(path), "--workers", "1"]) == 1
     assert "failed cell uniform/s0: NumericError: total_regret" in capsys.readouterr().err
