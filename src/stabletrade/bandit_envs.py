@@ -5,6 +5,11 @@ adversarial MDPs with deterministic transitions.
 Reward noise is alpha-stable, centered to zero mean, so an arm's expected reward
 is exactly its model mean. Pseudo-regret is computed from true means, never from
 realized rewards.
+
+Pulls and MDP steps read their noise from one stream per env (_NoiseStream),
+drawn ahead in blocks of _NOISE_BLOCK pulls and transformed once per block for
+each of the env's noise parameter sets. Each pull's noise is bit for bit the
+one-draw sample() it replaces, at the same position of the same rng stream.
 """
 
 from dataclasses import dataclass, field, fields
@@ -13,10 +18,12 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, ParamError, _check_table, _int_at_least, _is_int,
                      _is_real, _known_keys, _number, _one_of, _require)
-from .stable_core import StableParams, sample
+from .stable_core import StableParams, _cms_from, sample
 
 DEFAULT_CONTEXT_PARAMS = StableParams(1.8, 0.3, 1.0, 0.0)
 DEFAULT_NOISE = StableParams(1.8, 0.0, 0.5, 0.0)
+# pulls whose noise one refill of a _NoiseStream draws ahead
+_NOISE_BLOCK = 256
 
 
 def _ints(v):
@@ -265,6 +272,47 @@ class RunTrace:
         self.users.append(ctx.user)
 
 
+class _NoiseStream:
+    """Zero-mean reward noise for an env's pulls, drawn ahead in blocks.
+
+    A block holds, per future pull, one uniform and then one standard
+    exponential, drawn as scalars in that order: the stream that
+    sample(params, 1, rng) consumes for its one draw, whatever the params.
+    (rng.random() is rng.uniform() and rng.standard_exponential() is
+    rng.exponential() at their defaults, the same value from the same
+    draw.) Each distinct parameter set then transforms the whole block
+    once, so pull j's noise under params[i] is the float that
+    sample(params[i], 1, rng) - params[i].mean() gives at that stream
+    position. Only pulls read rng, so drawing ahead shows nowhere else.
+    """
+
+    def __init__(self, rng, params):
+        self._rng = rng
+        self._sets = list(dict.fromkeys(params))
+        self._set_of = [self._sets.index(p) for p in params]
+        self._eps = None              # per distinct set, the block's noise as floats
+        self._next = _NOISE_BLOCK     # the next pull's index in the block
+
+    def _refill(self):
+        uniform, exponential = self._rng.random, self._rng.standard_exponential
+        u, w = np.empty(_NOISE_BLOCK), np.empty(_NOISE_BLOCK)
+        for j in range(_NOISE_BLOCK):
+            u[j] = uniform()
+            w[j] = exponential()
+        self._eps = []
+        for p in self._sets:
+            m = p.mean()
+            self._eps.append(((m + p.sigma * _cms_from(p.alpha, p.beta, u, w)) - m).tolist())
+        self._next = 0
+
+    def draw(self, i):
+        """The next pull's noise under params[i]."""
+        if self._next == _NOISE_BLOCK:
+            self._refill()
+        self._next += 1
+        return self._eps[self._set_of[i]][self._next - 1]
+
+
 class BanditEnv:
     """plain / linear / semiparam environments behind one pull interface.
 
@@ -277,7 +325,6 @@ class BanditEnv:
         ss = np.random.SeedSequence([int(seed), 0xBA4D17])
         ctx_ss, noise_ss, user_ss, mu_ss = ss.spawn(4)
         self._ctx_rng = np.random.default_rng(ctx_ss)
-        self._noise_rng = np.random.default_rng(noise_ss)
         self._user_rng = np.random.default_rng(user_ss)
 
         if spec.kind == "plain":
@@ -294,7 +341,7 @@ class BanditEnv:
         noise = spec.noise if spec.noise is not None else DEFAULT_NOISE
         if isinstance(noise, StableParams):
             noise = [noise] * spec.n_arms
-        self.noise = list(noise)
+        self._noise = _NoiseStream(np.random.default_rng(noise_ss), noise)
 
         self._fixed_contexts = None
         if spec.kind != "plain" and not spec.resample_contexts:
@@ -342,9 +389,7 @@ class BanditEnv:
         if not (0 <= arm < self.spec.n_arms):
             raise ParamError(f"arm {arm} out of range")
         mean = self.true_means(t)[arm]
-        nz = self.noise[arm]
-        eps = float(sample(nz, 1, self._noise_rng)[0]) - nz.mean()
-        return float(mean + eps)
+        return float(mean + self._noise.draw(arm))
 
 
 class MdpEnv:
@@ -353,9 +398,11 @@ class MdpEnv:
     def __init__(self, spec, seed):
         self.spec = spec
         self.tables = spec.mdp
-        self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x3D9]))
+        self._noise = None
+        if spec.noise is not None:
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x3D9]))
+            self._noise = _NoiseStream(rng, [spec.noise])
         self._episode = 0
-        self.noise = spec.noise
 
     def start_state(self, values=None):
         """Adversary's pick for the next episode. greedy mode minimizes the
@@ -374,8 +421,8 @@ class MdpEnv:
             raise ParamError(f"action {action} out of range")
         mean = float(self.tables.reward_means[state, action])
         r = mean
-        if self.noise is not None:
-            r += float(sample(self.noise, 1, self._noise_rng)[0]) - self.noise.mean()
+        if self._noise is not None:
+            r += self._noise.draw(0)
         return int(self.tables.transitions[state, action]), r
 
 

@@ -9,6 +9,9 @@ Conventions:
     exactly as written (expanded algebraically so u -> 0 is regular).
   * sample draws via Chambers-Mallows-Stuck in the standard S1 form, scaled and
     located so that the sample mean equals mean() = delta - b sigma tan(pi a / 2).
+    The transform (_cms_from) takes the uniforms and exponentials as arrays, so
+    a caller that draws them another way (the bandit envs' noise blocks) gets
+    the same draws from the same stream.
   * pdf/cdf invert the characteristic function of the sampling distribution, so
     pdf is exactly the density of what sample() produces. The closed form above
     and the sampling form share the same modulus exp(-sigma^a |u|^a); they differ
@@ -88,10 +91,11 @@ def _sampling_cf(params, u):
     return np.exp(psi + 1j * u * params.mean())
 
 
-def _cms_standard(alpha, beta, n, rng):
-    """Standard S1 draw (scale 1, location 0, zero mean for alpha > 1)."""
-    v = (rng.uniform(size=n) - 0.5) * np.pi
-    w = rng.exponential(size=n)
+def _cms_from(alpha, beta, u, w):
+    """Standard S1 draws (scale 1, location 0, zero mean for alpha > 1) made by
+    Chambers-Mallows-Stuck from uniforms u on [0, 1) and standard exponentials
+    w, elementwise."""
+    v = (u - 0.5) * np.pi
     if alpha == 2.0:
         return 2.0 * np.sqrt(w) * np.sin(v)
     zeta = beta * _tan_half(alpha)
@@ -109,8 +113,9 @@ def sample(params, n, rng):
     """n draws; same rng state and parameters give identical sequences."""
     if n < 0:
         raise ParamError(f"n must be non-negative, got {n}")
-    x = _cms_standard(params.alpha, params.beta, int(n), rng)
-    return params.mean() + params.sigma * x
+    u = rng.uniform(size=int(n))
+    w = rng.exponential(size=u.size)
+    return params.mean() + params.sigma * _cms_from(params.alpha, params.beta, u, w)
 
 
 def _freq_cutoff(params):

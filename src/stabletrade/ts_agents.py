@@ -22,11 +22,16 @@ episodic mdp_acts moves the location of every visited (state, action) pair
 by one MH step per episode and plans on the Q those locations give.
 
 Every arm of the stable agents and every mdp_acts pair is one location
-chain (_Location), and all of them move by the same MH step. A step
-evaluates the proposals over the chain's whole reward history: O(pulls x
-dim) density points, so a run of T rounds costs O(T^2) in total. The
-likelihood at the current locations is cached per reward, so a new reward
-costs dim points and only a new belief re-evaluates the whole history.
+chain (_Location), and all of them move by the same MH step
+(_Location.step). It moves a slot's arms together (_Chains): the draws and
+each arm's density pass over its own history go arm by arm, and the
+proposals, the prior, the accept test and the updates run once on the
+slot's (arms, dim) arrays; an mdp_acts pair and mh_location_kernel step one
+chain alone. A step evaluates the proposals over the chain's whole reward
+history: O(pulls x dim) density points, so a run of T rounds costs O(T^2)
+in total. The likelihood at the current locations is cached per reward, so
+a new reward costs dim points and only a new belief re-evaluates the whole
+history. Each belief caches its location shift beta sigma tan(pi alpha / 2).
 """
 
 import math
@@ -179,10 +184,18 @@ def _linear_round(slot, thetas, v, rng, env, t, weights):
 # stable beliefs
 
 
+def _prior_penalty(deltas, prior_mu, prior_var):
+    """Minus the normal location prior's log density at deltas, up to its
+    constant; prior_mu and prior_var broadcast against deltas."""
+    return 0.5 * (deltas - prior_mu) ** 2 / prior_var
+
+
 @dataclass
 class ArmBelief:
     """Point beliefs (alpha, beta, sigma) plus a fixed normal prior for the
-    location parameter; the table caches the density for likelihood loops."""
+    location parameter; the table caches the density for likelihood loops,
+    and shift the constant beta sigma tan(pi alpha / 2) between a location
+    delta and the mean it implies."""
 
     alpha: float
     beta: float
@@ -190,40 +203,36 @@ class ArmBelief:
     prior_mu: float
     prior_var: float
     table: PdfTable = field(default=None, repr=False)
+    shift: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.table is None:
             self.table = PdfTable(self.alpha, self.beta, self.sigma)
+        self.shift = self.beta * self.sigma * _tan_half(self.alpha)
 
     def mean_given_delta(self, delta):
-        return delta - self.beta * self.sigma * _tan_half(self.alpha)
+        return delta - self.shift
 
     def refit(self, rewards):
         """Re-estimate (alpha, beta, sigma) from the rewards and rebuild the
-        table; the location prior stays."""
+        table and the shift; the location prior stays."""
         self.alpha, self.beta, self.sigma, _ = _ecf_fit(rewards)
-        self.table = PdfTable(self.alpha, self.beta, self.sigma)
+        self.table = None
+        self.__post_init__()
 
     def log_terms(self, rewards, deltas):
         """Per-reward log densities in one density pass, delta-major: row d
         holds logpdf(r_i - loc(delta_d)) for every reward i."""
-        locs = np.atleast_1d(np.asarray(deltas, dtype=float))
-        locs = locs - self.beta * self.sigma * _tan_half(self.alpha)
-        return self.table.logpdf(np.asarray(rewards, dtype=float)[None, :] - locs[:, None])
-
-    def posterior_from_terms(self, terms, deltas):
-        """Sum each delta's row of log_terms and add the location prior. Each
-        row is contiguous, so the sum's pairwise order does not depend on
-        whether terms is a whole array or a column slice of a wider buffer."""
-        out = terms.sum(axis=1)
-        out -= 0.5 * (deltas - self.prior_mu) ** 2 / self.prior_var
-        return out
+        locs = np.asarray(deltas, dtype=float).reshape(-1, 1) - self.shift
+        return self.table.logpdf(np.asarray(rewards, dtype=float) - locs)
 
     def log_posterior(self, rewards, deltas):
         """Log stable likelihood of the rewards plus the normal location prior,
         evaluated at each candidate delta."""
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-        return self.posterior_from_terms(self.log_terms(rewards, deltas), deltas)
+        out = self.log_terms(rewards, deltas).sum(axis=1)
+        out -= _prior_penalty(deltas, self.prior_mu, self.prior_var)
+        return out
 
 
 def _ecf_fit(rewards):
@@ -269,7 +278,8 @@ class _Location:
     density of every reward at theta is cached in a (coordinates, capacity)
     buffer that grows with the reward buffer, so a step after a new reward
     evaluates that reward alone and a step after a new belief the whole
-    history.
+    history. _lp is the log posterior at theta, a row of the owning _Chains'
+    array, or None once a reward or a belief has made it stale.
     """
 
     def __init__(self, theta):
@@ -310,34 +320,86 @@ class _Location:
         self.belief.refit(self.rewards)
         self.adopt(self.belief)
 
-    def step(self, scale, rng):
-        """One accept/reject per coordinate on a normal proposal with standard
-        deviation scale; two rng draws per coordinate whatever the outcome."""
-        belief, cur, rewards = self.belief, self.theta, self.rewards
-        props = cur + scale * rng.normal(size=cur.size)
-        if self._lp is None:
-            done = self._filled
-            self._terms[:, done : self._n] = belief.log_terms(rewards[done:], cur)
-            self._filled = self._n
-            self._lp = belief.posterior_from_terms(self._terms[:, : self._n], cur)
-        terms = belief.log_terms(rewards, props)
-        lp_prop = belief.posterior_from_terms(terms, props)
-        accept = np.log(rng.uniform(size=cur.size)) < lp_prop - self._lp
-        np.copyto(cur, props, where=accept)
-        self._lp = np.where(accept, lp_prop, self._lp)
-        np.copyto(self._terms[:, : self._n], terms, where=accept[:, None])
+    @staticmethod
+    def step(chains, scales, rng):
+        """One accept/reject per coordinate of every chain of chains (a
+        _Chains), on normal proposals with standard deviation scales[i] for
+        chain i; two rng draws per coordinate, chain by chain, whatever the
+        outcome.
+
+        Each chain's density pass covers its own history alone. The
+        proposals, the prior, the accept test and the updates of theta and
+        of the log posteriors run once on the (chains, dim) arrays. Every
+        value is the one a step of each chain by itself would give: the
+        arithmetic is elementwise, and each row's sum keeps its contiguous
+        pairwise order whether its terms are a whole array or a column slice
+        of the cache.
+        """
+        theta, locs = chains.theta, chains.arms
+        normal, uniform, sd = chains.normal, chains.uniform, chains.sd
+        dim = theta.shape[1]
+        for i in range(len(locs)):
+            normal[i] = rng.normal(size=dim)
+            uniform[i] = rng.uniform(size=dim)
+            sd[i] = scales[i]
+        props = theta + sd * normal
+        lik, lik_prop, prior_mu, prior_var = (chains.lik, chains.lik_prop, chains.prior_mu,
+                                              chains.prior_var)
+        stale, terms = [], []
+        for i, loc in enumerate(locs):
+            belief, n = loc.belief, loc._n
+            if loc._lp is None:
+                # stale after a new reward or a new belief; a belief comes in
+                # only through adopt, so its prior is read here
+                done = loc._filled
+                loc._terms[:, done:n] = belief.log_terms(loc._rewards[done:n], theta[i])
+                loc._filled = n
+                lik[i] = loc._terms[:, :n].sum(axis=1)
+                prior_mu[i], prior_var[i] = belief.prior_mu, belief.prior_var
+                loc._lp = chains.lp[i]
+                stale.append(i)
+            new = belief.log_terms(loc._rewards[:n], props[i])
+            lik_prop[i] = new.sum(axis=1)
+            terms.append(new)
+        lp = chains.lp
+        if stale:
+            lp[stale] = (lik - _prior_penalty(theta, prior_mu, prior_var))[stale]
+        lp_prop = lik_prop - _prior_penalty(props, prior_mu, prior_var)
+        accept = np.log(uniform) < lp_prop - lp
+        np.copyto(theta, props, where=accept)
+        np.copyto(lp, lp_prop, where=accept)
+        for loc, new, take in zip(locs, terms, accept[:, :, None]):
+            np.copyto(loc._terms[:, : loc._n], new, where=take)
+
+
+class _Chains:
+    """Location chains (_Location) over the rows of one (chains, dim) array
+    theta, with the arrays that their joint step (_Location.step) fills; a
+    row is an arm of a slot, or one lone chain."""
+
+    def __init__(self, theta):
+        k = theta.shape[0]
+        self.theta = theta
+        self.arms = [_Location(row) for row in theta]
+        # the step's draws, proposal sds, and each chain's location prior
+        self.normal, self.uniform = np.empty(theta.shape), np.empty(theta.shape)
+        self.sd, self.prior_mu, self.prior_var = np.empty((k, 1)), np.zeros((k, 1)), np.ones((k, 1))
+        # log likelihood at theta and at the proposals, log posterior at theta
+        self.lik, self.lik_prop, self.lp = (np.zeros(theta.shape) for _ in range(3))
 
 
 def mh_location_kernel(belief, rewards, theta0, n_iter, step, rng):
     """The agents' location step, run n_iter times from theta0 on a frozen
     history with a fixed proposal step; returns the visited path."""
-    loc = _Location(np.array([float(theta0)]))
+    chain = _Chains(np.array([[float(theta0)]]))
+    loc = chain.arms[0]
     for r in np.asarray(rewards, dtype=float):
         loc.append(r)
     loc.adopt(belief)
     path = np.empty(n_iter)
+    scales = (step,)
     for i in range(n_iter):
-        loc.step(step, rng)
+        _Location.step(chain, scales, rng)
         path[i] = loc.theta[0]
     return path
 
@@ -393,14 +455,13 @@ class SctsAgent(CtsAgent):
 # stable lineage
 
 
-class _StableSlot(_Slot):
+class _StableSlot(_Slot, _Chains):
     """A user's slot of the asymmetric agents: the linear state plus one
     location chain per arm over that arm's row of theta."""
 
     def __init__(self, lam, n_users, dim, n_arms):
-        super().__init__(lam, n_users, dim)
-        self.theta = np.zeros((n_arms, dim))
-        self.arms = [_Location(row) for row in self.theta]
+        _Slot.__init__(self, lam, n_users, dim)
+        _Chains.__init__(self, np.zeros((n_arms, dim)))
         self.pulls = np.zeros(n_arms, dtype=int)
         self.visits = 0
         self.ready = False
@@ -451,9 +512,9 @@ class _StableBase:
     # -- Metropolis-Hastings
 
     def _mh_sweep(self, slot):
-        """One location step per arm, arms in order."""
-        for loc in slot.arms:
-            loc.step(self.config.mh_step_scale * loc.belief.sigma, self.rng)
+        """One location step of every arm, the draws arm by arm in order."""
+        scale = self.config.mh_step_scale
+        _Location.step(slot, [scale * loc.belief.sigma for loc in slot.arms], self.rng)
 
     # -- one bandit round
 
@@ -522,24 +583,28 @@ class MdpActsAgent:
         self.warmup = config.warmup if config.warmup is not None else 25
         self.rng = np.random.default_rng(seed)
         self.theta = np.full((n_states, n_actions), _PRIOR_MU)
-        self.pairs = [[_Location(self.theta[s, a:a + 1]) for a in range(n_actions)]
-                      for s in range(n_states)]
+        # one lone chain per pair, over that pair's entry of theta
+        self._chains = [[_Chains(self.theta[s:s + 1, a:a + 1]) for a in range(n_actions)]
+                        for s in range(n_states)]
+        self.pairs = [[chain.arms[0] for chain in row] for row in self._chains]
         self.known_next = np.full((n_states, n_actions), -1, dtype=int)
         self.visits = np.zeros((n_states, n_actions), dtype=int)
         self.point_q = np.zeros((horizon, n_states, n_actions))
+        self.episodes = 0
 
     def _sampled_means(self):
         m = np.empty((self.n_states, self.n_actions))
-        for s, row in enumerate(self.pairs):
-            for a, loc in enumerate(row):
-                if loc.belief is None:
+        for s, row in enumerate(self._chains):
+            for a, chain in enumerate(row):
+                belief = chain.arms[0].belief
+                if belief is None:
                     # nothing observed: fresh prior draw drives the exploration
                     draw = _PRIOR_MU + _PRIOR_SD * self.rng.normal()
                     self.theta[s, a] = draw
                     m[s, a] = draw
                 else:
-                    loc.step(self.config.mh_step_scale * loc.belief.sigma, self.rng)
-                    m[s, a] = loc.belief.mean_given_delta(self.theta[s, a])
+                    _Location.step(chain, (self.config.mh_step_scale * belief.sigma,), self.rng)
+                    m[s, a] = belief.mean_given_delta(self.theta[s, a])
         return m
 
     def _empirical_means(self):
@@ -570,9 +635,15 @@ class MdpActsAgent:
 
         trace, reg = mdp_episode(env, policy, values=self.state_value)
         for h, (s, a, r) in enumerate(zip(trace.states, trace.actions, trace.rewards)):
+            # as _pull: a reward that is not a finite number fails the run
+            # with its place, before the pair's chain takes it in
+            if not math.isfinite(r):
+                raise NumericError(f"episode {self.episodes}, stage {h}, state {s}, "
+                                   f"action {a}: reward {r} is not a finite number")
             nxt = trace.states[h + 1] if h + 1 < len(trace.states) else trace.final_state
             self._observe(s, a, r, nxt)
         self.point_q = _backward_q(self._empirical_means(), self.known_next, self.horizon)
+        self.episodes += 1
         return trace, reg
 
     def _observe(self, s, a, r, nxt):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stabletrade.bandit_envs import (
+    _NOISE_BLOCK,
     EnvSpec,
     MdpTables,
     _stable_from,
@@ -16,7 +17,7 @@ from stabletrade.bandit_envs import (
     true_q,
 )
 from stabletrade.errors import ConfigError, DataError
-from stabletrade.stable_core import StableParams
+from stabletrade.stable_core import StableParams, sample
 
 ZERO_NOISE = StableParams(2.0, 0.0, 1e-9, 0.0)
 
@@ -107,6 +108,28 @@ def test_noise_is_mean_centered():
     env = make_env(spec, 5)
     draws = np.array([env.pull(t, 0) for t in range(200000)])
     assert abs(draws.mean()) < 0.05
+
+
+# per-arm noise with both skew ends, the Gaussian endpoint and a repeated set
+ARM_NOISE = [StableParams(2.0, 0.0, 0.5, 0.3), StableParams(1.3, 1.0, 1.0, 0.2),
+             StableParams(1.6, -1.0, 0.7, 0.0), StableParams(1.3, 1.0, 1.0, 0.2),
+             StableParams(1.05, 0.4, 2.0, -1.0)]
+
+
+@pytest.mark.parametrize("kind", ["plain", "linear"])
+def test_block_noise_matches_one_draw_per_pull_bit_for_bit(kind):
+    # the reference draws each pull's noise with sample(nz, 1, rng) from an
+    # rng seeded as the env seeds its noise stream; the pulls cross three
+    # block boundaries, in an arm order that no block size lines up with
+    spec = (EnvSpec(kind="plain", n_arms=5, arm_means=[0.0, 0.5, -1.0, 2.0, 0.1],
+                    noise=ARM_NOISE) if kind == "plain" else linear_spec(noise=ARM_NOISE))
+    env = make_env(spec, 13)
+    rng = np.random.default_rng(np.random.SeedSequence([13, 0xBA4D17]).spawn(4)[1])
+    arms = np.random.default_rng(0).integers(5, size=3 * _NOISE_BLOCK + 11)
+    for t, arm in enumerate(arms):
+        nz = ARM_NOISE[arm]
+        want = float(env.true_means(t)[arm] + (float(sample(nz, 1, rng)[0]) - nz.mean()))
+        assert env.pull(t, arm) == want, (t, arm)
 
 
 def test_contexts_fixed_by_default_and_resample_flag():
@@ -288,6 +311,19 @@ def test_mdp_episode_regret():
     myopic = lambda h, s: int(np.argmax(toy_tables().reward_means[s]))
     _, reg2 = mdp_episode(env, myopic)
     assert reg2 == pytest.approx(1.1 - 0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("noise", [StableParams(1.4, -1.0, 0.4, 0.1),
+                                   StableParams(2.0, 0.0, 0.3, 0.0)])
+def test_block_noise_of_mdp_steps_matches_one_draw_per_step_bit_for_bit(noise):
+    tables = toy_tables()
+    env = make_env(EnvSpec(kind="adversarial_mdp", mdp=tables, noise=noise), 4)
+    rng = np.random.default_rng(np.random.SeedSequence([4, 0x3D9]))
+    for i in range(3 * _NOISE_BLOCK + 11):
+        s, a = i % 2, i // 2 % 2
+        want = float(tables.reward_means[s, a])
+        want += float(sample(noise, 1, rng)[0]) - noise.mean()
+        assert env.step(s, a) == (int(tables.transitions[s, a]), want), i
 
 
 def test_mdp_greedy_adversary():

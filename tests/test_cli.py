@@ -520,6 +520,31 @@ def test_a_non_finite_reward_fails_its_cell_naming_the_round_and_arm(tmp_path, m
     assert all((tmp_path / "r" / f"trace_{a}_s0.csv").exists() for a in agents)
 
 
+def test_a_non_finite_mdp_reward_fails_its_cell_naming_the_episode_and_pair(tmp_path,
+                                                                          monkeypatch):
+    # the toy MDP has two stages, so the 25th step is stage 0 of episode 12;
+    # before the check the cell failed later, as "ParamError: sigma must be
+    # positive and finite, got nan", naming no place
+    real_step = bandit_envs.MdpEnv.step
+    calls, hit = [], []
+
+    def step(env, state, action):
+        calls.append(1)
+        nxt, r = real_step(env, state, action)
+        if len(calls) == 25:
+            hit.append((state, action))
+            return nxt, float("nan")
+        return nxt, r
+
+    monkeypatch.setattr(bandit_envs.MdpEnv, "step", step)
+    cfg = small_config(tmp_path / "r", kind="bayes-regret", seeds=[0],
+                       **RERUN_KINDS["adversarial_mdp"])
+    rep = cli.run(cfg, workers=1)
+    (state, action), = hit
+    assert rep.failures == [f"mdp_acts/s0: NumericError: episode 12, stage 0, state {state}, "
+                            f"action {action}: reward nan is not a finite number"]
+
+
 def test_a_dead_worker_fails_its_cells_and_the_bundle_is_written(tmp_path, monkeypatch,
                                                                 capsys):
     # the job os._exit ends the worker process that runs it, so the pool

@@ -267,6 +267,23 @@ def test_belief_from_history_uses_ecf_at_fifty():
     assert abs(b.prior_mu - 2.0) < 0.3
 
 
+def test_belief_shift_is_the_written_out_formula_after_a_refit_and_for_surrogates():
+    # log_terms and mean_given_delta read a shift cached when the belief is
+    # built or refit; a stale cache would keep the surrogate's beta = 0
+    rewards = sample(StableParams(1.4, 0.8, 0.6, 0.2), 120, np.random.default_rng(31))
+    surrogate = belief_from_history(rewards[:20])
+    refit = belief_from_history(rewards[:20])
+    refit.refit(rewards)
+    assert surrogate.beta == 0.0 and refit.beta != 0.0 and refit.alpha != surrogate.alpha
+    deltas = np.array([-0.3, 0.0, 0.9])
+    for belief in (surrogate, refit):
+        shift = belief.beta * belief.sigma * _tan_half(belief.alpha)
+        assert belief.mean_given_delta(0.7) == 0.7 - shift
+        np.testing.assert_array_equal(
+            belief.log_terms(rewards, deltas),
+            belief.table.logpdf(rewards[None, :] - (deltas - shift)[:, None]))
+
+
 def test_tail_weights_match_quadrature():
     beliefs = [ArmBelief(1.8, 0.3, 1.0, 0.0, 1.0), ArmBelief(1.6, -0.2, 0.5, 0.0, 1.0)]
     deltas = np.array([0.4, 1.1])
