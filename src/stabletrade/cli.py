@@ -8,9 +8,10 @@ turns them into the plan, one job over those inputs per (cell x seed), so
 bad input fails at load and never inside a cell.  ``run`` parses the config
 again for its plan, executes it, optionally across worker processes that
 receive the jobs, and writes trace CSVs next to an aggregate summary and
-plot-ready tables.  Every output file carries the config hash,
-re-running a config with the same seeds reproduces identical bytes, and a
-results directory refuses cells from a different config unless forced.
+plot-ready tables.  One writer (``_Bundle``) writes every output file and
+stamps it with the config hash, re-running a config with the same seeds
+reproduces identical bytes, and a results directory refuses cells from a
+different config unless forced.
 ``stabletrade verify`` prints the report of ``acceptance.verify``.
 
 A command imports only the modules its config kind runs: a bandit config
@@ -404,17 +405,6 @@ def _run_cell(label, seed, job):
 # persistence
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_lines(path, lines):
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _scrub(x):
     """JSON-safe copy: numpy scalars unwrapped, non-finite floats to null."""
     if isinstance(x, dict):
@@ -429,21 +419,29 @@ def _scrub(x):
     return x
 
 
-def _write_json(path, payload):
-    with open(path, "w", newline="") as fh:
-        json.dump(_scrub(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class _Bundle:
+    """The files of one run's result bundle, each written here and stamped
+    with the config hash: a .csv or .txt table opens with the line
+    '# config=<hash> <tag>', where the tag names the cell's seed and label
+    for a trace and the run's seeds otherwise, and a JSON file holds "hash"."""
 
+    def __init__(self, out_dir, h, seeds):
+        self.out_dir, self.h = out_dir, h
+        self.tag = "seeds=" + ";".join(str(s) for s in seeds)
 
-def _seed_tag(cfg):
-    return ";".join(str(s) for s in cfg.seeds)
+    def write_table(self, name, header=None, rows=(), text=None, tag=None):
+        """The stamp line, then text, or the header and the rows as
+        comma-joined lines of str values (a float's str is its repr, the
+        shortest string that reads back as the same float)."""
+        if text is None:
+            text = "\n".join(",".join(map(str, row)) for row in (header, *rows))
+        with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
+            fh.write(f"# config={self.h} {tag or self.tag}\n{text}\n")
 
-
-def _write_trace(out_dir, h, r):
-    lines = [f"# config={h} seed={r['seed']} cell={r['label']}",
-             ",".join(r["header"])]
-    lines += [",".join(_fmt(v) for v in row) for row in r["rows"]]
-    _write_lines(os.path.join(out_dir, f"trace_{r['label']}_s{r['seed']}.csv"), lines)
+    def write_json(self, name, payload):
+        with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
+            json.dump(_scrub({"hash": self.h, **payload}), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _ok(results):
@@ -458,24 +456,19 @@ def _by_label(results):
     return {lab: rs for lab, rs in by.items() if rs}
 
 
-def _agg_bandit(cfg, h, results, out_dir):
+def _agg_bandit(results, bundle):
     by = _by_label(results)
-    curves = {lab: np.mean([[row[3] for row in r["rows"]] for r in rs], axis=0)
-              for lab, rs in by.items()}
-    if curves:
-        cols = list(curves)
-        horizon = len(curves[cols[0]])
-        lines = [f"# config={h} seeds={_seed_tag(cfg)}", ",".join(["t"] + cols)]
-        for t in range(horizon):
-            lines.append(",".join([str(t + 1)]
-                                  + [_fmt(float(curves[c][t])) for c in cols]))
-        _write_lines(os.path.join(out_dir, "regret_mean.csv"), lines)
+    if by:
+        curves = np.column_stack([np.mean([[row[3] for row in r["rows"]] for r in rs], axis=0)
+                                  for rs in by.values()])
+        bundle.write_table("regret_mean.csv", ("t", *by),
+                           [(t + 1, *row) for t, row in enumerate(curves.tolist())])
     return {"total_regret_mean":
             {lab: float(np.mean([r["stats"]["total_regret"] for r in rs]))
              for lab, rs in by.items()}}
 
 
-def _agg_tournament(cfg, h, results, out_dir):
+def _agg_tournament(results, bundle):
     from .rl_agents import TournamentResult, format_table2
 
     ok = _ok(results)
@@ -485,71 +478,57 @@ def _agg_tournament(cfg, h, results, out_dir):
     names = [name for name, _ in ok[0]["rows"]]
     res = TournamentResult.from_returns(
         names, np.column_stack([[ret for _, ret in r["rows"]] for r in ok]))
-    _write_lines(os.path.join(out_dir, "table2.txt"),
-                 [f"# config={h} seeds={_seed_tag(cfg)}", format_table2(res)])
-    lines = [f"# config={h} seeds={_seed_tag(cfg)}", "agent,opponent,wins_pct"]
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            lines.append(f"{a},{b},{_fmt(float(res.wins[i, j]))}")
-    _write_lines(os.path.join(out_dir, "wins.csv"), lines)
-    return {"avg_wins": {nm: float(res.avg_wins[i]) for i, nm in enumerate(names)},
-            "wins": {a: {b: float(res.wins[i, j]) for j, b in enumerate(names)}
-                     for i, a in enumerate(names)}}
+    wins = res.wins.tolist()
+    bundle.write_table("table2.txt", text=format_table2(res))
+    bundle.write_table("wins.csv", ("agent", "opponent", "wins_pct"),
+                       [(a, b, w) for a, row in zip(names, wins) for b, w in zip(names, row)])
+    return {"avg_wins": dict(zip(names, res.avg_wins.tolist())),
+            "wins": {a: dict(zip(names, row)) for a, row in zip(names, wins)}}
 
 
 _METRIC_KEYS = tuple(f.name for f in fields(Metrics))
 
 
-def _cell_metrics(r):
-    return Metrics(*(r["stats"][k] for k in _METRIC_KEYS))
+def _medians(by):
+    """Each label's field-wise median Metrics over its cells."""
+    return {lab: median_metrics([Metrics(*(r["stats"][k] for k in _METRIC_KEYS)) for r in rs])
+            for lab, rs in by.items()}
 
 
-def _agg_backtest(cfg, h, results, out_dir):
+def _agg_backtest(results, bundle):
     from .rl_agents import format_table3
 
     by = _by_label(results)
     if not by:
         return {}
-    names = list(by)
-    rows = {lab: median_metrics([_cell_metrics(r) for r in rs]) for lab, rs in by.items()}
+    medians = _medians(by)
     algo = {lab: rs[0]["algorithm"] for lab, rs in by.items()}
-    table = format_table3([algo[lab] for lab in names],
-                          {algo[lab]: rows[lab] for lab in names})
-    _write_lines(os.path.join(out_dir, "table3.txt"),
-                 [f"# config={h} seeds={_seed_tag(cfg)}", table])
-    lines = [f"# config={h} seeds={_seed_tag(cfg)}",
-             "agent,seed,annual_return,sharpe,max_drawdown"]
-    for lab in names:
-        for r in by[lab]:
-            lines.append(",".join([lab, str(r["seed"])]
-                                  + [_fmt(r["stats"][k]) for k in _METRIC_KEYS]))
-    _write_lines(os.path.join(out_dir, "metrics.csv"), lines)
-    return {"median": {lab: asdict(rows[lab]) for lab in names}}
+    bundle.write_table("table3.txt", text=format_table3(
+        list(algo.values()), {algo[lab]: m for lab, m in medians.items()}))
+    bundle.write_table("metrics.csv", ("agent", "seed", *_METRIC_KEYS),
+                       [(lab, r["seed"], *(r["stats"][k] for k in _METRIC_KEYS))
+                        for lab, rs in by.items() for r in rs])
+    return {"median": {lab: asdict(m) for lab, m in medians.items()}}
 
 
-def _agg_execution(cfg, h, results, out_dir):
+def _agg_execution(results, bundle):
     by = _by_label(results)
-    if not by:
-        return {}
-    lines = [f"# config={h} seeds={_seed_tag(cfg)}",
-             "cadence,annual_return,sharpe,max_drawdown,floor_breaches"]
     agg = {}
-    for lab, rs in by.items():
-        med = asdict(median_metrics([_cell_metrics(r) for r in rs]))
-        breaches = int(sum(r["stats"]["floor_breached"] for r in rs))
-        lines.append(",".join([lab[1:]] + [_fmt(med[k]) for k in _METRIC_KEYS]
-                              + [str(breaches)]))
-        agg[lab] = {**med, "floor_breaches": breaches}
-    _write_lines(os.path.join(out_dir, "cadence.csv"), lines)
+    for lab, m in _medians(by).items():
+        breaches = int(sum(r["stats"]["floor_breached"] for r in by[lab]))
+        agg[lab] = {**asdict(m), "floor_breaches": breaches}
+    if agg:
+        bundle.write_table("cadence.csv", ("cadence", *_METRIC_KEYS, "floor_breaches"),
+                           [(lab[1:], *a.values()) for lab, a in agg.items()])
     return agg
 
 
-def _agg_estimate(cfg, h, results, out_dir):
+def _agg_estimate(results, bundle):
     ok = _ok(results)
     if not ok:
         return {}
     stats = ok[0]["stats"]
-    _write_json(os.path.join(out_dir, "estimate.json"), {"hash": h, **stats})
+    bundle.write_json("estimate.json", stats)
     return dict(stats)
 
 
@@ -703,21 +682,22 @@ def run(config, workers=None, force=False):
     else:
         results = [_run_cell(*c) for c in plan]
 
-    _write_json(guard, {"hash": h, "config": config.canonical()})
-    for r in results:
-        if r["status"] == "ok" and r.get("rows") is not None:
-            _write_trace(out_dir, h, r)
-    aggregate = _KINDS[config.kind][1](config, h, results, out_dir)
+    bundle = _Bundle(out_dir, h, config.seeds)
+    bundle.write_json("config.json", {"config": config.canonical()})
+    for r in _ok(results):
+        if r["rows"] is not None:
+            bundle.write_table(f"trace_{r['label']}_s{r['seed']}.csv", r["header"], r["rows"],
+                               tag=f"seed={r['seed']} cell={r['label']}")
+    aggregate = _KINDS[config.kind][1](results, bundle)
     cell_summaries = []
     for r in results:
         entry = {"label": r["label"], "seed": r["seed"], "status": r["status"]}
         entry["stats" if r["status"] == "ok" else "error"] = (
             r["stats"] if r["status"] == "ok" else r["error"])
         cell_summaries.append(entry)
-    _write_json(os.path.join(out_dir, "summary.json"),
-                {"name": config.name, "kind": config.kind, "hash": h,
-                 "seeds": config.seeds, "cells": cell_summaries,
-                 "aggregate": aggregate})
+    bundle.write_json("summary.json",
+                      {"name": config.name, "kind": config.kind, "seeds": config.seeds,
+                       "cells": cell_summaries, "aggregate": aggregate})
     failures = [f"{r['label']}/s{r['seed']}: {r['error']}"
                 for r in results if r["status"] != "ok"]
     return RunReport(out_dir=out_dir, config_hash=h, cells=cell_summaries,

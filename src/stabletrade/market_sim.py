@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, ParamError, _check_table, _number
-from .stable_core import StableParams, sample
+from .stable_core import StableParams, _median, sample
 
 TRADING_DAYS = 252.0
 
@@ -226,7 +226,7 @@ def metrics(curve):
 
 def median_metrics(ms):
     """Field-wise median over a list of Metrics."""
-    return Metrics(*(float(np.median([getattr(m, f.name) for m in ms]))
+    return Metrics(*(_median(np.array([getattr(m, f.name) for m in ms], dtype=float))
                      for f in fields(Metrics)))
 
 

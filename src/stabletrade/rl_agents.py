@@ -26,6 +26,7 @@ from .market_sim import (
     run_policy,
     synth_market,
 )
+from .stable_core import _median
 from .tinynet import Mlp, adam_init, clip_global_norm, opt_step, soft_update
 from .ts_agents import AgentConfig, make_agent
 
@@ -344,18 +345,6 @@ class DdpgAgent:
     def soft_updates(self):
         soft_update(self.t_actor, self.actor, self.config.tau)
         soft_update(self.t_critic, self.critic, self.config.tau)
-
-
-def _median(x):
-    """np.median of a 1-D array, bit for bit, from one partition: the middle
-    entry, or the mean of the middle two, and NaN when any entry is NaN
-    (the partition puts NaN last)."""
-    n = x.size
-    k = n // 2
-    part = np.partition(x, (k, n - 1) if n % 2 else (k - 1, k, n - 1))
-    if np.isnan(part[-1]):
-        return float("nan")
-    return float(part[k] if n % 2 else (part[k - 1] + part[k]) / 2.0)
 
 
 def critic_loss(agent, batch):

@@ -312,6 +312,29 @@ class PdfTable:
         return float(1.0 - np.interp(z, self._inner_x, self._inner_cdf))
 
 
+def _median(x):
+    """np.median of a 1-D float array, bit for bit, from one partition: the
+    middle entry, or the mean of the middle two, with the sum started from
+    +0.0 as np.mean starts it (so a -0.0 median reads 0.0), and NaN when any
+    entry is NaN (the partition puts NaN last)."""
+    n = x.size
+    k = n // 2
+    part = np.partition(x, (k, n - 1) if n % 2 else (k - 1, k, n - 1))
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(0.0 + part[k] if n % 2 else (0.0 + part[k - 1] + part[k]) / 2.0)
+
+
+def _robust_scale(x):
+    """Half the interquartile range of x, or its standard deviation where
+    that is not positive."""
+    q75, q25 = np.percentile(x, [75.0, 25.0])
+    scale = (q75 - q25) / 2.0
+    if scale <= 0.0:
+        scale = float(np.std(x))
+    return scale
+
+
 @dataclass(frozen=True)
 class EcfEstimate:
     params: StableParams
@@ -336,11 +359,7 @@ def estimate_ecf(samples, n_freq=10):
     if np.ptp(x) == 0.0:
         return EcfEstimate(StableParams(2.0, 0.0, _SIGMA_FLOOR, float(x[0])), degenerate=True)
 
-    q75, q25 = np.percentile(x, [75.0, 25.0])
-    s0 = (q75 - q25) / 2.0
-    if s0 <= 0.0:
-        s0 = float(np.std(x))
-    u = np.arange(1, n_freq + 1) / (n_freq * s0)
+    u = np.arange(1, n_freq + 1) / (n_freq * _robust_scale(x))
     ecf = np.exp(1j * u[:, None] * x[None, :]).mean(axis=1)
 
     mod = np.clip(np.abs(ecf), 1e-12, 1.0 - 1e-12)

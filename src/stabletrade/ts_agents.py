@@ -42,7 +42,8 @@ import numpy as np
 from .bandit_envs import _backward_q, mdp_episode
 from .errors import (ConfigError, NumericError, ParamError, _check_table, _int_at_least,
                      _known_keys, _number, _one_of, _or_none)
-from .stable_core import _ECF_MIN_SAMPLES, PdfTable, estimate_ecf, _tan_half
+from .stable_core import (_ECF_MIN_SAMPLES, PdfTable, _median, _robust_scale, _tan_half,
+                          estimate_ecf)
 
 # the agent keys each algorithm reads; any other key would only change the
 # config's hash, so from_dict rejects it
@@ -244,11 +245,8 @@ def _ecf_fit(rewards):
 def _moment_beliefs(rewards):
     """Crude initialization for short histories where the ECF fit is off-limits."""
     r = np.asarray(rewards, dtype=float)
-    med = float(np.median(r))
-    q75, q25 = np.percentile(r, [75.0, 25.0])
-    sigma = (q75 - q25) / 2.0
-    if sigma <= 0.0:
-        sigma = float(np.std(r))
+    med = _median(r)
+    sigma = _robust_scale(r)
     if sigma <= 0.0:
         sigma = max(0.1 * abs(med), 0.1)
     return ArmBelief(1.8, 0.0, sigma, prior_mu=med, prior_var=sigma ** 2)
@@ -462,9 +460,6 @@ class _StableSlot(_Slot, _Chains):
     def __init__(self, lam, n_users, dim, n_arms):
         _Slot.__init__(self, lam, n_users, dim)
         _Chains.__init__(self, np.zeros((n_arms, dim)))
-        self.pulls = np.zeros(n_arms, dtype=int)
-        self.visits = 0
-        self.ready = False
 
 
 class _StableBase:
@@ -484,10 +479,13 @@ class _StableBase:
     # -- warm-up and beliefs
 
     def _warm_arm(self, slot):
-        if slot.ready:
+        """The round-robin arm of a warm-up round, None once the slot's
+        beliefs are adopted, which the round that ends the warm-up does."""
+        if slot.arms[0].belief is not None:
             return None
-        if slot.visits < self.n_arms * self.warmup:
-            return slot.visits % self.n_arms
+        visits = sum(len(loc) for loc in slot.arms)
+        if visits < self.n_arms * self.warmup:
+            return visits % self.n_arms
         self._init_slot(slot)
         return None
 
@@ -496,18 +494,16 @@ class _StableBase:
             belief = belief_from_history(loc.rewards)
             loc.theta[:] = belief.prior_mu
             loc.adopt(belief)
-        slot.ready = True
 
     def _after_reward(self, slot, arm, reward):
-        slot.arms[arm].append(reward)
-        slot.pulls[arm] += 1
-        slot.visits += 1
+        loc = slot.arms[arm]
+        loc.append(reward)
         if (
-            slot.ready
-            and slot.pulls[arm] >= _ECF_MIN_SAMPLES
-            and slot.pulls[arm] % self.config.refresh_every == 0
+            loc.belief is not None
+            and len(loc) >= _ECF_MIN_SAMPLES
+            and len(loc) % self.config.refresh_every == 0
         ):
-            slot.arms[arm].refit()
+            loc.refit()
 
     # -- Metropolis-Hastings
 

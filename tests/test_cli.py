@@ -327,12 +327,17 @@ RERUN_KINDS = {
 }
 
 
+def write_samples(directory):
+    """The x.txt that the estimate-stable config of RERUN_KINDS reads."""
+    xs = np.random.default_rng(0).standard_t(3, size=200)
+    (Path(directory) / "x.txt").write_text("\n".join(repr(float(v)) for v in xs) + "\n")
+
+
 @pytest.mark.parametrize("kind", list(RERUN_KINDS))
 def test_bandit_rerun_is_byte_identical(tmp_path, monkeypatch, kind):
     # worker processes run the parsed cells they unpickle
     monkeypatch.chdir(tmp_path)
-    xs = np.random.default_rng(0).standard_t(3, size=200)
-    (tmp_path / "x.txt").write_text("\n".join(repr(float(v)) for v in xs) + "\n")
+    write_samples(tmp_path)
     cfg1 = small_config(tmp_path / "a", **RERUN_KINDS[kind])
     cfg2 = small_config(tmp_path / "b", **RERUN_KINDS[kind])
     assert cli.run(cfg1, workers=1).failures == []
@@ -342,6 +347,22 @@ def test_bandit_rerun_is_byte_identical(tmp_path, monkeypatch, kind):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
+
+
+@pytest.mark.parametrize("kind", list(RERUN_KINDS))
+def test_every_bundle_file_carries_the_config_hash(tmp_path, monkeypatch, kind):
+    # a table's first line is its config stamp, a JSON file holds the hash
+    monkeypatch.chdir(tmp_path)
+    write_samples(tmp_path)
+    rep = cli.run(small_config(tmp_path / "out", **RERUN_KINDS[kind]), workers=1)
+    assert rep.failures == []
+    for path in Path(rep.out_dir).iterdir():
+        if path.suffix in (".csv", ".txt"):
+            first = path.read_text().splitlines()[0]
+            assert first.startswith(f"# config={rep.config_hash} "), (path.name, first)
+        else:
+            assert path.name in ("config.json", "summary.json", "estimate.json")
+            assert json.loads(path.read_text())["hash"] == rep.config_hash, path.name
 
 
 class _RecordingPool:
@@ -416,8 +437,7 @@ def test_a_command_imports_only_what_its_kind_runs(tmp_path, monkeypatch, kind):
     # polynomial package or the argument parser, neither at its validation
     # nor in a one-worker run
     monkeypatch.chdir(tmp_path)
-    xs = np.random.default_rng(0).standard_t(3, size=200)
-    (tmp_path / "x.txt").write_text("\n".join(repr(float(v)) for v in xs) + "\n")
+    write_samples(tmp_path)
     cfg = small_config(tmp_path / "out", seeds=[0], **RERUN_KINDS.get(kind, {"kind": kind}))
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({**cfg.canonical(), "out_dir": cfg.out_dir}))

@@ -20,7 +20,6 @@ from stabletrade.rl_agents import (
     TrainConfig,
     VectorMarketEnv,
     _candidate_set,
-    _median,
     actor_loss_grads,
     actor_update,
     alternating_series,
@@ -591,18 +590,6 @@ def test_actor_step_makes_no_critic_weight_gradient(monkeypatch):
     _, grads = actor_loss_grads(agent, states)
     assert seen == [(True, True), (False, False)]    # critic gx alone, then the actor
     assert grads.shape == agent.actor.flat.shape
-
-
-def test_critic_median_matches_numpy_median():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 3, 64, 65):
-        for _ in range(20):
-            x = np.abs(rng.standard_cauchy(size=n))
-            assert _median(x) == float(np.median(x))
-        x[rng.integers(n)] = np.nan
-        assert np.isnan(_median(x)) and np.isnan(np.median(x))
-    x = np.array([1.0, np.inf, np.inf, 2.0])
-    assert _median(x) == float(np.median(x))
 
 
 # ---------------------------------------------------------------------------

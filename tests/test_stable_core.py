@@ -10,6 +10,7 @@ from stabletrade.errors import InsufficientDataError, ParamError
 from stabletrade.stable_core import (
     PdfTable,
     StableParams,
+    _median,
     cdf,
     char_fn,
     estimate_ecf,
@@ -350,6 +351,28 @@ def test_pdf_table_lookup_matches_np_interp_bit_for_bit(alpha, beta, sigma, grid
 
 
 # ------------------------------------------------------------------ estimate
+
+
+def test_median_is_numpy_median_bit_for_bit():
+    # odd and even sizes, signed zeros and ties, infinities and NaN: the
+    # package's one median returns np.median's float, sign of zero included
+    rng = np.random.default_rng(0)
+    cases = [[-1.0, -0.0, 1.0], [-0.0, -0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
+             [1.0, np.inf, np.inf, 2.0], [-np.inf, 3.0, 3.0]]
+    for n in (1, 2, 3, 64, 65):
+        for _ in range(20):
+            cases.append(rng.standard_cauchy(size=n))
+            cases.append(rng.choice([-1.0, -0.0, 0.0, 2.0], size=n))
+        x = np.abs(rng.standard_cauchy(size=n))
+        x[rng.integers(n)] = np.nan
+        cases.append(x)
+    for x in map(np.asarray, cases):
+        want, got = float(np.median(x)), _median(x)
+        assert isinstance(got, float)
+        if np.isnan(want):
+            assert np.isnan(got), x
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
 
 
 def test_estimate_ecf_gaussian_endpoint():

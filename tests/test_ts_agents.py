@@ -523,7 +523,6 @@ def test_acts_warmup_is_round_robin():
     tr = play(env, agent, 12)
     assert tr.arms[:9] == [0, 1, 2] * 3
     slot = agent.slots[0]
-    assert slot.ready
     assert all(loc.belief is not None for loc in slot.arms)
 
 
@@ -565,8 +564,8 @@ def test_acts_refreshes_beliefs_from_the_ecf():
     agent = ActsAgent(2, 1, AgentConfig(algorithm="acts"), seed=4)
     play(env, agent, 300)
     slot = agent.slots[0]
-    favorite = int(np.argmax(slot.pulls))
-    assert slot.pulls[favorite] >= 50
+    favorite = int(np.argmax([len(loc) for loc in slot.arms]))
+    assert len(slot.arms[favorite]) >= 50
     # the moment fallback pins alpha at 1.8 exactly; a refit moves it
     assert slot.arms[favorite].belief.alpha != 1.8
 
@@ -684,7 +683,7 @@ def test_sacts_keeps_one_slot_per_user():
     tr = play(env, agent, 100)
     assert set(tr.users) == {0, 1}
     for slot in agent.slots:
-        assert slot.visits == 50
+        assert sum(len(loc) for loc in slot.arms) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +773,6 @@ def test_plain_ats_symmetric_arms_split_evenly():
     for loc in slot.arms:
         for r in hist:
             loc.append(r)
-    slot.pulls = np.array([60, 60])
-    slot.visits = 120
     agent._init_slot(slot)
     ctx, env = RoundContext(t=0, contexts=np.ones((2, 1))), ScriptedEnv([0.0])
     picks = 0
@@ -800,7 +797,8 @@ def test_plain_ats_does_no_linear_work_after_warmup(monkeypatch):
     agent = PlainAtsAgent(3, AgentConfig(algorithm="plain_ats"), seed=2)
     tr = play(make_env(spec, seed=2), agent, 200)
     slot = agent.slots[0]
-    assert slot.ready and slot.visits == len(tr.arms) == 200
+    assert all(loc.belief is not None for loc in slot.arms)
+    assert sum(len(loc) for loc in slot.arms) == len(tr.arms) == 200
     assert calls == []
     np.testing.assert_array_equal(slot.B, np.eye(1))
 
